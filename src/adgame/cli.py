@@ -111,20 +111,6 @@ def _cmd_solve_exact(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_train(args: argparse.Namespace) -> None:
-    config = _config_from(args)
-    seed = _seed_of(config)
-    record = pipeline.run_nndp_edo(config, seed, simulate_best=False)
-    _emit(
-        {
-            "run_dir": pipeline.run_dir_for(config, record.strategy, seed),
-            "rounds": len(record.round_best_fitness),
-            "best_fitness": record.best_fitness,
-            "training_flag": record.training_flag,
-        }
-    )
-
-
 def _cmd_defend(args: argparse.Namespace) -> None:
     config = _config_from(args)
     seed = _seed_of(config)
@@ -205,10 +191,6 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--plan", help="bit string over block-worthy edges")
     p.set_defaults(handler=_cmd_solve_exact)
-
-    p = sub.add_parser("train", help="run the search and training loop")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("defend", help="search for a blocking plan")
     p.add_argument(

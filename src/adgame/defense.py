@@ -145,22 +145,20 @@ FitnessFn = Callable[[Plan], float]
 
 
 class ExactFitness:
-    """Attacker value of the blocked game, solved exactly and memoized."""
+    """Attacker value of the blocked game, solved exactly.
+
+    The solver's memo holds every blocked initial state it has solved, so a
+    repeated plan costs one state construction and one lookup.
+    """
 
     kind = "exact"
 
     def __init__(self, cg: CondensedGraph, memo_limit: int = 1_000_000):
         self.cg = cg
         self._solver = ExactSolver(cg, memo_limit=memo_limit)
-        self._cache: dict[Plan, float] = {}
 
     def __call__(self, plan: Sequence[int]) -> float:
-        bits = tuple(plan)
-        value = self._cache.get(bits)
-        if value is None:
-            value = self._solver.value(initial_state(self.cg, bits))
-            self._cache[bits] = value
-        return value
+        return self._solver.value(initial_state(self.cg, plan))
 
 
 class NetFitness:

@@ -66,13 +66,6 @@ class CondensedGraph:
         return tuple(p.id for p in self.nsps if p.terminal == self.da)
 
     @cached_property
-    def source_to_nsps(self) -> Mapping[str, tuple[int, ...]]:
-        table: dict[str, list[int]] = {}
-        for p in self.nsps:
-            table.setdefault(p.source, []).append(p.id)
-        return {v: tuple(ids) for v, ids in table.items()}
-
-    @cached_property
     def edge_to_nsps(self) -> Mapping[int, tuple[int, ...]]:
         table: dict[int, list[int]] = {}
         for p in self.nsps:
@@ -93,12 +86,6 @@ class CondensedGraph:
             if p.block_worthy_edge is not None:
                 table[p.block_worthy_edge].append(p.id)
         return {e: tuple(ids) for e, ids in table.items()}
-
-    def nsp_success_probability(self, nsp_id: int) -> float:
-        prob = 1.0
-        for e in self.nsps[nsp_id].edges:
-            prob *= self.graph.edges[e].p_s
-        return prob
 
 
 def extract_nsps(g: AttackGraph) -> CondensedGraph:

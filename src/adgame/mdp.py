@@ -14,6 +14,7 @@ are computed exactly by memoized dynamic programming over reachable states.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 from .kernel import CondensedGraph
@@ -23,8 +24,6 @@ SUCCESS = 1
 FAILED = -1
 
 State = tuple[int, ...]
-
-PROB_TOL = 1e-12
 
 
 class InadmissibleActionError(Exception):
@@ -70,6 +69,20 @@ def admissible_actions(cg: CondensedGraph, s: State) -> tuple[int, ...]:
     )
 
 
+def is_admissible(cg: CondensedGraph, s: State, action: object) -> bool:
+    """Whether ``action`` is one of ``admissible_actions(cg, s)``.
+
+    Anything but an integer NSP id in range is inadmissible, so callers can
+    refuse a malformed action with their own typed error.
+    """
+    return (
+        isinstance(action, Integral)
+        and 0 <= action < cg.n_nsps
+        and s[action] == UNATTEMPTED
+        and cg.nsps[action].source in checkpoints(cg, s)
+    )
+
+
 @dataclass(frozen=True)
 class TransitionDistribution:
     """Outcome states with probabilities, plus the absorbed detection mass."""
@@ -88,7 +101,7 @@ def transition(cg: CondensedGraph, s: State, action: int) -> TransitionDistribut
     Failure at an edge fails every unattempted NSP sharing that edge, so
     different failure points can merge into the same outcome state.
     """
-    if action not in admissible_actions(cg, s):
+    if not is_admissible(cg, s, action):
         raise InadmissibleActionError(
             f"NSP {action} is not admissible from state {s}"
         )

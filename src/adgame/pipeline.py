@@ -231,7 +231,7 @@ def _persist(
     record: RunRecord,
     inst: PreparedInstance,
     pop: Population,
-    report: SimulationReport | None,
+    report: SimulationReport,
     net: ValueNet | None,
     round_index: int,
     timings: dict,
@@ -242,20 +242,16 @@ def _persist(
         fh.write(record.to_json() + "\n")
     save_graph(inst.graph, os.path.join(run_dir, "graph.txt"))
     save_population(os.path.join(run_dir, "population.txt"), pop)
-    csv_path = os.path.join(run_dir, "simulation.csv")
-    if report is not None and record.simulation is not None:
-        with open(csv_path, "w", encoding="ascii") as fh:
-            fh.write(CSV_HEADER + "\n")
-            fh.write(
-                csv_row(
-                    report,
-                    record.simulation["plan_id"],
-                    record.simulation["evaluator"],
-                )
-                + "\n"
+    with open(os.path.join(run_dir, "simulation.csv"), "w", encoding="ascii") as fh:
+        fh.write(CSV_HEADER + "\n")
+        fh.write(
+            csv_row(
+                report,
+                record.simulation["plan_id"],
+                record.simulation["evaluator"],
             )
-    elif os.path.exists(csv_path):
-        os.remove(csv_path)
+            + "\n"
+        )
     if net is not None:
         save_checkpoint(os.path.join(run_dir, "net.ckpt"), net, round_index)
     with open(os.path.join(run_dir, "timings.json"), "w", encoding="utf-8") as fh:
@@ -268,7 +264,6 @@ def run_nndp_edo(
     config: ExperimentConfig,
     seed: int,
     survivor: str = "diversity",
-    simulate_best: bool = True,
 ) -> RunRecord:
     """Alternate diversity search and net training, then score the winner.
 
@@ -335,14 +330,10 @@ def run_nndp_edo(
     best_fitness, _, best = min(
         (evaluator(m.bits), m.born, m) for m in pop
     )
-    report = None
-    sim_dict = None
-    if simulate_best:
-        report = simulate(
-            cg, best.bits, NetGreedyPolicy(net, cg), config.mc_runs,
-            seed=_child_seed(seed, _S_SIM),
-        )
-        sim_dict = _simulation_dict(report, _plan_id(best.bits), "net-greedy")
+    report = simulate(
+        cg, best.bits, NetGreedyPolicy(net, cg), config.mc_runs,
+        seed=_child_seed(seed, _S_SIM),
+    )
     record = RunRecord(
         strategy=strategy,
         seed=seed,
@@ -357,7 +348,7 @@ def run_nndp_edo(
         best_plan=best.bits,
         best_fitness=best_fitness,
         exact_value=_exact_value_or_none(cg, best.bits, config.memo_limit),
-        simulation=sim_dict,
+        simulation=_simulation_dict(report, _plan_id(best.bits), "net-greedy"),
     )
     timings = {
         "total_s": time.perf_counter() - started,
@@ -467,7 +458,8 @@ def report(run_dirs: list[str]) -> str:
 
     Seeds average within each (strategy, distribution) cell, mirroring how
     multi-seed results are usually tabulated.  Records must come from the
-    same experiment family; mixing graph sources or budgets is refused.
+    same experiment family; mixing graph sources or budgets is refused, and
+    so is a cell holding the same seed twice.
     """
     if not run_dirs:
         raise PipelineError("no run directories given")
@@ -480,24 +472,32 @@ def report(run_dirs: list[str]) -> str:
                     f"run {d} disagrees on {key}: "
                     f"{rec.config.get(key)!r} vs {base.get(key)!r}"
                 )
-    cells: dict[tuple[str, str], list[tuple[int, RunRecord, float | None]]] = {}
+    cells: dict[tuple[str, str], dict[int, tuple[str, RunRecord]]] = {}
     for d, rec in records:
-        key = (rec.strategy, rec.config.get("distribution", "?"))
-        cells.setdefault(key, []).append((rec.seed, rec, _wall_time(d)))
+        cell_key = (rec.strategy, rec.config.get("distribution", "?"))
+        cell = cells.setdefault(cell_key, {})
+        if rec.seed in cell:
+            raise ReportCompatibilityError(
+                f"runs {cell[rec.seed][0]} and {d} both hold seed {rec.seed} "
+                f"of {cell_key[0]} on {cell_key[1]}"
+            )
+        cell[rec.seed] = (d, rec)
     all_seeds = sorted({rec.seed for _, rec in records})
     head = ["strategy", "distribution", "seeds", "mean_success_rate", "mean_wall_s"]
     head += [f"seed{ix}_rate" for ix in all_seeds]
     lines = [",".join(head)]
     for (strategy, distribution) in sorted(cells):
-        rows = sorted(cells[(strategy, distribution)])
-        rates = {}
-        for ix, rec, _ in rows:
-            if rec.simulation is not None:
-                rates[ix] = rec.simulation["success_rate"]
+        cell = cells[(strategy, distribution)]
+        rows = [cell[ix] for ix in sorted(cell)]
+        rates = {
+            rec.seed: rec.simulation["success_rate"]
+            for _, rec in rows
+            if rec.simulation is not None
+        }
         mean_rate = (
             f"{np.mean(list(rates.values())):.6f}" if rates else ""
         )
-        walls = [w for _, _, w in rows if w is not None]
+        walls = [w for w in (_wall_time(d) for d, _ in rows) if w is not None]
         mean_wall = f"{np.mean(walls):.3f}" if walls else ""
         row = [strategy, distribution, str(len(rows)), mean_rate, mean_wall]
         for ix in all_seeds:

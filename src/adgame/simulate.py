@@ -11,15 +11,20 @@ graph edges one uniform per traversal, with blocked edges forced to fail.
 Agreement between the two (and with the exact value) is the empirical check
 that condensation preserved the game.
 
-Runs in the same state are advanced in lockstep so the per-step work is a
-handful of numpy array operations rather than a Python loop over runs.
+Both simulators run on one engine, ``_play``: it checks the arguments, cuts
+the runs into chunks with one tape each, groups runs by (state, tape
+offset), asks the policy once per group, rejects inadmissible actions, and
+absorbs groups that reach a terminal state.  Each simulator only supplies
+the step that moves one group across one attempted path.  Runs in the same
+group advance in lockstep, so the per-step work is a handful of numpy array
+operations rather than a Python loop over runs.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from math import sqrt
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .mdp import (
     UNATTEMPTED,
     ExactSolver,
     initial_state,
+    is_admissible,
     terminal_value,
     transition,
 )
@@ -85,35 +91,6 @@ def _uniform_tape(
     return rng.random((n_runs, draws_per_run))
 
 
-def _report(runs: int, successes: int, started: float) -> SimulationReport:
-    rate = successes / runs
-    return SimulationReport(
-        runs=runs,
-        successes=successes,
-        success_rate=rate,
-        std_error=sqrt(rate * (1.0 - rate) / runs),
-        wall_time=time.perf_counter() - started,
-    )
-
-
-def _checked_action(cg: CondensedGraph, state: State, policy: Policy) -> int:
-    action = policy(state)
-    nsp = cg.nsps[action] if 0 <= action < cg.n_nsps else None
-    if nsp is None or state[action] != UNATTEMPTED:
-        raise PolicyContractError(
-            f"policy chose inadmissible path {action} in state {state}"
-        )
-    owned = set(cg.entry_nodes)
-    for i, mark in enumerate(state):
-        if mark == SUCCESS:
-            owned.add(cg.nsps[i].terminal)
-    if nsp.source not in owned:
-        raise PolicyContractError(
-            f"policy chose path {action} from an unreached node in state {state}"
-        )
-    return action
-
-
 def _settle(
     cg: CondensedGraph,
     groups: dict,
@@ -134,6 +111,59 @@ def _settle(
     return len(rows) if value == 1.0 else 0
 
 
+# One step advances a group of runs sharing a state and tape offset by one
+# attempted path: (state, offset, action, tape, rows) -> ((state, offset),
+# rows) pairs.  Runs the step leaves out were detected and end unsuccessful.
+Step = Callable[
+    [State, int, int, np.ndarray, np.ndarray],
+    Iterable[tuple[tuple[State, int], np.ndarray]],
+]
+
+
+def _play(
+    cg: CondensedGraph,
+    plan: Sequence[int] | None,
+    policy: Policy,
+    runs: int,
+    seed: int,
+    first_run: int,
+    chunk_size: int,
+    draws_per_run: int,
+    step: Step,
+) -> SimulationReport:
+    """Advance runs chunk by chunk, grouped by (state, tape offset)."""
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    started = time.perf_counter()
+    start = initial_state(cg, plan)
+    successes = 0
+    done = 0
+    while done < runs:
+        n = min(chunk_size, runs - done)
+        tape = _uniform_tape(seed, first_run + done, n, draws_per_run)
+        groups: dict[tuple[State, int], np.ndarray] = {}
+        successes += _settle(cg, groups, (start, 0), np.arange(n))
+        while groups:
+            (state, offset), rows = groups.popitem()
+            action = policy(state)
+            if not is_admissible(cg, state, action):
+                raise PolicyContractError(
+                    f"policy chose inadmissible path {action!r} in state {state}"
+                )
+            for key, sub in step(state, offset, action, tape, rows):
+                if len(sub):
+                    successes += _settle(cg, groups, key, sub)
+        done += n
+    rate = successes / runs
+    return SimulationReport(
+        runs=runs,
+        successes=successes,
+        success_rate=rate,
+        std_error=sqrt(rate * (1.0 - rate) / runs),
+        wall_time=time.perf_counter() - started,
+    )
+
+
 def simulate(
     cg: CondensedGraph,
     plan: Sequence[int] | None,
@@ -144,40 +174,24 @@ def simulate(
     chunk_size: int = 65536,
 ) -> SimulationReport:
     """Play the condensed game, one uniform draw per attempted path."""
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    started = time.perf_counter()
-    start = initial_state(cg, plan)
-    draws_per_run = cg.n_nsps
     dist_cache: dict[tuple[State, int], tuple[np.ndarray, list[State]]] = {}
 
-    successes = 0
-    done = 0
-    while done < runs:
-        n = min(chunk_size, runs - done)
-        tape = _uniform_tape(seed, first_run + done, n, draws_per_run)
-        groups: dict[tuple[State, int], np.ndarray] = {}
-        successes += _settle(cg, groups, (start, 0), np.arange(n))
-        while groups:
-            (state, depth), rows = groups.popitem()
-            action = _checked_action(cg, state, policy)
-            cached = dist_cache.get((state, action))
-            if cached is None:
-                dist = transition(cg, state, action)
-                cum = np.cumsum([p for _, p in dist.outcomes])
-                nexts = [s for s, _ in dist.outcomes]
-                dist_cache[(state, action)] = (cum, nexts)
-            else:
-                cum, nexts = cached
-            u = tape[rows, depth]
-            pick = np.searchsorted(cum, u, side="right")
-            for idx in range(len(nexts)):
-                sub = rows[pick == idx]
-                if len(sub):
-                    successes += _settle(cg, groups, (nexts[idx], depth + 1), sub)
-            # draws beyond the last outcome land in the detection mass
-        done += n
-    return _report(runs, successes, started)
+    def step(state, depth, action, tape, rows):
+        cached = dist_cache.get((state, action))
+        if cached is None:
+            dist = transition(cg, state, action)
+            cum = np.cumsum([p for _, p in dist.outcomes])
+            nexts = [s for s, _ in dist.outcomes]
+            cached = dist_cache[(state, action)] = (cum, nexts)
+        cum, nexts = cached
+        # draws beyond the last outcome land in the detection mass
+        pick = np.searchsorted(cum, tape[rows, depth], side="right")
+        for idx, nxt in enumerate(nexts):
+            yield (nxt, depth + 1), rows[pick == idx]
+
+    return _play(
+        cg, plan, policy, runs, seed, first_run, chunk_size, cg.n_nsps, step
+    )
 
 
 def simulate_on_original(
@@ -197,16 +211,10 @@ def simulate_on_original(
     draws on a blocked edge; the override exists to make the defence
     physical rather than notational.
     """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    started = time.perf_counter()
-    blocked: set[int] = set()
-    if plan is not None:
-        if len(plan) != len(cg.bw_edges):
-            raise ValueError(
-                f"plan has {len(plan)} coordinates, expected {len(cg.bw_edges)}"
-            )
-        blocked = {cg.bw_edges[i] for i, bit in enumerate(plan) if bit}
+    # a wrong-length plan is refused by the engine's initial_state call
+    blocked = set() if plan is None else {
+        e for e, bit in zip(cg.bw_edges, plan) if bit
+    }
     n_edges = len(cg.graph.edges)
     p_detect = np.empty(n_edges)
     p_stop = np.empty(n_edges)  # detection or failure, the walk ends either way
@@ -215,56 +223,35 @@ def simulate_on_original(
             p_detect[i], p_stop[i] = 0.0, 1.0
         else:
             p_detect[i], p_stop[i] = e.p_d, e.p_d + e.p_f
-
-    start = initial_state(cg, plan)
-    draws_per_run = sum(len(p.edges) for p in cg.nsps)
     nsp_edges = [np.asarray(p.edges, dtype=np.intp) for p in cg.nsps]
     sharers = cg.edge_to_nsps
-    da_ids = set(cg.da_nsp_ids)
 
-    successes = 0
-    done = 0
-    while done < runs:
-        n = min(chunk_size, runs - done)
-        tape = _uniform_tape(seed, first_run + done, n, draws_per_run)
-        groups: dict[tuple[State, int], np.ndarray] = {}
-        successes += _settle(cg, groups, (start, 0), np.arange(n))
-        while groups:
-            (state, ptr), rows = groups.popitem()
-            action = _checked_action(cg, state, policy)
-            edges = nsp_edges[action]
-            width = len(edges)
-            draws = tape[rows, ptr : ptr + width]
-            stopped = draws < p_stop[edges]
-            any_stop = stopped.any(axis=1)
-            first = np.argmax(stopped, axis=1)
-            walked = rows[~any_stop]
-            if len(walked):
-                nxt = list(state)
-                nxt[action] = SUCCESS
-                if action in da_ids:
-                    successes += len(walked)
-                else:
-                    successes += _settle(
-                        cg, groups, (tuple(nxt), ptr + width), walked
-                    )
-            if not any_stop.any():
-                continue
-            hit_rows = rows[any_stop]
-            hit_at = first[any_stop]
-            u_hit = draws[any_stop, hit_at]
-            detected = u_hit < p_detect[edges[hit_at]]
-            # detected runs simply end; failed runs burn the edge's paths
-            fail_rows = hit_rows[~detected]
-            fail_at = hit_at[~detected]
-            for pos in np.unique(fail_at):
-                sub = fail_rows[fail_at == pos]
-                nxt = list(state)
-                for other in sharers[int(edges[pos])]:
-                    if nxt[other] == UNATTEMPTED:
-                        nxt[other] = FAILED
-                successes += _settle(
-                    cg, groups, (tuple(nxt), ptr + int(pos) + 1), sub
-                )
-        done += n
-    return _report(runs, successes, started)
+    def step(state, ptr, action, tape, rows):
+        edges = nsp_edges[action]
+        width = len(edges)
+        draws = tape[rows, ptr : ptr + width]
+        stopped = draws < p_stop[edges]
+        any_stop = stopped.any(axis=1)
+        nxt = list(state)
+        nxt[action] = SUCCESS
+        yield (tuple(nxt), ptr + width), rows[~any_stop]
+        if not any_stop.any():
+            return
+        hit_rows = rows[any_stop]
+        hit_at = np.argmax(stopped, axis=1)[any_stop]
+        u_hit = draws[any_stop, hit_at]
+        detected = u_hit < p_detect[edges[hit_at]]
+        # detected runs simply end; failed runs burn the edge's paths
+        fail_rows = hit_rows[~detected]
+        fail_at = hit_at[~detected]
+        for pos in np.unique(fail_at):
+            nxt = list(state)
+            for other in sharers[int(edges[pos])]:
+                if nxt[other] == UNATTEMPTED:
+                    nxt[other] = FAILED
+            yield (tuple(nxt), ptr + int(pos) + 1), fail_rows[fail_at == pos]
+
+    draws_per_run = sum(len(p.edges) for p in cg.nsps)
+    return _play(
+        cg, plan, policy, runs, seed, first_run, chunk_size, draws_per_run, step
+    )

@@ -36,12 +36,8 @@ class CheckpointFormatError(Exception):
     """The checkpoint file is malformed or from an unknown format version."""
 
 
-def encode_state(s: State) -> np.ndarray:
-    """Map a trit state to a real vector: success +1, unattempted 0, failed -1."""
-    return np.asarray(s, dtype=np.float64)
-
-
 def encode_states(states: Sequence[State]) -> np.ndarray:
+    """One row per trit state: success +1, unattempted 0, failed -1."""
     return np.asarray(states, dtype=np.float64)
 
 
@@ -185,10 +181,7 @@ class Adam:
 
 def predict(net: ValueNet, cg: CondensedGraph, s: State) -> float:
     """Value of a state: exact on terminals, network output otherwise."""
-    tv = terminal_value(cg, s)
-    if tv is not None:
-        return tv
-    return float(net.forward(encode_state(s)[None, :])[0])
+    return float(_values(net, cg, [s])[0])
 
 
 def _values(net: ValueNet, cg: CondensedGraph, states: list[State]) -> np.ndarray:

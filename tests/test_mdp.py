@@ -211,6 +211,9 @@ def test_transition_rejects_inadmissible_action():
     cg = condense(shared_suffix_graph())
     with pytest.raises(InadmissibleActionError):
         transition(cg, (S, U), 0)
+    for action in (99, -1, None, 1.5):
+        with pytest.raises(InadmissibleActionError):
+            transition(cg, (U, U), action)
 
 
 def test_memo_budget_raises_resource_error():

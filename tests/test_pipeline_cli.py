@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -121,24 +122,26 @@ def test_graph_file_without_entries_is_refused(tmp_path):
         prepare_instance(cfg, 0)
 
 
+RECORD = RunRecord(
+    strategy="nndp-edo",
+    seed=3,
+    config={"budget": 2},
+    instance_key="abc",
+    dropped_entries=("u9",),
+    n_nsps=4,
+    n_bw_edges=3,
+    round_best_fitness=(0.5, 0.25),
+    loss_curves=((0.1, 0.05), (0.04,)),
+    training_flag=False,
+    best_plan=(1, 0, 1),
+    best_fitness=0.25,
+    exact_value=None,
+    simulation={"plan_id": "plan-101", "success_rate": 0.2},
+)
+
+
 def test_run_record_json_round_trip():
-    record = RunRecord(
-        strategy="nndp-edo",
-        seed=3,
-        config={"budget": 2},
-        instance_key="abc",
-        dropped_entries=("u9",),
-        n_nsps=4,
-        n_bw_edges=3,
-        round_best_fitness=(0.5, 0.25),
-        loss_curves=((0.1, 0.05), (0.04,)),
-        training_flag=False,
-        best_plan=(1, 0, 1),
-        best_fitness=0.25,
-        exact_value=None,
-        simulation={"plan_id": "plan-101", "success_rate": 0.2},
-    )
-    assert RunRecord.from_json(record.to_json()) == record
+    assert RunRecord.from_json(RECORD.to_json()) == RECORD
 
 
 def _artifact_bytes(run_dir: str) -> dict[str, bytes]:
@@ -237,6 +240,27 @@ def test_report_tabulates_and_refuses_mixed_runs(tmp_path, graph_file):
         report(dirs)
 
 
+def _write_record(run_dir: str, **fields) -> str:
+    os.makedirs(run_dir)
+    with open(os.path.join(run_dir, "record.json"), "w") as fh:
+        fh.write(replace(RECORD, **fields).to_json())
+    return run_dir
+
+
+def test_report_refuses_a_run_dir_given_twice(tmp_path):
+    run = _write_record(str(tmp_path / "a"))
+    assert report([run]).splitlines()[1].startswith("nndp-edo,?,1,")
+    with pytest.raises(ReportCompatibilityError, match="seed 3"):
+        report([run, run])
+
+
+def test_report_refuses_two_runs_of_one_seed(tmp_path):
+    first = _write_record(str(tmp_path / "a"))
+    second = _write_record(str(tmp_path / "b"), best_fitness=0.5)
+    with pytest.raises(ReportCompatibilityError, match="seed 3"):
+        report([first, second])
+
+
 def test_cli_generate_is_deterministic(tmp_path, capsys):
     cfg = tiny_config(str(tmp_path / "a"))
     assert main(["generate", "--seed", "0", "--out", cfg.out_dir] + _sets(cfg)) == 0
@@ -276,7 +300,7 @@ def test_cli_kernelize_and_solve_exact_agree(tmp_path, capsys, graph_file):
     assert solved_one["value"] == pytest.approx(want, abs=1e-12)
 
 
-def test_cli_defend_train_simulate_report(tmp_path, capsys, graph_file):
+def test_cli_defend_simulate_report(tmp_path, capsys, graph_file):
     out = str(tmp_path / "runs")
     common = ["--set", f"graph_file={graph_file}", "--seed", "0", "--out", out]
     for key, value in TINY.items():
@@ -292,13 +316,6 @@ def test_cli_defend_train_simulate_report(tmp_path, capsys, graph_file):
     assert main(["defend", "greedy"] + common) == 0
     greedy = json.loads(capsys.readouterr().out)
     assert greedy["exact_value"] == greedy["best_fitness"]
-
-    assert main(["train"] + common) == 0
-    trained = json.loads(capsys.readouterr().out)
-    assert trained["rounds"] == TINY["rounds"]
-    assert not os.path.exists(
-        os.path.join(trained["run_dir"], "simulation.csv")
-    )
 
     ckpt = os.path.join(edo["run_dir"], "net.ckpt")
     assert (

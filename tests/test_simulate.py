@@ -108,9 +108,10 @@ def test_wrong_plan_length_raises():
 
 def test_out_of_range_action_is_contract_error():
     cg = condense(two_parallel_graph())
-    for sim in (simulate, simulate_on_original):
-        with pytest.raises(PolicyContractError):
-            sim(cg, None, lambda s: 99, runs=10, seed=0)
+    for action in (99, -1, None, 1.5):
+        for sim in (simulate, simulate_on_original):
+            with pytest.raises(PolicyContractError):
+                sim(cg, None, lambda s: action, runs=10, seed=0)
 
 
 def test_repeating_a_failed_path_is_contract_error():

@@ -14,7 +14,7 @@ from adgame.valuenet import (
     ValueNet,
     action_values,
     bellman_targets,
-    encode_state,
+    encode_states,
     greedy_action,
     load_checkpoint,
     predict,
@@ -28,8 +28,12 @@ from instances import chain_graph, random_instance, shared_suffix_graph, two_par
 
 
 def test_encode_state_maps_trits():
-    assert encode_state((SUCCESS, FAILED, UNATTEMPTED)).tolist() == [1.0, -1.0, 0.0]
-    assert encode_state((0, 0, 0, 0)).tolist() == [0.0, 0.0, 0.0, 0.0]
+    one = encode_states([(SUCCESS, FAILED, UNATTEMPTED)])
+    assert one.tolist() == [[1.0, -1.0, 0.0]]
+    assert encode_states([(0, 0, 0), (FAILED, SUCCESS, SUCCESS)]).tolist() == [
+        [0.0, 0.0, 0.0],
+        [-1.0, 1.0, 1.0],
+    ]
 
 
 def test_forward_output_strictly_inside_unit_interval():
