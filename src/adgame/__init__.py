@@ -7,7 +7,6 @@ from .graph import (
     GraphFormatError,
     GraphValidationError,
     Node,
-    ProbabilityDistribution,
     assign_blockable,
     load_graph,
     prune,
@@ -15,7 +14,7 @@ from .graph import (
     save_graph,
     select_entry_nodes,
 )
-from .generator import GeneratorParams, generate_synthetic
+from .generator import generate_synthetic
 from .kernel import CondensedGraph, KernelizationError, Nsp, condense, kernel_report
 from .mdp import (
     ExactSolver,

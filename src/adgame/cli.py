@@ -222,29 +222,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except (CommandLineError, ConfigError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
-    try:
+        args = build_parser().parse_args(argv)
         args.handler(args)
-    except (CommandLineError, ConfigError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
     except Exception as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
-        return 1
+        return 2 if isinstance(exc, (CommandLineError, ConfigError)) else 1
     return 0
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from .graph import DISTRIBUTION_KINDS
+from .mdp import MEMO_LIMIT
 
 
 class ConfigError(Exception):
@@ -44,7 +45,7 @@ class ExperimentConfig:
     mc_runs: int = 100000
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
     out_dir: str = "runs"
-    memo_limit: int = 1_000_000
+    memo_limit: int = MEMO_LIMIT
     enumeration_budget: int = 1_000_000
 
     def validate(self) -> None:

@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernel import CondensedGraph
-from .mdp import ExactSolver, initial_state
-from .simulate import Policy, simulate
+from .mdp import MEMO_LIMIT, initial_state
+from .simulate import DpPolicy, Policy, simulate
 from .valuenet import ValueNet, predict
 
 Plan = tuple[int, ...]
@@ -148,17 +148,19 @@ class ExactFitness:
     """Attacker value of the blocked game, solved exactly.
 
     The solver's memo holds every blocked initial state it has solved, so a
-    repeated plan costs one state construction and one lookup.
+    repeated plan costs one state construction and one lookup.  The solver
+    is a ``DpPolicy`` exposed as ``policy``: simulating a scored plan with
+    it plays from states already solved.
     """
 
     kind = "exact"
 
-    def __init__(self, cg: CondensedGraph, memo_limit: int = 1_000_000):
+    def __init__(self, cg: CondensedGraph, memo_limit: int = MEMO_LIMIT):
         self.cg = cg
-        self._solver = ExactSolver(cg, memo_limit=memo_limit)
+        self.policy = DpPolicy(cg, memo_limit=memo_limit)
 
     def __call__(self, plan: Sequence[int]) -> float:
-        return self._solver.value(initial_state(self.cg, plan))
+        return self.policy.value(initial_state(self.cg, plan))
 
 
 class NetFitness:

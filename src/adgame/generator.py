@@ -14,14 +14,15 @@ touching a privileged credential, which mirrors how real directory graphs
 leave most nodes with no path to DA.  One full escalation chain is always
 wired in explicitly so every seed yields a playable game.
 
+The shape is fixed: the module constants set every ratio and rate, and a
+call chooses only the machine count and the seed.
+
 Edges are created with zero probabilities and no blockable flags; both are
 sampled later in the preparation pipeline.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import (
@@ -39,73 +40,44 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
-    """Knobs controlling the shape and tiering of a generated network."""
-
-    users_per_computer: float = 1.8
-    groups_per_computer: float = 0.2
-    da_group_count: int = 7
-    org_units: int = 10
-    server_fraction: float = 0.05
-    admin_user_fraction: float = 0.06
-    admin_group_fraction: float = 0.12
-    memberships_low: int = 1
-    memberships_high: int = 3
-    group_nesting_rate: float = 0.3
-    da_membership_rate: float = 0.6
-    workstation_admin_groups: int = 2
-    server_admin_rate: float = 0.5
-    direct_admin_rate: float = 0.08
-    workstation_session_rate: float = 0.85
-    server_session_rate: float = 0.75
-    stray_admin_session_rate: float = 0.1
-
-    def validate(self, n_computers: int) -> None:
-        if n_computers < 1:
-            raise GraphValidationError("n_computers must be at least 1")
-        if round(self.users_per_computer * n_computers) < 1:
-            raise GraphValidationError("parameters yield zero users")
-        if self.da_group_count < 1:
-            raise GraphValidationError("da_group_count must be at least 1")
-        if self.org_units < 1:
-            raise GraphValidationError("org_units must be at least 1")
-        for name in (
-            "server_fraction",
-            "admin_user_fraction",
-            "admin_group_fraction",
-            "group_nesting_rate",
-            "da_membership_rate",
-            "server_admin_rate",
-            "direct_admin_rate",
-            "workstation_session_rate",
-            "server_session_rate",
-            "stray_admin_session_rate",
-        ):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise GraphValidationError(f"{name} must lie in [0, 1]")
-        if not (1 <= self.memberships_low <= self.memberships_high):
-            raise GraphValidationError("membership bounds must satisfy 1 <= low <= high")
+# Shape of every generated network.  Counts scale with ``n_computers``.
+USERS_PER_COMPUTER = 1.8
+GROUPS_PER_COMPUTER = 0.2
+DA_GROUP_COUNT = 7
+ORG_UNITS = 10
+SERVER_FRACTION = 0.05
+ADMIN_USER_FRACTION = 0.06
+ADMIN_GROUP_FRACTION = 0.12
+# a regular user joins between MEMBERSHIPS_LOW and MEMBERSHIPS_HIGH groups
+MEMBERSHIPS_LOW = 1
+MEMBERSHIPS_HIGH = 3
+WORKSTATION_ADMIN_GROUPS = 2
+# chances that one optional edge is drawn
+GROUP_NESTING_RATE = 0.3
+DA_MEMBERSHIP_RATE = 0.6
+SERVER_ADMIN_RATE = 0.5
+DIRECT_ADMIN_RATE = 0.08
+WORKSTATION_SESSION_RATE = 0.85
+SERVER_SESSION_RATE = 0.75
+STRAY_ADMIN_SESSION_RATE = 0.1
 
 
-def generate_synthetic(
-    n_computers: int, seed: int, params: GeneratorParams = GeneratorParams()
-) -> AttackGraph:
+def generate_synthetic(n_computers: int, seed: int) -> AttackGraph:
     """Generate a raw attack graph with ``n_computers`` machines.
 
     The result still has multiple DA candidate nodes, no entry nodes, zero
     edge probabilities, and no blockable flags; feed it through the
     preparation pipeline before playing.
     """
-    params.validate(n_computers)
+    if n_computers < 1:
+        raise GraphValidationError("n_computers must be at least 1")
     rng = np.random.default_rng(seed)
 
-    n_users = max(1, round(params.users_per_computer * n_computers))
-    n_groups = max(2, round(params.groups_per_computer * n_computers))
-    n_servers = max(1, math.ceil(params.server_fraction * n_computers))
-    n_admin_users = max(1, math.ceil(params.admin_user_fraction * n_users))
-    n_admin_groups = max(1, math.ceil(params.admin_group_fraction * n_groups))
+    n_users = max(1, round(USERS_PER_COMPUTER * n_computers))
+    n_groups = max(2, round(GROUPS_PER_COMPUTER * n_computers))
+    n_servers = max(1, math.ceil(SERVER_FRACTION * n_computers))
+    n_admin_users = max(1, math.ceil(ADMIN_USER_FRACTION * n_users))
+    n_admin_groups = max(1, math.ceil(ADMIN_GROUP_FRACTION * n_groups))
     n_admin_groups = min(n_admin_groups, n_groups - 1) or 1
 
     computers = [f"c{i}" for i in range(n_computers)]
@@ -117,11 +89,11 @@ def generate_synthetic(
     groups = [f"g{i}" for i in range(n_groups)]
     admin_groups = groups[:n_admin_groups]
     regular_groups = groups[n_admin_groups:] or groups
-    da_groups = [f"da{i}" for i in range(params.da_group_count)]
+    da_groups = [f"da{i}" for i in range(DA_GROUP_COUNT)]
 
     n_units = max(
         1,
-        min(params.org_units, len(workstations), len(regular_users), len(regular_groups)),
+        min(ORG_UNITS, len(workstations), len(regular_users), len(regular_groups)),
     )
     ws_unit = [[] for _ in range(n_units)]
     user_unit = [[] for _ in range(n_units)]
@@ -168,7 +140,7 @@ def generate_synthetic(
     # Group memberships stay within the user's unit.
     for u in regular_users:
         k = unit_of_user[u]
-        n_member = int(rng.integers(params.memberships_low, params.memberships_high + 1))
+        n_member = int(rng.integers(MEMBERSHIPS_LOW, MEMBERSHIPS_HIGH + 1))
         for _ in range(n_member):
             add(u, pick(group_unit[k]), MEMBER_OF)
     for u in admin_users:
@@ -178,41 +150,41 @@ def generate_synthetic(
 
     # Group nesting within each tier; admin groups chain into DA.
     for gr in regular_groups[1:]:
-        if rng.random() < params.group_nesting_rate:
+        if rng.random() < GROUP_NESTING_RATE:
             add(gr, pick(group_unit[unit_of_group[gr]]), MEMBER_OF)
     for gr in admin_groups[1:]:
-        if rng.random() < params.group_nesting_rate:
+        if rng.random() < GROUP_NESTING_RATE:
             add(gr, pick(admin_groups), MEMBER_OF)
     for gr in admin_groups:
-        if rng.random() < params.da_membership_rate:
+        if rng.random() < DA_MEMBERSHIP_RATE:
             add(gr, pick(da_groups), MEMBER_OF)
 
     # Administration rights.  Only IT-unit groups may administer servers.
     for c in workstations:
         k = unit_of_ws[c]
-        for _ in range(params.workstation_admin_groups):
+        for _ in range(WORKSTATION_ADMIN_GROUPS):
             add(pick(group_unit[k]), c, ADMIN_TO)
     for gr in admin_groups:
         n_adm = int(rng.integers(1, max(2, len(servers) // 2) + 1))
         for _ in range(n_adm):
             add(gr, pick(servers), ADMIN_TO)
     for gr in group_unit[0]:
-        if rng.random() < params.server_admin_rate:
+        if rng.random() < SERVER_ADMIN_RATE:
             add(gr, pick(servers), ADMIN_TO)
     for u in regular_users:
-        if rng.random() < params.direct_admin_rate:
+        if rng.random() < DIRECT_ADMIN_RATE:
             add(u, pick(ws_unit[unit_of_user[u]]), ADMIN_TO)
 
     # Logged-on sessions: compromising the machine yields the credentials.
     # Admins only ever log on to servers and IT-unit workstations.
     for c in workstations:
         k = unit_of_ws[c]
-        if rng.random() < params.workstation_session_rate:
+        if rng.random() < WORKSTATION_SESSION_RATE:
             add(c, pick(user_unit[k]), HAS_SESSION)
-        if k == 0 and rng.random() < params.stray_admin_session_rate:
+        if k == 0 and rng.random() < STRAY_ADMIN_SESSION_RATE:
             add(c, pick(admin_users), HAS_SESSION)
     for c in servers:
-        if rng.random() < params.server_session_rate:
+        if rng.random() < SERVER_SESSION_RATE:
             add(c, pick(admin_users), HAS_SESSION)
 
     g = AttackGraph(tuple(nodes), tuple(edges))

@@ -12,7 +12,9 @@ are blockable: the defender may spend budget to raise their failure rate to
 This module owns the graph data type and the preparation pipeline that turns
 a raw generated or loaded graph into a playable instance: pruning, entry
 selection, blockable-edge assignment, probability sampling, and text
-serialization.
+serialization.  Probabilities come from one of three distributions,
+chosen by name (``independent``, ``positive``, ``negative``), whose
+parameters are the module's ``P_*`` constants.
 """
 from __future__ import annotations
 
@@ -40,6 +42,11 @@ INDEPENDENT = "independent"
 POSITIVE = "positive"
 NEGATIVE = "negative"
 DISTRIBUTION_KINDS = (INDEPENDENT, POSITIVE, NEGATIVE)
+# parameters of the (p_d, p_f) distributions; see sample_edge_probabilities
+P_LOW, P_HIGH = 0.0, 0.2
+P_MEAN_D, P_MEAN_F = 0.1, 0.1
+P_SIGMA = 0.05
+P_RHO = 0.5
 
 PROB_TOL = 1e-12
 
@@ -334,61 +341,35 @@ def assign_blockable(g: AttackGraph, seed: int) -> AttackGraph:
     return replace(g, edges=new_edges)
 
 
-@dataclass(frozen=True)
-class ProbabilityDistribution:
-    """Joint distribution of (p_d, p_f) used to parametrize edges.
+def sample_edge_probabilities(g: AttackGraph, kind: str, seed: int) -> AttackGraph:
+    """Redraw every edge's (p_d, p_f) pair from the named distribution.
 
-    ``independent`` draws both uniformly on [low, high].  ``positive`` and
-    ``negative`` draw from a bivariate normal with the given means, common
-    standard deviation, and correlation +/-rho, clamped coordinate-wise to
-    [0, 1] and rescaled when the pair sums above 1.
+    ``independent`` draws both uniformly on [P_LOW, P_HIGH].  ``positive``
+    and ``negative`` draw from a bivariate normal with means P_MEAN_D and
+    P_MEAN_F, common standard deviation P_SIGMA and correlation +/-P_RHO,
+    clamped coordinate-wise to [0, 1] and rescaled when the pair sums above 1.
     """
-
-    kind: str
-    low: float = 0.0
-    high: float = 0.2
-    mean_d: float = 0.1
-    mean_f: float = 0.1
-    sigma: float = 0.05
-    rho: float = 0.5
-
-    @classmethod
-    def from_name(cls, name: str) -> "ProbabilityDistribution":
-        if name not in DISTRIBUTION_KINDS:
-            raise GraphValidationError(
-                f"unknown probability distribution {name!r}; "
-                f"expected one of {', '.join(DISTRIBUTION_KINDS)}"
-            )
-        return cls(kind=name)
-
-    def covariance(self) -> np.ndarray:
-        rho = self.rho if self.kind == POSITIVE else -self.rho
-        var = self.sigma**2
-        return np.array([[var, rho * var], [rho * var, var]])
-
-    def sample(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind == INDEPENDENT:
-            m = rng.uniform(self.low, self.high, size=(n, 2))
-        else:
-            m = rng.multivariate_normal(
-                [self.mean_d, self.mean_f], self.covariance(), size=n
-            )
-            m = np.clip(m, 0.0, 1.0)
-            total = m.sum(axis=1)
-            over = total > 1.0
-            if over.any():
-                m[over] /= total[over, None]
-        return m[:, 0], m[:, 1]
-
-
-def sample_edge_probabilities(
-    g: AttackGraph, dist: ProbabilityDistribution, seed: int
-) -> AttackGraph:
-    """Redraw every edge's (p_d, p_f) pair from the given distribution."""
+    if kind not in DISTRIBUTION_KINDS:
+        raise GraphValidationError(
+            f"unknown probability distribution {kind!r}; "
+            f"expected one of {', '.join(DISTRIBUTION_KINDS)}"
+        )
     rng = np.random.default_rng(seed)
-    p_d, p_f = dist.sample(rng, len(g.edges))
+    n = len(g.edges)
+    if kind == INDEPENDENT:
+        m = rng.uniform(P_LOW, P_HIGH, size=(n, 2))
+    else:
+        rho = P_RHO if kind == POSITIVE else -P_RHO
+        var = P_SIGMA**2
+        cov = np.array([[var, rho * var], [rho * var, var]])
+        m = rng.multivariate_normal([P_MEAN_D, P_MEAN_F], cov, size=n)
+        m = np.clip(m, 0.0, 1.0)
+        total = m.sum(axis=1)
+        over = total > 1.0
+        if over.any():
+            m[over] /= total[over, None]
     new_edges = tuple(
-        replace(e, p_d=float(p_d[i]), p_f=float(p_f[i]))
+        replace(e, p_d=float(m[i, 0]), p_f=float(m[i, 1]))
         for i, e in enumerate(g.edges)
     )
     return replace(g, edges=new_edges)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
 
-from .graph import AttackGraph, DOMAIN_ADMIN
+from .graph import AttackGraph
 
 MAX_NSPS = 100_000
 

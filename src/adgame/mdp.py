@@ -25,6 +25,9 @@ FAILED = -1
 
 State = tuple[int, ...]
 
+# default cap on the exact solver's memo, in distinct states
+MEMO_LIMIT = 1_000_000
+
 
 class InadmissibleActionError(Exception):
     """An NSP was attempted from a state that does not allow it."""
@@ -154,7 +157,7 @@ class ExactSolver:
     raises StateSpaceLimitError instead of exhausting memory.
     """
 
-    def __init__(self, cg: CondensedGraph, memo_limit: int = 1_000_000):
+    def __init__(self, cg: CondensedGraph, memo_limit: int = MEMO_LIMIT):
         self.cg = cg
         self.memo_limit = memo_limit
         self._memo: dict[State, tuple[float, int | None]] = {}
@@ -219,11 +222,6 @@ class ExactSolver:
         return len(self._memo)
 
 
-def dp_value(
-    cg: CondensedGraph,
-    s: State | None = None,
-    memo_limit: int = 1_000_000,
-) -> float:
+def dp_value(cg: CondensedGraph, s: State | None = None) -> float:
     """Exact attacker value of ``s`` (default: the unblocked initial state)."""
-    solver = ExactSolver(cg, memo_limit=memo_limit)
-    return solver.value(initial_state(cg) if s is None else s)
+    return ExactSolver(cg).value(initial_state(cg) if s is None else s)

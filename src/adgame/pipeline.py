@@ -37,7 +37,6 @@ from .graph import (
     AttackGraph,
     EmptyGameError,
     GraphValidationError,
-    ProbabilityDistribution,
     assign_blockable,
     graph_to_text,
     load_graph,
@@ -49,7 +48,7 @@ from .graph import (
 from .generator import generate_synthetic
 from .kernel import CondensedGraph, condense, kernel_report
 from .mdp import StateSpaceLimitError
-from .simulate import CSV_HEADER, DpPolicy, SimulationReport, csv_row, simulate
+from .simulate import CSV_HEADER, SimulationReport, csv_row, simulate
 from .valuenet import (
     Adam,
     NetGreedyPolicy,
@@ -58,8 +57,6 @@ from .valuenet import (
     save_checkpoint,
     train_round,
 )
-
-STRATEGIES = ("nndp-edo", "nndp-vec", "greedy", "exhaustive")
 
 # independent random streams per purpose, derived from the instance seed
 _S_GENERATE, _S_PROBS, _S_BLOCKABLE, _S_ENTRIES = 0, 1, 2, 3
@@ -108,8 +105,9 @@ def build_source_graph(config: ExperimentConfig, seed: int) -> AttackGraph:
         return g
     raw = generate_synthetic(config.n_computers, seed=_child_seed(seed, _S_GENERATE))
     base = prune(raw)
-    dist = ProbabilityDistribution.from_name(config.distribution)
-    base = sample_edge_probabilities(base, dist, _child_seed(seed, _S_PROBS))
+    base = sample_edge_probabilities(
+        base, config.distribution, _child_seed(seed, _S_PROBS)
+    )
     base = assign_blockable(base, _child_seed(seed, _S_BLOCKABLE))
     entries = select_entry_nodes(
         base, config.entry_pool_size, config.entry_count, _child_seed(seed, _S_ENTRIES)
@@ -286,7 +284,6 @@ def run_nndp_edo(
     optimizer = Adam(net, learning_rate=config.learning_rate)
     tconf = TrainingConfig(
         batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
         epochs_per_round=config.epochs_per_round,
         explore_prob=config.explore_prob,
     )
@@ -383,8 +380,7 @@ def run_baseline(config: ExperimentConfig, strategy: str, seed: int) -> RunRecor
         )
     fitness = ev(plan)
     report = simulate(
-        cg, plan, DpPolicy(cg, memo_limit=config.memo_limit), config.mc_runs,
-        seed=_child_seed(seed, _S_SIM),
+        cg, plan, ev.policy, config.mc_runs, seed=_child_seed(seed, _S_SIM)
     )
     record = RunRecord(
         strategy=strategy,

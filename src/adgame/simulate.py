@@ -68,14 +68,15 @@ def csv_row(report: SimulationReport, plan_id: str, evaluator: str) -> str:
     )
 
 
-class DpPolicy:
-    """Plays the exact optimal action, lazily solving states as they appear."""
+class DpPolicy(ExactSolver):
+    """Plays the exact optimal action, lazily solving states as they appear.
 
-    def __init__(self, cg: CondensedGraph, memo_limit: int = 1_000_000):
-        self._solver = ExactSolver(cg, memo_limit=memo_limit)
+    The policy is its own solver, so a policy that already solved a plan's
+    initial state (as ``ExactFitness.policy`` does) plays from its memo.
+    """
 
     def __call__(self, s: State) -> int:
-        action = self._solver.best_action(s)
+        action = self.best_action(s)
         if action is None:
             raise PolicyContractError(f"no action available in state {s}")
         return action

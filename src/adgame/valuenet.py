@@ -135,22 +135,18 @@ class ValueNet:
         return loss, grads
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adaptive-moment gradient descent over a net's parameters."""
 
-    def __init__(
-        self,
-        net: ValueNet,
-        learning_rate: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, net: ValueNet, learning_rate: float = 0.001):
         self.net = net
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = [
             (np.zeros_like(w), np.zeros_like(b))
@@ -163,7 +159,7 @@ class Adam:
 
     def step(self, grads: list[tuple[np.ndarray, np.ndarray]]) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         scale = self.learning_rate * sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)
         for i, (dw, db) in enumerate(grads):
             for slot, grad, param in (
@@ -176,7 +172,7 @@ class Adam:
                 m += (1 - b1) * grad
                 v *= b2
                 v += (1 - b2) * grad**2
-                param -= scale * m / (np.sqrt(v) + self.eps)
+                param -= scale * m / (np.sqrt(v) + ADAM_EPS)
 
 
 def predict(net: ValueNet, cg: CondensedGraph, s: State) -> float:
@@ -305,16 +301,12 @@ def rollout(
 @dataclass(frozen=True)
 class TrainingConfig:
     batch_size: int = 16
-    learning_rate: float = 0.001
     epochs_per_round: int = 500
     explore_prob: float = 0.5
-    seed: int = 0
 
     def validate(self) -> None:
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if self.epochs_per_round < 0:
             raise ValueError("epochs_per_round must be nonnegative")
         if not 0.0 <= self.explore_prob <= 1.0:
@@ -351,7 +343,7 @@ def train_round(
     if not plans:
         raise ValueError("plans must be non-empty")
     if optimizer is None:
-        optimizer = Adam(net, learning_rate=config.learning_rate)
+        optimizer = Adam(net)
     losses: list[float] = []
     for _ in range(config.epochs_per_round):
         plan = plans[int(rng.integers(len(plans)))]

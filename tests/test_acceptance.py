@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from itertools import combinations
 
 import numpy as np
 import pytest

@@ -26,13 +26,14 @@ from adgame.defense import (
     vec_run,
 )
 from adgame.kernel import condense
-from adgame.mdp import dp_value, initial_state
-from adgame.simulate import DpPolicy
+from adgame.mdp import dp_value
+from adgame.simulate import DpPolicy, simulate
 from adgame.valuenet import ValueNet
 
 from instances import (
     four_parallel_graph,
     greedy_trap_graph,
+    random_instance,
     shared_suffix_graph,
     textbook_kernel_graph,
     two_parallel_graph,
@@ -154,6 +155,18 @@ def test_exact_fitness_matches_dp_and_caches():
     # the shared final edge kills both paths at once
     assert ev((1,)) == 0.0
     assert ev((1,)) == 0.0
+
+
+def test_exact_fitness_policy_plays_from_the_solved_memo():
+    cg = random_instance(26, max_nsps=10)
+    ev = ExactFitness(cg)
+    plan = greedy_run(cg, ev, 1)
+    ev(plan)
+    solved = ev.policy.states_solved
+    shared = simulate(cg, plan, ev.policy, 2000, seed=3)
+    assert ev.policy.states_solved == solved  # every visited state was solved
+    fresh = simulate(cg, plan, DpPolicy(cg), 2000, seed=3)
+    assert shared.successes == fresh.successes
 
 
 def test_net_fitness_bounds_and_terminal_shortcut():

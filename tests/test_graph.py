@@ -15,7 +15,6 @@ from adgame.graph import (
     GraphFormatError,
     GraphValidationError,
     Node,
-    ProbabilityDistribution,
     assign_blockable,
     load_graph,
     prune,
@@ -23,7 +22,7 @@ from adgame.graph import (
     save_graph,
     select_entry_nodes,
 )
-from adgame.generator import GeneratorParams, generate_synthetic
+from adgame.generator import generate_synthetic
 
 from instances import build_game, chain_graph
 
@@ -164,8 +163,6 @@ def test_generate_deterministic_and_seed_sensitive():
 def test_generate_rejects_bad_params():
     with pytest.raises(GraphValidationError):
         generate_synthetic(0, seed=0)
-    with pytest.raises(GraphValidationError):
-        generate_synthetic(10, seed=0, params=GeneratorParams(users_per_computer=0.0))
 
 
 def test_generate_scale_matches_enterprise_shape():
@@ -226,10 +223,17 @@ def test_assign_blockable_mean_count_tracks_likelihoods():
     assert abs(mean - expected) <= 3 * math.sqrt(var / n)
 
 
+def _sampled(kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p_d, p_f) drawn for a graph of 100,000 parallel edges."""
+    g = AttackGraph(
+        (Node("a", COMPUTER), Node("da", DOMAIN_ADMIN)), (Edge("a", "da"),) * 100_000
+    )
+    edges = sample_edge_probabilities(g, kind, seed).edges
+    return np.array([e.p_d for e in edges]), np.array([e.p_f for e in edges])
+
+
 def test_sample_probabilities_independent_bounds_and_simplex():
-    dist = ProbabilityDistribution.from_name("independent")
-    rng = np.random.default_rng(0)
-    p_d, p_f = dist.sample(rng, 100_000)
+    p_d, p_f = _sampled("independent", seed=0)
     assert p_d.min() >= 0.0 and p_d.max() <= 0.2
     assert p_f.min() >= 0.0 and p_f.max() <= 0.2
     assert float(np.max(p_d + p_f)) <= 1.0
@@ -238,9 +242,7 @@ def test_sample_probabilities_independent_bounds_and_simplex():
 
 @pytest.mark.parametrize("name,target", [("positive", 0.5), ("negative", -0.5)])
 def test_sample_probabilities_correlation(name, target):
-    dist = ProbabilityDistribution.from_name(name)
-    rng = np.random.default_rng(42)
-    p_d, p_f = dist.sample(rng, 100_000)
+    p_d, p_f = _sampled(name, seed=42)
     r = float(np.corrcoef(p_d, p_f)[0, 1])
     assert abs(r - target) <= 0.1
     assert p_d.min() >= 0.0 and p_f.min() >= 0.0
@@ -249,13 +251,12 @@ def test_sample_probabilities_correlation(name, target):
 
 def test_sample_probabilities_unknown_name_rejected():
     with pytest.raises(GraphValidationError):
-        ProbabilityDistribution.from_name("cauchy")
+        sample_edge_probabilities(chain_graph([(0.0, 0.0)] * 2), "cauchy", seed=0)
 
 
 def test_sample_edge_probabilities_applies_to_graph():
     g = chain_graph([(0.0, 0.0)] * 4)
-    dist = ProbabilityDistribution.from_name("independent")
-    out = sample_edge_probabilities(g, dist, seed=5)
+    out = sample_edge_probabilities(g, "independent", seed=5)
     assert any(e.p_d > 0 for e in out.edges)
-    again = sample_edge_probabilities(g, dist, seed=5)
+    again = sample_edge_probabilities(g, "independent", seed=5)
     assert out == again

@@ -19,7 +19,6 @@ from adgame.mdp import (
 )
 
 from instances import (
-    build_game,
     chain_graph,
     random_instance,
     shared_suffix_graph,

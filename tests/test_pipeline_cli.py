@@ -75,6 +75,21 @@ def test_prepare_instance_is_deterministic(tmp_path):
     assert a.instance_key != c.instance_key
 
 
+@pytest.mark.parametrize(
+    "distribution,key",
+    [
+        ("independent", "3babb507224bef27"),
+        ("positive", "86a94d1a7d70ab42"),
+        ("negative", "bee863e989b3a3a4"),
+    ],
+)
+def test_paper_scale_instance_key_is_pinned(distribution, key):
+    # recorded from an earlier version: generator, sampler, blockable flags
+    # and entry selection must keep every draw across code changes
+    config = ExperimentConfig(n_computers=500, distribution=distribution)
+    assert prepare_instance(config, 0).instance_key == key
+
+
 def test_prepare_instance_drops_stranded_entry(tmp_path):
     g = build_game(
         [
