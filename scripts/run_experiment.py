@@ -13,8 +13,9 @@ import warnings
 from dataclasses import replace
 
 from adgame.config import ExperimentConfig, load_config
+from adgame.defense import DefenseConfigError
 from adgame.mdp import StateSpaceLimitError
-from adgame.pipeline import report, run_baseline, run_dir_for, run_nndp_edo
+from adgame.pipeline import STRATEGIES, report, run_baseline, run_dir_for
 
 DESK = ExperimentConfig(
     n_computers=40,
@@ -40,7 +41,7 @@ def main(argv=None) -> int:
     ap.add_argument("--preset", choices=("desk", "paper"), default="desk")
     ap.add_argument("--config", help="config file; overrides the preset")
     ap.add_argument(
-        "--strategies", default="edo,vec,greedy,exhaustive",
+        "--strategies", default=",".join(STRATEGIES),
         help="comma-separated subset to run",
     )
     ap.add_argument("--out", help="output directory")
@@ -62,17 +63,11 @@ def main(argv=None) -> int:
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    if strategy == "edo":
-                        record = run_nndp_edo(config, seed)
-                    else:
-                        record = run_baseline(config, strategy, seed)
-            except StateSpaceLimitError:
-                # exact-evaluator baselines only exist where the DP fits
-                print(
-                    f"{strategy:<10} seed {seed}: skipped, state space too "
-                    "large for the exact evaluator",
-                    file=sys.stderr,
-                )
+                    record = run_baseline(config, strategy, seed)
+            except (StateSpaceLimitError, DefenseConfigError) as exc:
+                # the exact baselines only exist where the DP fits and the
+                # exhaustive search where its plans can be enumerated
+                print(f"{strategy:<10} seed {seed}: skipped, {exc}", file=sys.stderr)
                 continue
             run_dirs.append(run_dir_for(config, record.strategy, seed))
             print(

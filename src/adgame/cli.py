@@ -16,9 +16,9 @@ from dataclasses import replace
 
 from . import pipeline
 from .config import ConfigError, ExperimentConfig, load_config
-from .defense import ExactFitness
+from .defense import ExactFitness, format_plan
 from .graph import save_graph
-from .simulate import CSV_HEADER, DpPolicy, csv_row, simulate, simulate_on_original
+from .simulate import DpPolicy, simulate, simulate_on_original
 from .valuenet import NetGreedyPolicy, load_checkpoint
 
 
@@ -104,7 +104,7 @@ def _cmd_solve_exact(args: argparse.Namespace) -> None:
     _emit(
         {
             "instance_key": inst.instance_key,
-            "plan": "".join(str(b) for b in plan),
+            "plan": format_plan(plan),
             "value": value,
             "nsps": inst.cg.n_nsps,
         }
@@ -114,22 +114,16 @@ def _cmd_solve_exact(args: argparse.Namespace) -> None:
 def _cmd_defend(args: argparse.Namespace) -> None:
     config = _config_from(args)
     seed = _seed_of(config)
-    if args.strategy == "edo":
-        record = pipeline.run_nndp_edo(config, seed)
-    else:
-        record = pipeline.run_baseline(config, args.strategy, seed)
+    record = pipeline.run_baseline(config, args.strategy, seed)
     _emit(
         {
             "run_dir": pipeline.run_dir_for(config, record.strategy, seed),
             "strategy": record.strategy,
             "seed": seed,
-            "best_plan": "".join(str(b) for b in record.best_plan),
+            "best_plan": format_plan(record.best_plan),
             "best_fitness": record.best_fitness,
             "exact_value": record.exact_value,
-            "success_rate": (
-                None if record.simulation is None
-                else record.simulation["success_rate"]
-            ),
+            "success_rate": record.simulation["success_rate"],
         }
     )
 
@@ -151,10 +145,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     report = runner(inst.cg, plan, policy, runs, seed=seed)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "simulation.csv")
-    plan_id = "plan-" + "".join(str(b) for b in plan)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.write(csv_row(report, plan_id, evaluator) + "\n")
+    pipeline.write_simulation_csv(path, report, plan, evaluator)
     _emit(
         {
             "csv": path,
@@ -194,7 +185,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("defend", help="search for a blocking plan")
     p.add_argument(
-        "strategy", choices=("edo", "vec", "greedy", "exhaustive"),
+        "strategy", choices=pipeline.STRATEGIES,
         help="defender search strategy",
     )
     _add_common(p)

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
+from .defense import ENUMERATION_BUDGET, ITERATIONS, MU
 from .graph import DISTRIBUTION_KINDS
 from .mdp import MEMO_LIMIT
+from .valuenet import BATCH_SIZE, DEPTH, EPOCHS_PER_ROUND, EXPLORE_PROB, LEARNING_RATE, WIDTH
 
 
 class ConfigError(Exception):
@@ -29,24 +31,24 @@ class ExperimentConfig:
 
     # defender search
     budget: int = 5
-    mu: int = 100
-    iterations: int = 10000
+    mu: int = MU
+    iterations: int = ITERATIONS
     rounds: int = 100
 
     # value net and training
-    depth: int = 4
-    width: int = 256
-    batch_size: int = 16
-    learning_rate: float = 0.001
-    epochs_per_round: int = 500
-    explore_prob: float = 0.5
+    depth: int = DEPTH
+    width: int = WIDTH
+    batch_size: int = BATCH_SIZE
+    learning_rate: float = LEARNING_RATE
+    epochs_per_round: int = EPOCHS_PER_ROUND
+    explore_prob: float = EXPLORE_PROB
 
     # evaluation
     mc_runs: int = 100000
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
     out_dir: str = "runs"
     memo_limit: int = MEMO_LIMIT
-    enumeration_budget: int = 1_000_000
+    enumeration_budget: int = ENUMERATION_BUDGET
 
     def validate(self) -> None:
         if not self.graph_file and self.n_computers < 1:

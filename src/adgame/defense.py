@@ -26,6 +26,10 @@ from .valuenet import ValueNet, predict
 
 Plan = tuple[int, ...]
 FITNESS_BAND = 0.1
+# search defaults, named after the ExperimentConfig fields that use them
+MU = 100
+ITERATIONS = 10000
+ENUMERATION_BUDGET = 1_000_000
 
 
 class DefenseConfigError(Exception):
@@ -44,6 +48,11 @@ class Member:
 
 
 Population = list[Member]
+
+
+def format_plan(plan: Sequence[int]) -> str:
+    """A plan as its string of 0s and 1s."""
+    return "".join(str(b) for b in plan)
 
 
 def best_member(pop: Population) -> Member:
@@ -153,8 +162,6 @@ class ExactFitness:
     it plays from states already solved.
     """
 
-    kind = "exact"
-
     def __init__(self, cg: CondensedGraph, memo_limit: int = MEMO_LIMIT):
         self.cg = cg
         self.policy = DpPolicy(cg, memo_limit=memo_limit)
@@ -166,8 +173,6 @@ class ExactFitness:
 class NetFitness:
     """Value-network estimate of the blocked game, cheap but approximate."""
 
-    kind = "net"
-
     def __init__(self, net: ValueNet, cg: CondensedGraph):
         self.net = net
         self.cg = cg
@@ -178,8 +183,6 @@ class NetFitness:
 
 class MonteCarloFitness:
     """Simulated success rate under a fixed policy, deterministic per seed."""
-
-    kind = "monte-carlo"
 
     def __init__(
         self, cg: CondensedGraph, policy: Policy, runs: int, seed: int
@@ -263,8 +266,8 @@ def edo_run(
     cg: CondensedGraph,
     ev: FitnessFn,
     k: int,
-    mu: int = 100,
-    iterations: int = 10000,
+    mu: int = MU,
+    iterations: int = ITERATIONS,
     rng: np.random.Generator | None = None,
 ) -> Population:
     """Diversity-driven evolutionary search over blocking plans.
@@ -283,8 +286,8 @@ def vec_run(
     cg: CondensedGraph,
     ev: FitnessFn,
     k: int,
-    mu: int = 100,
-    iterations: int = 10000,
+    mu: int = MU,
+    iterations: int = ITERATIONS,
     rng: np.random.Generator | None = None,
 ) -> Population:
     """Same loop as edo_run, but survivor selection drops the worst member."""
@@ -318,7 +321,7 @@ def exhaustive_run(
     cg: CondensedGraph,
     ev: FitnessFn,
     k: int,
-    enumeration_budget: int = 1_000_000,
+    enumeration_budget: int = ENUMERATION_BUDGET,
 ) -> Plan:
     """Global argmin over all popcount-k plans; ties to the smallest bits."""
     n_bits = len(cg.bw_edges)
@@ -345,7 +348,7 @@ def save_population(path: str, pop: Population) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"adpop 1 {len(pop)} {n_bits}\n")
         for m in pop:
-            fh.write(f"{''.join(str(b) for b in m.bits)} {m.fitness!r}\n")
+            fh.write(f"{format_plan(m.bits)} {m.fitness!r}\n")
 
 
 def load_population(path: str) -> Population:

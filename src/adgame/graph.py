@@ -22,7 +22,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -189,21 +189,6 @@ def _reachable_from(g: AttackGraph, roots: Iterable[str]) -> set[str]:
     return seen
 
 
-def _coreachable_to(nodes: Sequence[Node], edges: Sequence[Edge], target: str) -> set[str]:
-    rev: dict[str, list[str]] = {n.id: [] for n in nodes}
-    for e in edges:
-        rev[e.dst].append(e.src)
-    seen = {target}
-    queue = deque([target])
-    while queue:
-        v = queue.popleft()
-        for u in rev[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
-
-
 def prune(g: AttackGraph) -> AttackGraph:
     """Reduce a graph to the part that matters for the game.
 
@@ -253,7 +238,8 @@ def prune(g: AttackGraph) -> AttackGraph:
             continue
         edges.append(replace(e, src=src, dst=dst))
 
-    keep = _coreachable_to(nodes, edges, da_id)
+    # after the merge da_id is the one DA node: keep what can reach it
+    keep = set(AttackGraph(tuple(nodes), tuple(edges)).hop_distances_to_da())
     if g.entry_nodes:
         missing = [v for v in sorted(g.entry_nodes) if v not in keep]
         if missing:

@@ -16,7 +16,8 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .defense import (
     best_member,
     edo_run,
     exhaustive_run,
+    format_plan,
     greedy_run,
     save_population,
     vec_run,
@@ -48,7 +50,7 @@ from .graph import (
 from .generator import generate_synthetic
 from .kernel import CondensedGraph, condense, kernel_report
 from .mdp import StateSpaceLimitError
-from .simulate import CSV_HEADER, SimulationReport, csv_row, simulate
+from .simulate import CSV_HEADER, Policy, SimulationReport, csv_row, simulate
 from .valuenet import (
     Adam,
     NetGreedyPolicy,
@@ -61,6 +63,9 @@ from .valuenet import (
 # independent random streams per purpose, derived from the instance seed
 _S_GENERATE, _S_PROBS, _S_BLOCKABLE, _S_ENTRIES = 0, 1, 2, 3
 _S_NET, _S_SEARCH, _S_TRAIN, _S_SIM = 4, 5, 6, 7
+
+# the strategies of ``adgame defend``; run_baseline maps each to its runner
+STRATEGIES = ("edo", "vec", "greedy", "exhaustive")
 
 
 class PipelineError(Exception):
@@ -176,39 +181,21 @@ class RunRecord:
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
         raw = json.loads(text)
-        return cls(
-            strategy=raw["strategy"],
-            seed=raw["seed"],
-            config=raw["config"],
-            instance_key=raw["instance_key"],
-            dropped_entries=tuple(raw["dropped_entries"]),
-            n_nsps=raw["n_nsps"],
-            n_bw_edges=raw["n_bw_edges"],
-            round_best_fitness=tuple(raw["round_best_fitness"]),
-            loss_curves=tuple(tuple(c) for c in raw["loss_curves"]),
-            training_flag=raw["training_flag"],
-            best_plan=tuple(raw["best_plan"]),
-            best_fitness=raw["best_fitness"],
-            exact_value=raw["exact_value"],
-            simulation=raw["simulation"],
-        )
+        values = {}
+        for f in fields(cls):
+            value = raw[f.name]
+            if f.type.startswith("tuple[tuple["):
+                value = tuple(tuple(v) for v in value)
+            elif f.type.startswith("tuple["):
+                value = tuple(value)
+            values[f.name] = value
+        return cls(**values)
 
 
 def _config_snapshot(config: ExperimentConfig) -> dict:
     snap = asdict(config)
     snap["seeds"] = list(snap["seeds"])
     return snap
-
-
-def _simulation_dict(report: SimulationReport, plan_id: str, evaluator: str) -> dict:
-    return {
-        "plan_id": plan_id,
-        "evaluator": evaluator,
-        "runs": report.runs,
-        "successes": report.successes,
-        "success_rate": report.success_rate,
-        "std_error": report.std_error,
-    }
 
 
 def _exact_value_or_none(
@@ -224,6 +211,19 @@ def run_dir_for(config: ExperimentConfig, strategy: str, seed: int) -> str:
     return os.path.join(config.out_dir, f"{strategy}-seed{seed}")
 
 
+def _plan_id(plan: Sequence[int]) -> str:
+    return "plan-" + format_plan(plan)
+
+
+def write_simulation_csv(
+    path: str, report: SimulationReport, plan: Sequence[int], evaluator: str
+) -> None:
+    """Write ``simulation.csv``: the header and the row of one plan."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(CSV_HEADER + "\n")
+        fh.write(csv_row(report, _plan_id(plan), evaluator) + "\n")
+
+
 def _persist(
     config: ExperimentConfig,
     record: RunRecord,
@@ -231,7 +231,6 @@ def _persist(
     pop: Population,
     report: SimulationReport,
     net: ValueNet | None,
-    round_index: int,
     timings: dict,
 ) -> str:
     run_dir = run_dir_for(config, record.strategy, record.seed)
@@ -240,22 +239,52 @@ def _persist(
         fh.write(record.to_json() + "\n")
     save_graph(inst.graph, os.path.join(run_dir, "graph.txt"))
     save_population(os.path.join(run_dir, "population.txt"), pop)
-    with open(os.path.join(run_dir, "simulation.csv"), "w", encoding="ascii") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.write(
-            csv_row(
-                report,
-                record.simulation["plan_id"],
-                record.simulation["evaluator"],
-            )
-            + "\n"
-        )
+    write_simulation_csv(
+        os.path.join(run_dir, "simulation.csv"),
+        report, record.best_plan, record.simulation["evaluator"],
+    )
     if net is not None:
-        save_checkpoint(os.path.join(run_dir, "net.ckpt"), net, round_index)
+        save_checkpoint(os.path.join(run_dir, "net.ckpt"), net, config.rounds)
     with open(os.path.join(run_dir, "timings.json"), "w", encoding="utf-8") as fh:
         json.dump(timings, fh, indent=1, sort_keys=True)
         fh.write("\n")
     return run_dir
+
+
+def _finish_run(
+    config: ExperimentConfig, seed: int, inst: PreparedInstance, started: float,
+    pop: Population, net: ValueNet | None, policy: Policy, evaluator: str,
+    phases: dict, **outcome,
+) -> RunRecord:
+    """The end of every run: simulate the best plan, record and persist.
+
+    ``outcome`` holds the record fields the strategy decides; the config
+    and the instance supply the rest.  ``total_s`` runs from ``started``.
+    """
+    plan = outcome["best_plan"]
+    report = simulate(
+        inst.cg, plan, policy, config.mc_runs, seed=_child_seed(seed, _S_SIM)
+    )
+    record = RunRecord(
+        seed=seed,
+        config=_config_snapshot(config),
+        instance_key=inst.instance_key,
+        dropped_entries=inst.dropped_entries,
+        n_nsps=inst.cg.n_nsps,
+        n_bw_edges=len(inst.cg.bw_edges),
+        simulation={
+            "plan_id": _plan_id(plan),
+            "evaluator": evaluator,
+            "runs": report.runs,
+            "successes": report.successes,
+            "success_rate": report.success_rate,
+            "std_error": report.std_error,
+        },
+        **outcome,
+    )
+    timings = {"total_s": time.perf_counter() - started, **phases}
+    _persist(config, record, inst, pop, report, net, timings)
+    return record
 
 
 def run_nndp_edo(
@@ -327,86 +356,54 @@ def run_nndp_edo(
     best_fitness, _, best = min(
         (evaluator(m.bits), m.born, m) for m in pop
     )
-    report = simulate(
-        cg, best.bits, NetGreedyPolicy(net, cg), config.mc_runs,
-        seed=_child_seed(seed, _S_SIM),
-    )
-    record = RunRecord(
+    return _finish_run(
+        config, seed, inst, started, pop, net, NetGreedyPolicy(net, cg),
+        "net-greedy", {"search_s": search_s, "train_s": train_s},
         strategy=strategy,
-        seed=seed,
-        config=_config_snapshot(config),
-        instance_key=inst.instance_key,
-        dropped_entries=inst.dropped_entries,
-        n_nsps=cg.n_nsps,
-        n_bw_edges=len(cg.bw_edges),
         round_best_fitness=tuple(round_best),
         loss_curves=tuple(curves),
         training_flag=diverged or plateaued,
         best_plan=best.bits,
         best_fitness=best_fitness,
         exact_value=_exact_value_or_none(cg, best.bits, config.memo_limit),
-        simulation=_simulation_dict(report, _plan_id(best.bits), "net-greedy"),
     )
-    timings = {
-        "total_s": time.perf_counter() - started,
-        "search_s": search_s,
-        "train_s": train_s,
-    }
-    _persist(config, record, inst, pop, report, net, config.rounds, timings)
-    return record
 
 
 def run_baseline(config: ExperimentConfig, strategy: str, seed: int) -> RunRecord:
-    """Drive one of the baseline defenders with shared instance wiring.
+    """Run the ``defend`` strategy of that name on one instance and persist it.
 
-    The value-based evolutionary baseline reuses the alternating training
-    loop with worst-fitness survivor selection.  Greedy and exhaustive are
+    This is the one map from a name in ``STRATEGIES`` to its runner.
+    ``edo`` and ``vec`` run the alternating search-and-train loop with
+    diversity and worst-drop survivor selection.  Greedy and exhaustive are
     exact-evaluator searches, so they need a solvable state space.
     """
     config.validate()
-    if strategy in ("vec", "nndp-vec"):
-        return run_nndp_edo(config, seed, survivor="worst")
-    if strategy not in ("greedy", "exhaustive"):
+    if strategy not in STRATEGIES:
         raise PipelineError(f"unknown strategy {strategy!r}")
+    if strategy in ("edo", "vec"):
+        survivor = "diversity" if strategy == "edo" else "worst"
+        return run_nndp_edo(config, seed, survivor=survivor)
     started = time.perf_counter()
     inst = prepare_instance(config, seed)
-    cg = inst.cg
-    ev = ExactFitness(cg, memo_limit=config.memo_limit)
+    ev = ExactFitness(inst.cg, memo_limit=config.memo_limit)
     if strategy == "greedy":
-        plan = greedy_run(cg, ev, config.budget)
+        plan = greedy_run(inst.cg, ev, config.budget)
     else:
         plan = exhaustive_run(
-            cg, ev, config.budget, enumeration_budget=config.enumeration_budget
+            inst.cg, ev, config.budget, enumeration_budget=config.enumeration_budget
         )
     fitness = ev(plan)
-    report = simulate(
-        cg, plan, ev.policy, config.mc_runs, seed=_child_seed(seed, _S_SIM)
-    )
-    record = RunRecord(
+    return _finish_run(
+        config, seed, inst, started, [Member(plan, fitness, 0)], None,
+        ev.policy, "exact-dp", {},
         strategy=strategy,
-        seed=seed,
-        config=_config_snapshot(config),
-        instance_key=inst.instance_key,
-        dropped_entries=inst.dropped_entries,
-        n_nsps=cg.n_nsps,
-        n_bw_edges=len(cg.bw_edges),
         round_best_fitness=(),
         loss_curves=(),
         training_flag=False,
         best_plan=plan,
         best_fitness=fitness,
         exact_value=fitness,
-        simulation=_simulation_dict(report, _plan_id(plan), "exact-dp"),
     )
-    timings = {"total_s": time.perf_counter() - started}
-    _persist(
-        config, record, inst, [Member(plan, fitness, 0)], report, None, 0, timings
-    )
-    return record
-
-
-def _plan_id(bits: tuple[int, ...]) -> str:
-    return "plan-" + "".join(str(b) for b in bits)
 
 
 def write_kernel_artifacts(config: ExperimentConfig, seed: int, out_dir: str) -> dict:

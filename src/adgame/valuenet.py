@@ -31,6 +31,14 @@ from .mdp import (
 CHECKPOINT_MAGIC = b"ADVN"
 CHECKPOINT_VERSION = 1
 
+# net and training defaults, named after the ExperimentConfig fields that use them
+DEPTH = 4
+WIDTH = 256
+LEARNING_RATE = 0.001
+BATCH_SIZE = 16
+EPOCHS_PER_ROUND = 500
+EXPLORE_PROB = 0.5
+
 
 class CheckpointFormatError(Exception):
     """The checkpoint file is malformed or from an unknown format version."""
@@ -44,7 +52,7 @@ def encode_states(states: Sequence[State]) -> np.ndarray:
 class ValueNet:
     """Rectifier MLP with a logistic output, so predictions stay in (0,1)."""
 
-    def __init__(self, n_inputs: int, depth: int = 4, width: int = 256, seed: int = 0):
+    def __init__(self, n_inputs: int, depth: int = DEPTH, width: int = WIDTH, seed: int = 0):
         sizes = [n_inputs] + [width] * depth + [1]
         self._init(sizes, seed)
 
@@ -144,7 +152,7 @@ ADAM_EPS = 1e-8
 class Adam:
     """Adaptive-moment gradient descent over a net's parameters."""
 
-    def __init__(self, net: ValueNet, learning_rate: float = 0.001):
+    def __init__(self, net: ValueNet, learning_rate: float = LEARNING_RATE):
         self.net = net
         self.learning_rate = learning_rate
         self.t = 0
@@ -300,9 +308,9 @@ def rollout(
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    batch_size: int = 16
-    epochs_per_round: int = 500
-    explore_prob: float = 0.5
+    batch_size: int = BATCH_SIZE
+    epochs_per_round: int = EPOCHS_PER_ROUND
+    explore_prob: float = EXPLORE_PROB
 
     def validate(self) -> None:
         if self.batch_size < 1:

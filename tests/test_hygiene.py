@@ -16,7 +16,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
     p
-    for p in [*(ROOT / "src" / "adgame").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for d in ("src/adgame", "scripts", "tests")
+    for p in (ROOT / d).glob("*.py")
     if p.name != "__init__.py"
 )
 

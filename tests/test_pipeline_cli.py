@@ -159,6 +159,17 @@ def test_run_record_json_round_trip():
     assert RunRecord.from_json(RECORD.to_json()) == RECORD
 
 
+def test_record_missing_a_field_is_a_pipeline_error(tmp_path):
+    run_dir = str(tmp_path / "a")
+    os.makedirs(run_dir)
+    raw = json.loads(RECORD.to_json())
+    del raw["n_bw_edges"]
+    with open(os.path.join(run_dir, "record.json"), "w") as fh:
+        json.dump(raw, fh)
+    with pytest.raises(PipelineError, match="n_bw_edges"):
+        report([run_dir])
+
+
 def _artifact_bytes(run_dir: str) -> dict[str, bytes]:
     out = {}
     for name in ("record.json", "population.txt", "net.ckpt", "graph.txt"):
@@ -205,6 +216,11 @@ def test_rounds_zero_is_an_untrained_baseline(tmp_path, graph_file):
         os.path.join(run_dir_for(cfg, "nndp-edo", 0), "population.txt")
     )
     assert len(pop) == cfg.mu
+
+
+def test_edo_strategy_runs_the_search_and_train_loop(tmp_path, graph_file):
+    cfg = tiny_config(str(tmp_path), graph_file=graph_file, rounds=0)
+    assert run_baseline(cfg, "edo", 0) == run_nndp_edo(cfg, 0)
 
 
 def test_vec_baseline_uses_training_loop(tmp_path, graph_file):
