@@ -46,6 +46,13 @@ def main(argv=None) -> int:
     )
     ap.add_argument("--out", help="output directory")
     args = ap.parse_args(argv)
+    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        ap.error(
+            f"unknown strategies {', '.join(unknown)}; "
+            f"choose from {', '.join(STRATEGIES)}"
+        )
 
     if args.config:
         config = load_config(args.config)
@@ -55,7 +62,6 @@ def main(argv=None) -> int:
         config = replace(config, out_dir=args.out)
     config.validate()
 
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     run_dirs = []
     for seed in config.seeds:
         for strategy in strategies:
@@ -76,6 +82,9 @@ def main(argv=None) -> int:
                 f" ({time.perf_counter() - started:.1f}s)",
                 file=sys.stderr,
             )
+    if not run_dirs:
+        print("every run was skipped; nothing left to report", file=sys.stderr)
+        return 1
     print(report(run_dirs), end="")
     return 0
 

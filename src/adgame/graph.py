@@ -111,13 +111,6 @@ class AttackGraph:
         return {v: tuple(ids) for v, ids in out.items()}
 
     @cached_property
-    def in_edge_ids(self) -> dict[str, tuple[int, ...]]:
-        inc: dict[str, list[int]] = {n.id: [] for n in self.nodes}
-        for i, e in enumerate(self.edges):
-            inc[e.dst].append(i)
-        return {v: tuple(ids) for v, ids in inc.items()}
-
-    @cached_property
     def da_candidates(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if n.kind == DOMAIN_ADMIN)
 

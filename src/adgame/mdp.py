@@ -10,12 +10,19 @@ every edge makes the NSP successful and its terminal a new checkpoint.
 The attacker wins on reaching DA, so the value of a state is the maximal
 probability of eventually completing an NSP that terminates at DA.  Values
 are computed exactly by memoized dynamic programming over reachable states.
+
+One edge walk gives the step law: ``expand`` pairs every admissible action
+with its ``TransitionDistribution`` (for the solver and the net's backup),
+and ``transition`` checks one chosen action first.  A distribution's
+``cumulative`` table holds its outcome masses summed left to right; a
+uniform ``u`` picks the first outcome whose sum exceeds it, else detection.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from numbers import Integral
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .kernel import CondensedGraph
 
@@ -56,58 +63,44 @@ def initial_state(cg: CondensedGraph, plan: Sequence[int] | None = None) -> Stat
     return tuple(status)
 
 
-def checkpoints(cg: CondensedGraph, s: State) -> frozenset[str]:
+def admissible_actions(cg: CondensedGraph, s: State) -> tuple[int, ...]:
+    """Unattempted NSPs whose source the attacker owns: an entry node or the
+    terminal of a successful NSP."""
     owned = set(cg.entry_nodes)
     for nsp_id, status in enumerate(s):
         if status == SUCCESS:
             owned.add(cg.nsps[nsp_id].terminal)
-    return frozenset(owned)
-
-
-def admissible_actions(cg: CondensedGraph, s: State) -> tuple[int, ...]:
-    """Unattempted NSPs whose source the attacker currently owns."""
-    owned = checkpoints(cg, s)
     return tuple(
         p.id for p in cg.nsps if s[p.id] == UNATTEMPTED and p.source in owned
     )
 
 
 def is_admissible(cg: CondensedGraph, s: State, action: object) -> bool:
-    """Whether ``action`` is one of ``admissible_actions(cg, s)``.
-
-    Anything but an integer NSP id in range is inadmissible, so callers can
-    refuse a malformed action with their own typed error.
-    """
-    return (
-        isinstance(action, Integral)
-        and 0 <= action < cg.n_nsps
-        and s[action] == UNATTEMPTED
-        and cg.nsps[action].source in checkpoints(cg, s)
-    )
+    """Whether ``action`` is one of ``admissible_actions(cg, s)``; anything
+    but an integer is not, so callers can refuse it with their own error."""
+    return isinstance(action, Integral) and action in admissible_actions(cg, s)
 
 
 @dataclass(frozen=True)
 class TransitionDistribution:
-    """Outcome states with probabilities, plus the absorbed detection mass."""
+    """Outcome states with probabilities and their running sums, plus the
+    absorbed detection mass."""
 
     outcomes: tuple[tuple[State, float], ...]
     detect_prob: float
+    cumulative: tuple[float, ...]
 
     def total(self) -> float:
-        return self.detect_prob + sum(p for _, p in self.outcomes)
+        return self.detect_prob + (self.cumulative[-1] if self.cumulative else 0.0)
 
 
-def transition(cg: CondensedGraph, s: State, action: int) -> TransitionDistribution:
+def _walk(cg: CondensedGraph, s: State, action: int) -> TransitionDistribution:
     """Distribution over next states when attempting NSP ``action`` from ``s``.
 
     The walk carries the probability mass of passing every earlier edge.
     Failure at an edge fails every unattempted NSP sharing that edge, so
     different failure points can merge into the same outcome state.
     """
-    if not is_admissible(cg, s, action):
-        raise InadmissibleActionError(
-            f"NSP {action} is not admissible from state {s}"
-        )
     g = cg.graph
     acc: dict[State, float] = {}
     detect = 0.0
@@ -131,10 +124,38 @@ def transition(cg: CondensedGraph, s: State, action: int) -> TransitionDistribut
         succeeded[action] = SUCCESS
         key = tuple(succeeded)
         acc[key] = acc.get(key, 0.0) + prefix
-    dist = TransitionDistribution(outcomes=tuple(acc.items()), detect_prob=detect)
+    dist = TransitionDistribution(
+        outcomes=tuple(acc.items()),
+        detect_prob=detect,
+        cumulative=tuple(accumulate(acc.values())),
+    )
     if abs(dist.total() - 1.0) > 1e-9:
         raise AssertionError(f"transition mass {dist.total()} != 1")
     return dist
+
+
+def transition(cg: CondensedGraph, s: State, action: int) -> TransitionDistribution:
+    """The outcome distribution of one chosen action, checked admissible."""
+    if not is_admissible(cg, s, action):
+        raise InadmissibleActionError(
+            f"NSP {action} is not admissible from state {s}"
+        )
+    return _walk(cg, s, action)
+
+
+def expand(cg: CondensedGraph, s: State) -> list[tuple[int, TransitionDistribution]]:
+    """Every admissible action of ``s``, in id order, with its distribution."""
+    return [(a, _walk(cg, s, a)) for a in admissible_actions(cg, s)]
+
+
+def argmax(pairs: Iterable[tuple[int, float]]) -> tuple[int | None, float]:
+    """The first action of largest q, and that q; ``(None, -1.0)`` if empty.
+    Pairs come in id order, so ties go to the smallest id."""
+    best_a, best_q = None, -1.0
+    for a, q in pairs:
+        if q > best_q:
+            best_a, best_q = a, q
+    return best_a, best_q
 
 
 def terminal_value(cg: CondensedGraph, s: State) -> float | None:
@@ -180,25 +201,17 @@ class ExactSolver:
                     self._remember(top, tv, None)
                     stack.pop()
                     continue
-                dists = [
-                    (a, transition(self.cg, top, a))
-                    for a in admissible_actions(self.cg, top)
-                ]
-                expanded[top] = dists
+                dists = expanded[top] = expand(self.cg, top)
                 missing = [
-                    nxt
-                    for _, dist in dists
-                    for nxt, _ in dist.outcomes
-                    if nxt not in memo
+                    nxt for _, d in dists for nxt, _ in d.outcomes if nxt not in memo
                 ]
                 if missing:
                     stack.extend(missing)
                     continue
-            best_value, best_action = -1.0, None
-            for a, dist in expanded.pop(top):
-                q = sum(p * memo[nxt][0] for nxt, p in dist.outcomes)
-                if q > best_value:
-                    best_value, best_action = q, a
+            best_action, best_value = argmax(
+                (a, sum(p * memo[nxt][0] for nxt, p in dist.outcomes))
+                for a, dist in expanded.pop(top)
+            )
             self._remember(top, best_value, best_action)
             stack.pop()
         return memo[s]

@@ -64,8 +64,11 @@ from .valuenet import (
 _S_GENERATE, _S_PROBS, _S_BLOCKABLE, _S_ENTRIES = 0, 1, 2, 3
 _S_NET, _S_SEARCH, _S_TRAIN, _S_SIM = 4, 5, 6, 7
 
+# the search-and-train strategies: defend name -> (record name, search)
+_SEARCH_AND_TRAIN = {"edo": ("nndp-edo", edo_run), "vec": ("nndp-vec", vec_run)}
+
 # the strategies of ``adgame defend``; run_baseline maps each to its runner
-STRATEGIES = ("edo", "vec", "greedy", "exhaustive")
+STRATEGIES = (*_SEARCH_AND_TRAIN, "greedy", "exhaustive")
 
 
 class PipelineError(Exception):
@@ -290,9 +293,10 @@ def _finish_run(
 def run_nndp_edo(
     config: ExperimentConfig,
     seed: int,
-    survivor: str = "diversity",
+    strategy: str = "edo",
 ) -> RunRecord:
-    """Alternate diversity search and net training, then score the winner.
+    """Alternate the ``edo`` or ``vec`` search with net training, then score
+    the winner.
 
     Each round runs a fresh evolutionary search with the current net as the
     fitness function, then trains the net on rollouts from the resulting
@@ -301,9 +305,10 @@ def run_nndp_edo(
     and exactly when the state space allows it.
     """
     config.validate()
+    if strategy not in _SEARCH_AND_TRAIN:
+        raise PipelineError(f"unknown search-and-train strategy {strategy!r}")
     started = time.perf_counter()
-    strategy = "nndp-edo" if survivor == "diversity" else "nndp-vec"
-    search = edo_run if survivor == "diversity" else vec_run
+    name, search = _SEARCH_AND_TRAIN[strategy]
     inst = prepare_instance(config, seed)
     cg = inst.cg
     net = ValueNet(
@@ -359,7 +364,7 @@ def run_nndp_edo(
     return _finish_run(
         config, seed, inst, started, pop, net, NetGreedyPolicy(net, cg),
         "net-greedy", {"search_s": search_s, "train_s": train_s},
-        strategy=strategy,
+        strategy=name,
         round_best_fitness=tuple(round_best),
         loss_curves=tuple(curves),
         training_flag=diverged or plateaued,
@@ -380,9 +385,8 @@ def run_baseline(config: ExperimentConfig, strategy: str, seed: int) -> RunRecor
     config.validate()
     if strategy not in STRATEGIES:
         raise PipelineError(f"unknown strategy {strategy!r}")
-    if strategy in ("edo", "vec"):
-        survivor = "diversity" if strategy == "edo" else "worst"
-        return run_nndp_edo(config, seed, survivor=survivor)
+    if strategy in _SEARCH_AND_TRAIN:
+        return run_nndp_edo(config, seed, strategy)
     started = time.perf_counter()
     inst = prepare_instance(config, seed)
     ev = ExactFitness(inst.cg, memo_limit=config.memo_limit)

@@ -175,19 +175,17 @@ def simulate(
     chunk_size: int = 65536,
 ) -> SimulationReport:
     """Play the condensed game, one uniform draw per attempted path."""
-    dist_cache: dict[tuple[State, int], tuple[np.ndarray, list[State]]] = {}
+    dist_cache: dict[tuple[State, int], tuple[np.ndarray, tuple]] = {}
 
     def step(state, depth, action, tape, rows):
-        cached = dist_cache.get((state, action))
-        if cached is None:
+        key = (state, action)
+        if key not in dist_cache:
             dist = transition(cg, state, action)
-            cum = np.cumsum([p for _, p in dist.outcomes])
-            nexts = [s for s, _ in dist.outcomes]
-            cached = dist_cache[(state, action)] = (cum, nexts)
-        cum, nexts = cached
+            dist_cache[key] = np.asarray(dist.cumulative), dist.outcomes
+        cum, outcomes = dist_cache[key]
         # draws beyond the last outcome land in the detection mass
         pick = np.searchsorted(cum, tape[rows, depth], side="right")
-        for idx, nxt in enumerate(nexts):
+        for idx, (nxt, _) in enumerate(outcomes):
             yield (nxt, depth + 1), rows[pick == idx]
 
     return _play(

@@ -13,6 +13,7 @@ prediction and target computation.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import sqrt
 from typing import Sequence
@@ -23,6 +24,8 @@ from .kernel import CondensedGraph
 from .mdp import (
     State,
     admissible_actions,
+    argmax,
+    expand,
     initial_state,
     terminal_value,
     transition,
@@ -212,14 +215,13 @@ def action_values(
     spans: list[tuple[int, tuple[int, int]]] = []
     succ: list[State] = []
     probs: list[float] = []
-    for a in admissible_actions(cg, s):
-        dist = transition(cg, s, a)
+    for a, dist in expand(cg, s):
         start = len(succ)
         for s2, p in dist.outcomes:
             succ.append(s2)
             probs.append(p)
         spans.append((a, (start, len(succ))))
-    vals = _values(net, cg, succ) if succ else np.empty(0)
+    vals = _values(net, cg, succ)
     weights = np.asarray(probs)
     return [
         (a, float(np.dot(weights[lo:hi], vals[lo:hi]))) for a, (lo, hi) in spans
@@ -228,11 +230,7 @@ def action_values(
 
 def greedy_action(net: ValueNet, cg: CondensedGraph, s: State) -> int:
     """Best action under the net's backup; ties go to the smallest path id."""
-    best_a = None
-    best_q = -1.0
-    for a, q in action_values(net, cg, s):
-        if q > best_q:
-            best_a, best_q = a, q
+    best_a, _ = argmax(action_values(net, cg, s))
     if best_a is None:
         raise ValueError(f"state {s} has no admissible action")
     return best_a
@@ -291,18 +289,11 @@ def rollout(
         else:
             a = greedy_action(net, cg, s)
         dist = transition(cg, s, a)
-        u = rng.random()
-        acc = 0.0
-        chosen = None
-        for s2, p in dist.outcomes:
-            acc += p
-            if u < acc:
-                chosen = s2
-                break
-        if chosen is None:
+        pick = bisect_right(dist.cumulative, rng.random())
+        if pick == len(dist.outcomes):
             break  # the remaining mass is detection: the attack ends
-        states.append(chosen)
-        s = chosen
+        s = dist.outcomes[pick][0]
+        states.append(s)
     return states
 
 

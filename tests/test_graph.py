@@ -125,7 +125,7 @@ def test_prune_drops_entry_incoming_and_unreachable_parts():
         prepare=False,
     )
     p = prune(g)
-    assert p.in_edge_ids["s"] == ()
+    assert all(e.dst != "s" for e in p.edges)
     # back feeds only the entry, y is never reached: both go away.
     assert p.node_ids == {"s", "x", "da"}
 

@@ -12,7 +12,9 @@ from adgame.mdp import (
     SUCCESS,
     UNATTEMPTED,
     admissible_actions,
+    argmax,
     dp_value,
+    expand,
     initial_state,
     terminal_value,
     transition,
@@ -185,25 +187,57 @@ def test_unfailing_a_path_never_hurts():
         assert solver.value(tuple(base)) <= solver.value(tuple(relaxed)) + 1e-12
 
 
-def test_transition_mass_sums_to_one_everywhere():
-    for seed in range(60):
-        cg = random_instance(seed, max_nsps=7)
-        if cg is None:
+def _reachable_states(cg):
+    """Every state the game can reach from the unblocked start."""
+    seen = {initial_state(cg)}
+    frontier = [initial_state(cg)]
+    while frontier:
+        s = frontier.pop()
+        if terminal_value(cg, s) is not None:
             continue
-        seen = {initial_state(cg)}
-        frontier = [initial_state(cg)]
-        while frontier:
-            s = frontier.pop()
-            if terminal_value(cg, s) is not None:
-                continue
+        for a in admissible_actions(cg, s):
+            for nxt, _ in transition(cg, s, a).outcomes:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return seen
+
+
+def _small_instances(n_seeds):
+    return [
+        cg for cg in (random_instance(seed, max_nsps=7) for seed in range(n_seeds))
+        if cg is not None
+    ]
+
+
+def test_transition_mass_sums_to_one_everywhere():
+    for cg in _small_instances(60):
+        for s in _reachable_states(cg):
             for a in admissible_actions(cg, s):
                 dist = transition(cg, s, a)
                 assert abs(dist.total() - 1.0) <= 1e-12
-                for nxt, p in dist.outcomes:
-                    assert p > 0.0
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
+                assert all(p > 0.0 for _, p in dist.outcomes)
+
+
+def test_expand_is_the_checked_transition_of_every_admissible_action():
+    for cg in _small_instances(60):
+        for s in _reachable_states(cg):
+            expanded = expand(cg, s)
+            assert expanded == [
+                (a, transition(cg, s, a)) for a in admissible_actions(cg, s)
+            ]
+            for _, dist in expanded:
+                running, acc = [], 0.0
+                for _, p in dist.outcomes:
+                    acc += p
+                    running.append(acc)
+                assert dist.cumulative == tuple(running)
+
+
+def test_argmax_breaks_ties_low_and_starts_below_zero():
+    assert argmax([(0, 0.25), (1, 0.5), (2, 0.5), (3, 0.125)]) == (1, 0.5)
+    assert argmax([(0, 0.0), (1, 0.0)]) == (0, 0.0)
+    assert argmax([]) == (None, -1.0)
 
 
 def test_transition_rejects_inadmissible_action():

@@ -223,6 +223,14 @@ def test_edo_strategy_runs_the_search_and_train_loop(tmp_path, graph_file):
     assert run_baseline(cfg, "edo", 0) == run_nndp_edo(cfg, 0)
 
 
+@pytest.mark.parametrize("strategy", ["vce", "greedy", "diversity"])
+def test_run_nndp_edo_refuses_a_misspelt_strategy(tmp_path, graph_file, strategy):
+    cfg = tiny_config(str(tmp_path), graph_file=graph_file, rounds=0)
+    with pytest.raises(PipelineError, match="unknown search-and-train strategy"):
+        run_nndp_edo(cfg, 0, strategy)
+    assert os.listdir(tmp_path) == []
+
+
 def test_vec_baseline_uses_training_loop(tmp_path, graph_file):
     cfg = tiny_config(str(tmp_path), graph_file=graph_file)
     rec = run_baseline(cfg, "vec", 0)

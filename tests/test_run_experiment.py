@@ -4,6 +4,8 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_experiment.py"
 
 
@@ -14,19 +16,22 @@ def _load_script():
     return module
 
 
-def test_exhaustive_over_the_enumeration_budget_is_skipped(tmp_path, capsys):
+def _main(tmp_path, strategies: str) -> int:
     # the instance has 7 block-worthy edges: 21 budget-2 plans, over a budget of 5
     config = tmp_path / "small.cfg"
     config.write_text(
         "n_computers = 40\nentry_pool_size = 8\nentry_count = 4\nbudget = 2\n"
         "enumeration_budget = 5\nmc_runs = 200\nseeds = 0\n"
     )
-    script = _load_script()
     argv = [
-        "--config", str(config), "--strategies", "greedy,exhaustive",
+        "--config", str(config), "--strategies", strategies,
         "--out", str(tmp_path / "runs"),
     ]
-    assert script.main(argv) == 0
+    return _load_script().main(argv)
+
+
+def test_exhaustive_over_the_enumeration_budget_is_skipped(tmp_path, capsys):
+    assert _main(tmp_path, "greedy,exhaustive") == 0
     captured = capsys.readouterr()
     table = captured.out.splitlines()
     assert table[0].startswith("strategy,distribution,seeds")
@@ -35,3 +40,20 @@ def test_exhaustive_over_the_enumeration_budget_is_skipped(tmp_path, capsys):
         "exhaustive seed 0: skipped, 21 plans exceed the enumeration budget of 5"
         in captured.err
     )
+
+
+def test_nothing_left_to_report_returns_1(tmp_path, capsys):
+    assert _main(tmp_path, "exhaustive") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "every run was skipped; nothing left to report"
+    )
+
+
+def test_unknown_strategy_is_refused_before_any_run(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _main(tmp_path, "greedy,annealing")
+    assert exc.value.code == 2
+    assert "unknown strategies annealing" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
