@@ -130,6 +130,8 @@ def _cmd_defend(args: argparse.Namespace) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     config = _config_from(args)
+    if args.runs is not None and args.runs < 1:
+        raise CommandLineError(f"--runs must be at least 1, got {args.runs}")
     seed = _seed_of(config)
     inst = pipeline.prepare_instance(config, seed)
     plan = _parse_plan(args.plan, len(inst.cg.bw_edges))

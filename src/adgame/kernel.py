@@ -43,6 +43,25 @@ class Nsp:
 
 
 @dataclass(frozen=True)
+class StepMasks:
+    """The attacker game's tables as integer bitmasks, for ``mdp``.
+
+    Bit i of an NSP mask stands for NSP i.  Node masks give each entry,
+    splitting node and DA one bit, in sorted node-id order; ``out`` is
+    indexed by that bit's position.
+    """
+
+    entry: int  # the entry nodes
+    da: int  # DA's bit
+    da_nsps: int  # the NSPs that terminate at DA
+    terminal: tuple[int, ...]  # per NSP, its terminal's bit
+    out: tuple[int, ...]  # per node, the NSPs that leave it
+    entry_out: int  # the NSPs that leave an entry node
+    # per NSP, its edges in walk order as (p_d, p_f, p_s, NSPs sharing the edge)
+    edges: tuple[tuple[tuple[float, float, float, int], ...], ...]
+
+
+@dataclass(frozen=True)
 class CondensedGraph:
     """The NSP-level view of a pruned attack graph."""
 
@@ -72,6 +91,33 @@ class CondensedGraph:
             for e in p.edges:
                 table.setdefault(e, []).append(p.id)
         return {e: tuple(ids) for e, ids in table.items()}
+
+    @cached_property
+    def step_masks(self) -> StepMasks:
+        nodes = sorted(self.entry_nodes | self.split_nodes | {self.da})
+        at = {v: i for i, v in enumerate(nodes)}
+        out = [0] * len(nodes)
+        for p in self.nsps:
+            out[at[p.source]] |= 1 << p.id
+        sharers = {
+            e: sum(1 << i for i in ids) for e, ids in self.edge_to_nsps.items()
+        }
+        g = self.graph
+        return StepMasks(
+            entry=sum(1 << at[v] for v in self.entry_nodes),
+            da=1 << at[self.da],
+            da_nsps=sum(1 << i for i in self.da_nsp_ids),
+            terminal=tuple(1 << at[p.terminal] for p in self.nsps),
+            out=tuple(out),
+            entry_out=sum(out[at[v]] for v in self.entry_nodes),
+            edges=tuple(
+                tuple(
+                    (g.edges[e].p_d, g.edges[e].p_f, g.edges[e].p_s, sharers[e])
+                    for e in p.edges
+                )
+                for p in self.nsps
+            ),
+        )
 
     @cached_property
     def bw_edges(self) -> tuple[int, ...]:

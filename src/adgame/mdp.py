@@ -11,6 +11,35 @@ The attacker wins on reaching DA, so the value of a state is the maximal
 probability of eventually completing an NSP that terminates at DA.  Values
 are computed exactly by memoized dynamic programming over reachable states.
 
+The solver keys its memo on two bitmasks (``cg.step_masks``), not on the
+trit state: ``O``, the nodes the attacker owns (entries plus the terminals
+of successful NSPs), and ``U``, the live (unattempted) NSPs.  Trit states
+with the same owned nodes and live NSPs share a key, whichever NSPs failed
+or delivered a node.  Every input to a state's backup is a function of
+``(O, U)``:
+
+- the admissible set is the NSPs of ``U`` whose source is in ``O``, in id
+  order;
+- the terminal tests: a DA path succeeded iff DA is in ``O`` (an entry is
+  never DA); if none did, every DA path failed iff none is in ``U``; and no
+  action remains iff the admissible set is empty;
+- the walk of action ``a``: failing edge ``e`` leads to
+  ``(O, U - sharers(e))``.  Two failures merge in trit space iff they fail
+  the same live NSPs, that is iff their ``U - sharers(e)`` agree, so the
+  merge pattern, the first-edge order and the float sums depend on
+  ``(U, a)`` alone.  Success leads to ``(O | terminal(a), U - {a})`` and
+  comes last.  In trit space it never merges with a failure (``a``
+  succeeded there and failed here), so it stays a separate outcome even
+  where the keys coincide: ``a``'s terminal is already owned and ``a`` is
+  the failing edge's only live sharer.
+
+Every outcome has a smaller ``U``, so by induction on ``|U|`` trit states
+sharing a key add the same floats in the same order: their values are
+bit-identical and their smallest-id argmax is the same.  The public
+functions keep their trit signatures and compute through the masks;
+``transition`` and ``expand`` map each outcome back to its trit state (the
+NSPs of ``U - U'`` failed, and on success ``a`` succeeded).
+
 One edge walk gives the step law: ``expand`` pairs every admissible action
 with its ``TransitionDistribution`` (for the solver and the net's backup),
 and ``transition`` checks one chosen action first.  A distribution's
@@ -22,9 +51,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .kernel import CondensedGraph
+from .kernel import CondensedGraph, StepMasks
 
 UNATTEMPTED = 0
 SUCCESS = 1
@@ -32,7 +61,8 @@ FAILED = -1
 
 State = tuple[int, ...]
 
-# default cap on the exact solver's memo, in distinct states
+# default cap on the exact solver's memo, in distinct (owned nodes, live
+# NSPs) states
 MEMO_LIMIT = 1_000_000
 
 
@@ -41,7 +71,8 @@ class InadmissibleActionError(Exception):
 
 
 class StateSpaceLimitError(Exception):
-    """The memo table outgrew its budget; use the neural approximate solver."""
+    """The memo outgrew its budget of distinct (owned nodes, live NSPs)
+    states; use the neural approximate solver."""
 
 
 def initial_state(cg: CondensedGraph, plan: Sequence[int] | None = None) -> State:
@@ -63,24 +94,6 @@ def initial_state(cg: CondensedGraph, plan: Sequence[int] | None = None) -> Stat
     return tuple(status)
 
 
-def admissible_actions(cg: CondensedGraph, s: State) -> tuple[int, ...]:
-    """Unattempted NSPs whose source the attacker owns: an entry node or the
-    terminal of a successful NSP."""
-    owned = set(cg.entry_nodes)
-    for nsp_id, status in enumerate(s):
-        if status == SUCCESS:
-            owned.add(cg.nsps[nsp_id].terminal)
-    return tuple(
-        p.id for p in cg.nsps if s[p.id] == UNATTEMPTED and p.source in owned
-    )
-
-
-def is_admissible(cg: CondensedGraph, s: State, action: object) -> bool:
-    """Whether ``action`` is one of ``admissible_actions(cg, s)``; anything
-    but an integer is not, so callers can refuse it with their own error."""
-    return isinstance(action, Integral) and action in admissible_actions(cg, s)
-
-
 @dataclass(frozen=True)
 class TransitionDistribution:
     """Outcome states with probabilities and their running sums, plus the
@@ -94,58 +107,138 @@ class TransitionDistribution:
         return self.detect_prob + (self.cumulative[-1] if self.cumulative else 0.0)
 
 
-def _walk(cg: CondensedGraph, s: State, action: int) -> TransitionDistribution:
-    """Distribution over next states when attempting NSP ``action`` from ``s``.
+def _key(cg: CondensedGraph, s: State) -> tuple[int, int]:
+    """``(O, U)``: the nodes the attacker owns and the live NSPs of ``s``."""
+    terminal = cg.step_masks.terminal
+    owned, live = cg.step_masks.entry, 0
+    for i, status in enumerate(s):
+        if status == UNATTEMPTED:
+            live |= 1 << i
+        elif status == SUCCESS:
+            owned |= terminal[i]
+    return owned, live
+
+
+def _ids(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _moves(t: StepMasks, owned: int, live: int) -> int:
+    """The admissible set: live NSPs whose source is owned."""
+    reach = t.entry_out
+    for node in _ids(owned & ~t.entry):
+        reach |= t.out[node]
+    return live & reach
+
+
+def _terminal(t: StepMasks, owned: int, live: int, moves: int) -> float | None:
+    """``terminal_value`` of a key whose admissible set is ``moves``."""
+    if owned & t.da:
+        return 1.0
+    if not live & t.da_nsps or not moves:
+        return 0.0
+    return None
+
+
+def _walk(
+    t: StepMasks, owned: int, live: int, action: int
+) -> tuple[list[tuple[tuple[int, int], float]], float, bool]:
+    """Outcome keys and masses of attempting ``action``, the detection mass,
+    and whether the last outcome is the success.
 
     The walk carries the probability mass of passing every earlier edge.
-    Failure at an edge fails every unattempted NSP sharing that edge, so
-    different failure points can merge into the same outcome state.
+    Failure at an edge kills every live NSP sharing it, so failures at
+    different edges merge when they leave the same live set; they keep the
+    order of their first edge.  The success comes last, unmerged.
     """
-    g = cg.graph
-    acc: dict[State, float] = {}
+    failed: dict[int, float] = {}
     detect = 0.0
     prefix = 1.0
-    for edge_id in cg.nsps[action].edges:
-        e = g.edges[edge_id]
-        detect += prefix * e.p_d
-        if e.p_f > 0.0:
-            failed = list(s)
-            for nsp_id in cg.edge_to_nsps[edge_id]:
-                if failed[nsp_id] == UNATTEMPTED:
-                    failed[nsp_id] = FAILED
-            key = tuple(failed)
-            acc[key] = acc.get(key, 0.0) + prefix * e.p_f
-        prefix *= e.p_s
+    for p_d, p_f, p_s, sharers in t.edges[action]:
+        detect += prefix * p_d
+        if p_f > 0.0:
+            rest = live & ~sharers
+            failed[rest] = failed.get(rest, 0.0) + prefix * p_f
+        prefix *= p_s
         if prefix <= 0.0:
             prefix = 0.0
             break
+    outcomes = [((owned, rest), p) for rest, p in failed.items()]
     if prefix > 0.0:
-        succeeded = list(s)
-        succeeded[action] = SUCCESS
-        key = tuple(succeeded)
-        acc[key] = acc.get(key, 0.0) + prefix
-    dist = TransitionDistribution(
-        outcomes=tuple(acc.items()),
+        outcomes.append(
+            ((owned | t.terminal[action], live & ~(1 << action)), prefix)
+        )
+    mass = 0.0
+    for _, p in outcomes:
+        mass += p
+    if abs(detect + mass - 1.0) > 1e-9:
+        raise AssertionError(f"transition mass {detect + mass} != 1")
+    return outcomes, detect, prefix > 0.0
+
+
+def _allows(cg: CondensedGraph, key: tuple[int, int], action: object) -> bool:
+    """Whether ``action`` is an integer id in the key's admissible set."""
+    if not isinstance(action, Integral) or not 0 <= action < cg.n_nsps:
+        return False
+    return bool(_moves(cg.step_masks, *key) >> int(action) & 1)
+
+
+def _distribution(
+    cg: CondensedGraph, s: State, key: tuple[int, int], action: int
+) -> TransitionDistribution:
+    """The walk of ``action`` from ``s``, whose key is ``key``, with each
+    outcome as a trit state: the NSPs it killed failed, and on success
+    ``action`` succeeded."""
+    owned, live = key
+    outcomes, detect, succeeded = _walk(cg.step_masks, owned, live, action)
+    trits = []
+    for (_, rest), _ in outcomes:
+        nxt = list(s)
+        for i in _ids(live & ~rest):
+            nxt[i] = FAILED
+        trits.append(nxt)
+    if succeeded:
+        trits[-1][action] = SUCCESS  # its U - U' is {action}
+    return TransitionDistribution(
+        outcomes=tuple((tuple(nxt), p) for nxt, (_, p) in zip(trits, outcomes)),
         detect_prob=detect,
-        cumulative=tuple(accumulate(acc.values())),
+        cumulative=tuple(accumulate(p for _, p in outcomes)),
     )
-    if abs(dist.total() - 1.0) > 1e-9:
-        raise AssertionError(f"transition mass {dist.total()} != 1")
-    return dist
+
+
+def admissible_actions(cg: CondensedGraph, s: State) -> tuple[int, ...]:
+    """Unattempted NSPs whose source the attacker owns: an entry node or the
+    terminal of a successful NSP."""
+    return tuple(_ids(_moves(cg.step_masks, *_key(cg, s))))
+
+
+def is_admissible(cg: CondensedGraph, s: State, action: object) -> bool:
+    """Whether ``action`` is one of ``admissible_actions(cg, s)``; anything
+    but an integer is not, so callers can refuse it with their own error."""
+    return _allows(cg, _key(cg, s), action)
 
 
 def transition(cg: CondensedGraph, s: State, action: int) -> TransitionDistribution:
     """The outcome distribution of one chosen action, checked admissible."""
-    if not is_admissible(cg, s, action):
+    key = _key(cg, s)
+    if not _allows(cg, key, action):
         raise InadmissibleActionError(
             f"NSP {action} is not admissible from state {s}"
         )
-    return _walk(cg, s, action)
+    return _distribution(cg, s, key, int(action))
 
 
 def expand(cg: CondensedGraph, s: State) -> list[tuple[int, TransitionDistribution]]:
     """Every admissible action of ``s``, in id order, with its distribution."""
-    return [(a, _walk(cg, s, a)) for a in admissible_actions(cg, s)]
+    key = _key(cg, s)
+    return [
+        (a, _distribution(cg, s, key, a))
+        for a in _ids(_moves(cg.step_masks, *key))
+    ]
 
 
 def argmax(pairs: Iterable[tuple[int, float]]) -> tuple[int | None, float]:
@@ -161,60 +254,61 @@ def argmax(pairs: Iterable[tuple[int, float]]) -> tuple[int | None, float]:
 def terminal_value(cg: CondensedGraph, s: State) -> float | None:
     """1.0 once a DA path succeeded, 0.0 once the attack can no longer reach
     DA (all DA paths failed, or no admissible action remains), else None."""
-    da_ids = cg.da_nsp_ids
-    if any(s[i] == SUCCESS for i in da_ids):
-        return 1.0
-    if all(s[i] == FAILED for i in da_ids):
-        return 0.0
-    if not admissible_actions(cg, s):
-        return 0.0
-    return None
+    t = cg.step_masks
+    owned, live = _key(cg, s)
+    return _terminal(t, owned, live, _moves(t, owned, live))
 
 
 class ExactSolver:
-    """Memoized DP over the reachable state space.
+    """Memoized DP over the reachable ``(O, U)`` keys.
 
-    ``memo_limit`` caps the number of distinct states; beyond it the solver
+    ``memo_limit`` caps the number of distinct keys; beyond it the solver
     raises StateSpaceLimitError instead of exhausting memory.
     """
 
     def __init__(self, cg: CondensedGraph, memo_limit: int = MEMO_LIMIT):
         self.cg = cg
         self.memo_limit = memo_limit
-        self._memo: dict[State, tuple[float, int | None]] = {}
+        self._memo: dict[tuple[int, int], tuple[float, int | None]] = {}
 
     def value_and_action(self, s: State) -> tuple[float, int | None]:
         """The state's value and the smallest-id optimal action."""
+        root = _key(self.cg, s)
         memo = self._memo
-        if s in memo:
-            return memo[s]
-        stack: list[State] = [s]
-        expanded: dict[State, list[tuple[int, TransitionDistribution]]] = {}
+        if root in memo:
+            return memo[root]
+        t = self.cg.step_masks
+        stack = [root]
+        expanded: dict[tuple[int, int], list] = {}
         while stack:
             top = stack[-1]
             if top in memo:
                 stack.pop()
                 continue
             if top not in expanded:
-                tv = terminal_value(self.cg, top)
+                owned, live = top
+                moves = _moves(t, owned, live)
+                tv = _terminal(t, owned, live, moves)
                 if tv is not None:
                     self._remember(top, tv, None)
                     stack.pop()
                     continue
-                dists = expanded[top] = expand(self.cg, top)
+                dists = expanded[top] = [
+                    (a, _walk(t, owned, live, a)[0]) for a in _ids(moves)
+                ]
                 missing = [
-                    nxt for _, d in dists for nxt, _ in d.outcomes if nxt not in memo
+                    nxt for _, outs in dists for nxt, _ in outs if nxt not in memo
                 ]
                 if missing:
                     stack.extend(missing)
                     continue
             best_action, best_value = argmax(
-                (a, sum(p * memo[nxt][0] for nxt, p in dist.outcomes))
-                for a, dist in expanded.pop(top)
+                (a, sum(p * memo[nxt][0] for nxt, p in outs))
+                for a, outs in expanded.pop(top)
             )
             self._remember(top, best_value, best_action)
             stack.pop()
-        return memo[s]
+        return memo[root]
 
     def value(self, s: State) -> float:
         return self.value_and_action(s)[0]
@@ -222,13 +316,13 @@ class ExactSolver:
     def best_action(self, s: State) -> int | None:
         return self.value_and_action(s)[1]
 
-    def _remember(self, s: State, value: float, action: int | None) -> None:
-        if s not in self._memo and len(self._memo) >= self.memo_limit:
+    def _remember(self, key: tuple[int, int], value: float, action: int | None) -> None:
+        if key not in self._memo and len(self._memo) >= self.memo_limit:
             raise StateSpaceLimitError(
-                f"more than {self.memo_limit} reachable states; "
-                "use the neural approximate solver instead"
+                f"more than {self.memo_limit} distinct (owned nodes, live NSPs) "
+                "states; use the neural approximate solver instead"
             )
-        self._memo[s] = (value, action)
+        self._memo[key] = (value, action)
 
     @property
     def states_solved(self) -> int:

@@ -44,7 +44,8 @@ EXPLORE_PROB = 0.5
 
 
 class CheckpointFormatError(Exception):
-    """The checkpoint file is malformed or from an unknown format version."""
+    """The checkpoint file is malformed, from an unknown format version, or
+    holds a net whose input width is not the instance's NSP count."""
 
 
 def encode_states(states: Sequence[State]) -> np.ndarray:
@@ -254,6 +255,11 @@ class NetGreedyPolicy:
     """Deterministic policy playing the net's greedy action, memoized."""
 
     def __init__(self, net: ValueNet, cg: CondensedGraph):
+        if net.n_inputs != cg.n_nsps:
+            raise CheckpointFormatError(
+                f"the net takes {net.n_inputs} inputs but the instance has "
+                f"{cg.n_nsps} NSPs"
+            )
         self.net = net
         self.cg = cg
         self._cache: dict[State, int] = {}

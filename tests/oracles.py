@@ -1,8 +1,18 @@
 """Independent reference implementations used to cross-check the package."""
 from __future__ import annotations
 
+from itertools import accumulate
+
 from adgame.kernel import CondensedGraph
-from adgame.mdp import State, admissible_actions, terminal_value, transition
+from adgame.mdp import (
+    FAILED,
+    SUCCESS,
+    UNATTEMPTED,
+    State,
+    admissible_actions,
+    terminal_value,
+    transition,
+)
 
 
 class OracleBudgetExceeded(Exception):
@@ -37,3 +47,33 @@ def expectimax_value(
         return best
 
     return rec(state)
+
+
+def trit_transition(
+    cg: CondensedGraph, s: State, action: int
+) -> tuple[tuple[tuple[State, float], ...], float, tuple[float, ...]]:
+    """Outcomes, detection mass and running sums of attempting ``action``,
+    walked on trit states: a failure fails every unattempted NSP sharing the
+    edge, failures that fail the same NSPs merge, and success comes last."""
+    acc: dict[State, float] = {}
+    detect = 0.0
+    prefix = 1.0
+    for edge_id in cg.nsps[action].edges:
+        e = cg.graph.edges[edge_id]
+        detect += prefix * e.p_d
+        if e.p_f > 0.0:
+            failed = list(s)
+            for nsp_id in cg.edge_to_nsps[edge_id]:
+                if failed[nsp_id] == UNATTEMPTED:
+                    failed[nsp_id] = FAILED
+            key = tuple(failed)
+            acc[key] = acc.get(key, 0.0) + prefix * e.p_f
+        prefix *= e.p_s
+        if prefix <= 0.0:
+            prefix = 0.0
+            break
+    if prefix > 0.0:
+        succeeded = list(s)
+        succeeded[action] = SUCCESS
+        acc[tuple(succeeded)] = prefix
+    return tuple(acc.items()), detect, tuple(accumulate(acc.values()))

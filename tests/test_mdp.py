@@ -1,8 +1,14 @@
 """Attacker decision process: transitions, terminal values, and exact DP."""
 from __future__ import annotations
 
+import itertools
+import os
+from dataclasses import replace
+
 import pytest
 
+from adgame.config import ExperimentConfig
+from adgame.graph import save_graph
 from adgame.kernel import condense
 from adgame.mdp import (
     ExactSolver,
@@ -11,6 +17,7 @@ from adgame.mdp import (
     StateSpaceLimitError,
     SUCCESS,
     UNATTEMPTED,
+    _key,
     admissible_actions,
     argmax,
     dp_value,
@@ -19,6 +26,7 @@ from adgame.mdp import (
     terminal_value,
     transition,
 )
+from adgame.pipeline import build_source_graph, prepare_instance
 
 from instances import (
     chain_graph,
@@ -27,7 +35,7 @@ from instances import (
     textbook_kernel_graph,
     two_parallel_graph,
 )
-from oracles import expectimax_value
+from oracles import expectimax_value, trit_transition
 
 U, S, F = UNATTEMPTED, SUCCESS, FAILED
 
@@ -232,6 +240,93 @@ def test_expand_is_the_checked_transition_of_every_admissible_action():
                     acc += p
                     running.append(acc)
                 assert dist.cumulative == tuple(running)
+
+
+def test_transition_is_the_trit_walk_bit_for_bit():
+    # covers the success outcome that lands on a failure outcome's key:
+    # the NSP's terminal is owned and it is the failing edge's only live sharer
+    same_key = 0
+    for cg in _small_instances(60):
+        for s in _reachable_states(cg):
+            for a in admissible_actions(cg, s):
+                dist = transition(cg, s, a)
+                want = trit_transition(cg, s, a)
+                assert (dist.outcomes, dist.detect_prob, dist.cumulative) == want
+                keys = [_key(cg, nxt) for nxt, _ in dist.outcomes]
+                same_key += len(set(keys)) < len(keys)
+    assert same_key > 0
+
+
+def _trit_memo(cg, starts):
+    """(value, action) of every trit state reachable from ``starts``, by a
+    memo keyed on the trit state itself over the trit walk: the reference
+    that the solver's (owned nodes, live NSPs) keys must reproduce."""
+    memo = {}
+
+    def solve(s):
+        if s not in memo:
+            tv = terminal_value(cg, s)
+            if tv is not None:
+                memo[s] = (tv, None)
+            else:
+                best_a, best_q = None, -1.0
+                for a in admissible_actions(cg, s):
+                    outcomes, _, _ = trit_transition(cg, s, a)
+                    q = sum(p * solve(nxt)[0] for nxt, p in outcomes)
+                    if q > best_q:
+                        best_a, best_q = a, q
+                memo[s] = (best_q, best_a)
+        return memo[s]
+
+    for s in starts:
+        solve(s)
+    return memo
+
+
+def test_solver_on_owned_and_live_masks_is_bit_identical_to_a_trit_memo():
+    checked = 0
+    for cg in _small_instances(40):
+        n_bw = len(cg.bw_edges)
+        plans = [None] + [tuple(int(i == j) for i in range(n_bw)) for j in range(n_bw)]
+        ref = _trit_memo(cg, [initial_state(cg, plan) for plan in plans])
+        solver = ExactSolver(cg)
+        by_key = {}
+        for s, (value, action) in ref.items():
+            got_value, got_action = solver.value_and_action(s)
+            assert (got_value.hex(), got_action) == (value.hex(), action)
+            by_key.setdefault(_key(cg, s), set()).add((value.hex(), action))
+        assert all(len(answers) == 1 for answers in by_key.values())
+        assert solver.states_solved == len(by_key)
+        checked += len(ref)
+    assert checked > 1000
+
+
+@pytest.mark.filterwarnings("ignore:dropping entry nodes")
+@pytest.mark.parametrize(
+    "fields,seed,n_plans,n_states",
+    [
+        (dict(n_computers=40, entry_pool_size=8, entry_count=4), 1, 46, 6_256),
+        (dict(n_computers=30, entry_pool_size=6, entry_count=3), 0, 67, 62_176),
+    ],
+    ids=["graph-D", "graph-B"],
+)
+def test_states_solved_counts_owned_and_live_keys(tmp_path, fields, seed, n_plans, n_states):
+    # the benchmark's graphs, generated, saved and loaded as perfbench does
+    base = ExperimentConfig(**fields)
+    path = os.path.join(tmp_path, "graph.txt")
+    save_graph(build_source_graph(base, seed), path)
+    cg = prepare_instance(replace(base, graph_file=path), seed).cg
+    n_bw = len(cg.bw_edges)
+    plans = [
+        tuple(int(i in chosen) for i in range(n_bw))
+        for k in (0, 1, 2)
+        for chosen in itertools.combinations(range(n_bw), k)
+    ]
+    assert len(plans) == n_plans
+    solver = ExactSolver(cg)
+    for plan in plans:
+        solver.value(initial_state(cg, plan))
+    assert solver.states_solved == n_states
 
 
 def test_argmax_breaks_ties_low_and_starts_below_zero():

@@ -22,7 +22,7 @@ from adgame.pipeline import (
     run_dir_for,
     run_nndp_edo,
 )
-from adgame.valuenet import load_checkpoint
+from adgame.valuenet import ValueNet, load_checkpoint, save_checkpoint
 
 from instances import build_game
 
@@ -396,3 +396,24 @@ def test_cli_error_lines_are_machine_readable(tmp_path, capsys, graph_file):
 
     assert main(["defend", "greedy", "--set", "budget=99"] + args) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "DefenseConfigError"
+
+
+def test_cli_simulate_refuses_a_net_of_the_wrong_width(tmp_path, capsys, graph_file):
+    ckpt = str(tmp_path / "narrow.ckpt")
+    save_checkpoint(ckpt, ValueNet(3, depth=1, width=4))
+    args = ["--set", f"graph_file={graph_file}", "--seed", "0", "--out", str(tmp_path)]
+    assert main(["simulate", "--runs", "10", "--checkpoint", ckpt] + args) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CheckpointFormatError"
+    assert "3 inputs" in err["message"] and "15 NSPs" in err["message"]
+    assert not os.path.exists(tmp_path / "simulation.csv")
+
+
+@pytest.mark.parametrize("runs", ["0", "-5"])
+def test_cli_simulate_refuses_fewer_than_one_run(tmp_path, capsys, runs):
+    # no graph file is needed: the count is refused before any instance is built
+    args = ["--set", "graph_file=/missing/graph.txt", "--out", str(tmp_path)]
+    assert main(["simulate", "--runs", runs] + args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CommandLineError"
+    assert "--runs" in err["message"]
