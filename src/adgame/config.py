@@ -135,13 +135,3 @@ def load_config(
     config.validate()
     return config
 
-
-def config_to_text(config: ExperimentConfig) -> str:
-    """Render a config as a reloadable key = value file."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, tuple):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{f.name} = {value}")
-    return "\n".join(lines) + "\n"

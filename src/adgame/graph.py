@@ -100,10 +100,6 @@ class AttackGraph:
         return frozenset(n.id for n in self.nodes)
 
     @cached_property
-    def kind_of(self) -> dict[str, str]:
-        return {n.id: n.kind for n in self.nodes}
-
-    @cached_property
     def out_edge_ids(self) -> dict[str, tuple[int, ...]]:
         out: dict[str, list[int]] = {n.id: [] for n in self.nodes}
         for i, e in enumerate(self.edges):
@@ -146,7 +142,7 @@ class AttackGraph:
         for v in self.entry_nodes:
             if v not in seen:
                 raise GraphValidationError(f"entry node {v!r} not in graph")
-            if self.kind_of[v] == DOMAIN_ADMIN:
+            if v in self.da_candidates:
                 raise GraphValidationError(f"entry node {v!r} is a DA candidate")
 
     def with_entries(self, entries: Iterable[str]) -> "AttackGraph":

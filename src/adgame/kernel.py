@@ -16,7 +16,7 @@ edges beyond a spanning tree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
@@ -38,8 +38,8 @@ class Nsp:
     terminal: str
     nodes: tuple[str, ...]
     edges: tuple[int, ...]
-    blockable: bool = False
-    block_worthy_edge: int | None = None
+    blockable: bool
+    block_worthy_edge: int | None
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,6 @@ class CondensedGraph:
         return len(self.entry_nodes) + len(self.split_nodes) + 1
 
     @cached_property
-    def da_nsp_ids(self) -> tuple[int, ...]:
-        return tuple(p.id for p in self.nsps if p.terminal == self.da)
-
-    @cached_property
     def edge_to_nsps(self) -> Mapping[int, tuple[int, ...]]:
         table: dict[int, list[int]] = {}
         for p in self.nsps:
@@ -106,7 +102,7 @@ class CondensedGraph:
         return StepMasks(
             entry=sum(1 << at[v] for v in self.entry_nodes),
             da=1 << at[self.da],
-            da_nsps=sum(1 << i for i in self.da_nsp_ids),
+            da_nsps=sum(1 << p.id for p in self.nsps if p.terminal == self.da),
             terminal=tuple(1 << at[p.terminal] for p in self.nsps),
             out=tuple(out),
             entry_out=sum(out[at[v]] for v in self.entry_nodes),
@@ -134,8 +130,9 @@ class CondensedGraph:
         return {e: tuple(ids) for e, ids in table.items()}
 
 
-def extract_nsps(g: AttackGraph) -> CondensedGraph:
-    """Walk every maximal choice-free run of the pruned graph.
+def condense(g: AttackGraph) -> CondensedGraph:
+    """Kernelize a pruned graph: walk every maximal choice-free run, marking
+    its block-worthy edge on the way, then check the |BW| bound.
 
     NSP ids are assigned in (source id, first-successor id, edge id)
     lexicographic order, so the numbering is stable across runs.
@@ -175,6 +172,7 @@ def extract_nsps(g: AttackGraph) -> CondensedGraph:
                 path_nodes.append(current)
                 path_edges.append(edge_id)
                 on_path.add(current)
+            blockable = [e for e in path_edges if g.edges[e].blockable]
             nsps.append(
                 Nsp(
                     id=len(nsps),
@@ -182,6 +180,8 @@ def extract_nsps(g: AttackGraph) -> CondensedGraph:
                     terminal=current,
                     nodes=tuple(path_nodes),
                     edges=tuple(path_edges),
+                    blockable=bool(blockable),
+                    block_worthy_edge=blockable[-1] if blockable else None,
                 )
             )
             if len(nsps) > MAX_NSPS:
@@ -189,7 +189,7 @@ def extract_nsps(g: AttackGraph) -> CondensedGraph:
 
     components = _weak_component_count(g)
     h = len(g.edges) - (len(g.nodes) - components)
-    return CondensedGraph(
+    cg = CondensedGraph(
         graph=g,
         nsps=tuple(nsps),
         entry_nodes=g.entry_nodes,
@@ -197,33 +197,14 @@ def extract_nsps(g: AttackGraph) -> CondensedGraph:
         da=da,
         feedback_edges=h,
     )
-
-
-def compute_block_worthy(cg: CondensedGraph) -> CondensedGraph:
-    """Mark each NSP's block-worthy edge: the last blockable edge on it."""
-    g = cg.graph
-    filled = []
-    for p in cg.nsps:
-        blockable_edges = [e for e in p.edges if g.edges[e].blockable]
-        if blockable_edges:
-            filled.append(replace(p, blockable=True, block_worthy_edge=blockable_edges[-1]))
-        else:
-            filled.append(replace(p, blockable=False, block_worthy_edge=None))
-    out = replace(cg, nsps=tuple(filled))
-    s = len(out.entry_nodes)
-    t = len(out.split_nodes)
-    h = out.feedback_edges
-    n_bw = len(out.bw_edges)
+    s = len(cg.entry_nodes)
+    t = len(split_nodes)
+    n_bw = len(cg.bw_edges)
     if n_bw > s + t + h or n_bw > s + 2 * h:
         raise KernelizationError(
             f"|BW| = {n_bw} exceeds its bound (s={s}, t={t}, h={h})"
         )
-    return out
-
-
-def condense(g: AttackGraph) -> CondensedGraph:
-    """Kernelize a pruned graph: extract NSPs and mark block-worthy edges."""
-    return compute_block_worthy(extract_nsps(g))
+    return cg
 
 
 def _weak_component_count(g: AttackGraph) -> int:

@@ -50,7 +50,7 @@ from .graph import (
 from .generator import generate_synthetic
 from .kernel import CondensedGraph, condense, kernel_report
 from .mdp import StateSpaceLimitError
-from .simulate import CSV_HEADER, Policy, SimulationReport, csv_row, simulate
+from .simulate import Policy, SimulationReport, simulate
 from .valuenet import (
     Adam,
     NetGreedyPolicy,
@@ -223,8 +223,11 @@ def write_simulation_csv(
 ) -> None:
     """Write ``simulation.csv``: the header and the row of one plan."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(CSV_HEADER + "\n")
-        fh.write(csv_row(report, _plan_id(plan), evaluator) + "\n")
+        fh.write("plan_id,evaluator,runs,success_rate,std_error,wall_time_s\n")
+        fh.write(
+            f"{_plan_id(plan)},{evaluator},{report.runs},"
+            f"{report.success_rate!r},{report.std_error!r},{report.wall_time:.3f}\n"
+        )
 
 
 def _persist(

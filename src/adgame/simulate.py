@@ -45,7 +45,8 @@ from .mdp import (
 # state advance in lockstep, so one action is applied to the whole group.
 Policy = Callable[[State], int]
 
-CSV_HEADER = "plan_id,evaluator,runs,success_rate,std_error,wall_time_s"
+# runs per tape; ``first_run`` makes the split invisible in the result
+CHUNK_SIZE = 65536
 
 
 class PolicyContractError(Exception):
@@ -59,13 +60,6 @@ class SimulationReport:
     success_rate: float
     std_error: float
     wall_time: float
-
-
-def csv_row(report: SimulationReport, plan_id: str, evaluator: str) -> str:
-    return (
-        f"{plan_id},{evaluator},{report.runs},"
-        f"{report.success_rate!r},{report.std_error!r},{report.wall_time:.3f}"
-    )
 
 
 class DpPolicy(ExactSolver):
@@ -128,7 +122,6 @@ def _play(
     runs: int,
     seed: int,
     first_run: int,
-    chunk_size: int,
     draws_per_run: int,
     step: Step,
 ) -> SimulationReport:
@@ -140,7 +133,7 @@ def _play(
     successes = 0
     done = 0
     while done < runs:
-        n = min(chunk_size, runs - done)
+        n = min(CHUNK_SIZE, runs - done)
         tape = _uniform_tape(seed, first_run + done, n, draws_per_run)
         groups: dict[tuple[State, int], np.ndarray] = {}
         successes += _settle(cg, groups, (start, 0), np.arange(n))
@@ -172,7 +165,6 @@ def simulate(
     runs: int,
     seed: int,
     first_run: int = 0,
-    chunk_size: int = 65536,
 ) -> SimulationReport:
     """Play the condensed game, one uniform draw per attempted path."""
     dist_cache: dict[tuple[State, int], tuple[np.ndarray, tuple]] = {}
@@ -188,9 +180,7 @@ def simulate(
         for idx, (nxt, _) in enumerate(outcomes):
             yield (nxt, depth + 1), rows[pick == idx]
 
-    return _play(
-        cg, plan, policy, runs, seed, first_run, chunk_size, cg.n_nsps, step
-    )
+    return _play(cg, plan, policy, runs, seed, first_run, cg.n_nsps, step)
 
 
 def simulate_on_original(
@@ -200,7 +190,6 @@ def simulate_on_original(
     runs: int,
     seed: int,
     first_run: int = 0,
-    chunk_size: int = 65536,
 ) -> SimulationReport:
     """Play on the raw graph edges with blocked edges forced to fail.
 
@@ -251,6 +240,4 @@ def simulate_on_original(
             yield (tuple(nxt), ptr + int(pos) + 1), fail_rows[fail_at == pos]
 
     draws_per_run = sum(len(p.edges) for p in cg.nsps)
-    return _play(
-        cg, plan, policy, runs, seed, first_run, chunk_size, draws_per_run, step
-    )
+    return _play(cg, plan, policy, runs, seed, first_run, draws_per_run, step)

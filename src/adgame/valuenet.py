@@ -72,45 +72,39 @@ class ValueNet:
         self.sizes = tuple(int(n) for n in sizes)
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        # layer by layer, weights then bias: the checkpoint's flat order
+        self.params: list[np.ndarray] = []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             bound = 1.0 / sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, fan_out))
+            self.params.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
+            self.params.append(rng.uniform(-bound, bound, fan_out))
 
     @property
     def n_inputs(self) -> int:
         return self.sizes[0]
 
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return sum(p.size for p in self.params)
 
     def flat_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return np.concatenate([p.ravel() for p in self.params])
 
     def set_flat_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (self.n_params(),):
             raise ValueError(f"expected {self.n_params()} parameters, got {flat.shape}")
         at = 0
-        for w, b in zip(self.weights, self.biases):
-            w[...] = flat[at : at + w.size].reshape(w.shape)
-            at += w.size
-            b[...] = flat[at : at + b.size]
-            at += b.size
+        for p in self.params:
+            p[...] = flat[at : at + p.size].reshape(p.shape)
+            at += p.size
 
     def _forward_trace(self, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Activations and pre-activations per layer, kept for backprop."""
         acts = [x]
         pres = []
         h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+        last = len(self.sizes) - 2
+        for i, (w, b) in enumerate(zip(self.params[::2], self.params[1::2])):
             z = h @ w + b
             pres.append(z)
             if i == last:
@@ -127,8 +121,9 @@ class ValueNet:
 
     def loss_and_grads(
         self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-        """Mean squared error against fixed targets, with analytic gradients."""
+    ) -> tuple[float, list[np.ndarray]]:
+        """Mean squared error against fixed targets, with analytic gradients
+        aligned with ``params``."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
         n = x.shape[0]
@@ -139,12 +134,12 @@ class ValueNet:
         err = pred - y
         loss = float(np.mean(err**2))
         delta = (2.0 / n) * err * pred * (1.0 - pred)
-        grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(self.weights)
-        for i in range(len(self.weights) - 1, -1, -1):
-            grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        grads: list[np.ndarray] = []  # built from the output layer back
+        for i in range(len(pres) - 1, -1, -1):
+            grads += [delta.sum(axis=0), acts[i].T @ delta]
             if i > 0:
-                delta = (delta @ self.weights[i].T) * (pres[i - 1] > 0.0)
-        return loss, grads
+                delta = (delta @ self.params[2 * i].T) * (pres[i - 1] > 0.0)
+        return loss, grads[::-1]
 
 
 # Adam's moment decay rates and denominator guard
@@ -160,31 +155,19 @@ class Adam:
         self.net = net
         self.learning_rate = learning_rate
         self.t = 0
-        self._m = [
-            (np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(net.weights, net.biases)
-        ]
-        self._v = [
-            (np.zeros_like(w), np.zeros_like(b))
-            for w, b in zip(net.weights, net.biases)
-        ]
+        self._m = [np.zeros_like(p) for p in net.params]
+        self._v = [np.zeros_like(p) for p in net.params]
 
-    def step(self, grads: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    def step(self, grads: list[np.ndarray]) -> None:
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         scale = self.learning_rate * sqrt(1.0 - b2**self.t) / (1.0 - b1**self.t)
-        for i, (dw, db) in enumerate(grads):
-            for slot, grad, param in (
-                (0, dw, self.net.weights[i]),
-                (1, db, self.net.biases[i]),
-            ):
-                m = self._m[i][slot]
-                v = self._v[i][slot]
-                m *= b1
-                m += (1 - b1) * grad
-                v *= b2
-                v += (1 - b2) * grad**2
-                param -= scale * m / (np.sqrt(v) + ADAM_EPS)
+        for param, grad, m, v in zip(self.net.params, grads, self._m, self._v):
+            m *= b1
+            m += (1 - b1) * grad
+            v *= b2
+            v += (1 - b2) * grad**2
+            param -= scale * m / (np.sqrt(v) + ADAM_EPS)
 
 
 def predict(net: ValueNet, cg: CondensedGraph, s: State) -> float:
@@ -322,10 +305,6 @@ class TrainingConfig:
 class TrainStats:
     epoch_losses: tuple[float, ...]
     diverged: bool
-
-    @property
-    def final_loss(self) -> float:
-        return self.epoch_losses[-1] if self.epoch_losses else float("nan")
 
 
 def train_round(

@@ -1,4 +1,4 @@
-"""Config files: parsing, overrides, validation, round trips."""
+"""Config files: parsing, overrides, validation."""
 from __future__ import annotations
 
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from adgame.config import (
     ConfigError,
     ExperimentConfig,
-    config_to_text,
     load_config,
     parse_overrides,
 )
@@ -40,15 +39,6 @@ def test_overrides_beat_file(tmp_path):
     config = load_config(str(path), ["budget=3", "out_dir=elsewhere"])
     assert config.budget == 3
     assert config.out_dir == "elsewhere"
-
-
-def test_round_trip_through_text(tmp_path):
-    config = ExperimentConfig(
-        n_computers=64, seeds=(1, 9), explore_prob=0.25, graph_file="g.txt"
-    )
-    path = tmp_path / "echo.cfg"
-    path.write_text(config_to_text(config))
-    assert load_config(str(path)) == config
 
 
 def test_parse_overrides_rejects_bad_shapes():

@@ -12,6 +12,10 @@ module loads it somewhere; other modules may reach it too, but a private
 name only they read belongs with them.  Files under ``src/adgame`` and
 ``scripts`` may not reach it at all: neither ``mod._x`` on an imported
 module nor ``from mod import _x``.  Tests may, to patch or probe internals.
+A public module-level name of the package must be read by a file under
+``src/adgame``, ``scripts`` or ``perfbench``: loaded as a name or an
+attribute, or imported by name, so a re-export in the package's
+``__init__.py`` counts.  A name only tests read is not part of the program.
 """
 from __future__ import annotations
 
@@ -32,6 +36,9 @@ LIBRARY_FILES = sorted(
     p for d in ("src/adgame", "scripts") for p in (ROOT / d).glob("*.py")
 )
 PACKAGE_MODULES = frozenset(p.stem for p in (ROOT / "src/adgame").glob("*.py"))
+READER_FILES = sorted(
+    p for d in ("src/adgame", "scripts", "perfbench") for p in (ROOT / d).glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -57,9 +64,8 @@ def _bound_names(target: ast.expr) -> list[str]:
     return []
 
 
-def unused_privates(source: str) -> list[str]:
-    tree = ast.parse(source)
-    defined: dict[str, int] = {}
+def _module_level_names(tree: ast.Module):
+    """(name, line) for every function, class and assignment target."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -70,8 +76,15 @@ def unused_privates(source: str) -> list[str]:
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                defined.setdefault(name, node.lineno)
+            yield name, node.lineno
+
+
+def unused_privates(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for name, line in _module_level_names(tree):
+        if _private(name):
+            defined.setdefault(name, line)
     loaded = {
         node.id
         for node in ast.walk(tree)
@@ -82,6 +95,27 @@ def unused_privates(source: str) -> list[str]:
 
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
+
+
+def read_names(source: str) -> set[str]:
+    """Names loaded, attributes taken, and names imported by ``from``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def unread_publics(source: str, read: set[str]) -> list[str]:
+    return [
+        f"line {line}: {name}"
+        for name, line in _module_level_names(ast.parse(source))
+        if not name.startswith("_") and name not in read
+    ]
 
 
 def foreign_privates(source: str) -> list[str]:
@@ -168,3 +202,38 @@ def test_scan_finds_foreign_privates_and_passes_own_ones():
 @pytest.mark.parametrize("path", LIBRARY_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_foreign_privates(path):
     assert foreign_privates(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_finds_an_unread_public_name_and_passes_read_ones():
+    source = (
+        "A, B = 1, 2\n"
+        "C: int = 3\n"
+        "_D = 4\n"
+        "def used():\n"
+        "    return A\n"
+        "def reexported():\n"
+        "    pass\n"
+        "class Orphan:\n"
+        "    pass\n"
+        "def run():\n"
+        "    return mod.C\n"
+    )
+    reader = "from .mod import reexported\nfrom .mod import used as u\nu()\n"
+    read = read_names(source) | read_names(reader)
+    assert unread_publics(source, read) == [
+        "line 1: B",
+        "line 8: Orphan",
+        "line 10: run",
+    ]
+
+
+@pytest.fixture(scope="module")
+def program_reads():
+    return set().union(*(read_names(p.read_text(encoding="utf-8")) for p in READER_FILES))
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.parent.name == "adgame"], ids=lambda p: p.name
+)
+def test_no_unread_public_names(path, program_reads):
+    assert unread_publics(path.read_text(encoding="utf-8"), program_reads) == []

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from adgame.graph import AttackGraph, COMPUTER, DOMAIN_ADMIN, Edge, Node
-from adgame.kernel import KernelizationError, condense, extract_nsps, kernel_report
+from adgame.kernel import KernelizationError, condense, kernel_report
 
 from instances import (
     build_game,
@@ -42,7 +42,7 @@ def test_single_path_graph_is_one_nsp():
     p = cg.nsps[0]
     assert p.source == "n0" and p.terminal == "da"
     assert p.edges == (0, 1, 2)
-    assert cg.da_nsp_ids == (0,)
+    assert cg.step_masks.da_nsps == 0b1
 
 
 def test_every_edge_own_nsp_when_all_nodes_split():
@@ -154,7 +154,7 @@ def test_kernelizer_rejects_unpruned_interior_sink():
         entry_nodes=frozenset({"s"}),
     )
     with pytest.raises(KernelizationError):
-        extract_nsps(g)
+        condense(g)
 
 
 def test_kernel_report_mentions_every_nsp():

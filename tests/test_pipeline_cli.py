@@ -1,6 +1,7 @@
 """End-to-end orchestration: instance prep, runs, persistence, CLI."""
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import replace
@@ -21,7 +22,9 @@ from adgame.pipeline import (
     run_baseline,
     run_dir_for,
     run_nndp_edo,
+    write_simulation_csv,
 )
+from adgame.simulate import SimulationReport
 from adgame.valuenet import ValueNet, load_checkpoint, save_checkpoint
 
 from instances import build_game
@@ -157,6 +160,26 @@ RECORD = RunRecord(
 
 def test_run_record_json_round_trip():
     assert RunRecord.from_json(RECORD.to_json()) == RECORD
+
+
+def test_simulation_csv_round_trip(tmp_path):
+    sim = SimulationReport(
+        runs=100, successes=30, success_rate=0.1 + 0.2, std_error=1 / 3, wall_time=1.5
+    )
+    path = tmp_path / "simulation.csv"
+    write_simulation_csv(str(path), sim, (1, 0, 1), "exact")
+    with open(path, newline="", encoding="ascii") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row == {
+        "plan_id": "plan-101",
+        "evaluator": "exact",
+        "runs": "100",
+        "success_rate": "0.30000000000000004",
+        "std_error": "0.3333333333333333",
+        "wall_time_s": "1.500",
+    }
+    assert float(row["success_rate"]) == sim.success_rate
+    assert float(row["std_error"]) == sim.std_error
 
 
 def test_record_missing_a_field_is_a_pipeline_error(tmp_path):

@@ -1,15 +1,15 @@
 """Monte Carlo simulator: fidelity to the exact value, chunk invariance."""
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from adgame.kernel import condense
 from adgame.mdp import dp_value
 from adgame.simulate import (
-    CSV_HEADER,
     DpPolicy,
     PolicyContractError,
-    csv_row,
     simulate,
     simulate_on_original,
 )
@@ -20,6 +20,9 @@ from instances import (
     shared_suffix_graph,
     two_parallel_graph,
 )
+
+# the module, not the package's re-exported ``simulate`` function
+sim_module = importlib.import_module("adgame.simulate")
 
 
 def _close(report, value, sigmas=4.0):
@@ -80,7 +83,7 @@ def test_fully_blocked_plan_never_calls_policy():
         assert report.success_rate == 0.0
 
 
-def test_chunk_and_split_invariance():
+def test_chunk_and_split_invariance(monkeypatch):
     cg = condense(shared_suffix_graph())
     policy = DpPolicy(cg)
     for sim in (simulate, simulate_on_original):
@@ -88,7 +91,9 @@ def test_chunk_and_split_invariance():
         head = sim(cg, None, policy, runs=3000, seed=42)
         tail = sim(cg, None, policy, runs=2000, seed=42, first_run=3000)
         assert head.successes + tail.successes == whole.successes
-        ragged = sim(cg, None, policy, runs=5000, seed=42, chunk_size=701)
+        with monkeypatch.context() as m:
+            m.setattr(sim_module, "CHUNK_SIZE", 701)
+            ragged = sim(cg, None, policy, runs=5000, seed=42)
         assert ragged.successes == whole.successes
 
 
@@ -125,20 +130,6 @@ def test_nonpositive_runs_rejected():
     cg = condense(two_parallel_graph())
     with pytest.raises(ValueError):
         simulate(cg, None, DpPolicy(cg), runs=0, seed=0)
-
-
-def test_csv_row_round_trip():
-    cg = condense(two_parallel_graph())
-    report = simulate(cg, None, DpPolicy(cg), runs=100, seed=0)
-    row = csv_row(report, "plan-7", "exact")
-    fields = row.split(",")
-    assert len(fields) == len(CSV_HEADER.split(","))
-    assert fields[0] == "plan-7"
-    assert fields[1] == "exact"
-    assert int(fields[2]) == 100
-    assert float(fields[3]) == report.success_rate
-    assert float(fields[4]) == report.std_error
-    assert float(fields[5]) >= 0.0
 
 
 def test_random_instances_agree_with_exact_value():
