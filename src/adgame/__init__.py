@@ -18,10 +18,7 @@ from .generator import generate_synthetic
 from .kernel import CondensedGraph, KernelizationError, Nsp, condense, kernel_report
 from .mdp import (
     ExactSolver,
-    FAILED,
     StateSpaceLimitError,
-    SUCCESS,
-    UNATTEMPTED,
     admissible_actions,
     dp_value,
     initial_state,

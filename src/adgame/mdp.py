@@ -1,22 +1,22 @@
 """The attacker's decision process over non-splitting paths.
 
-State is one trit per NSP: unattempted, successful, or failed.  From the
-checkpoints it owns (entry nodes plus the terminals of successful NSPs) the
-attacker picks an unattempted NSP and walks its edges in order.  Each edge
-either detects the attacker (the whole attack ends, value 0), fails (the
-edge is burned, which fails every NSP sharing it), or is passed.  Passing
-every edge makes the NSP successful and its terminal a new checkpoint.
+Every NSP is live (unattempted), successful or failed.  From the nodes it
+owns (entry nodes plus the terminals of successful NSPs) the attacker picks
+a live NSP and walks its edges in order.  Each edge either detects the
+attacker (the whole attack ends, value 0), fails (the edge is burned, which
+fails every live NSP sharing it), or is passed.  Passing every edge makes
+the NSP successful and its terminal a new owned node.
 
 The attacker wins on reaching DA, so the value of a state is the maximal
 probability of eventually completing an NSP that terminates at DA.  Values
 are computed exactly by memoized dynamic programming over reachable states.
 
-The solver keys its memo on two bitmasks (``cg.step_masks``), not on the
-trit state: ``O``, the nodes the attacker owns (entries plus the terminals
-of successful NSPs), and ``U``, the live (unattempted) NSPs.  Trit states
-with the same owned nodes and live NSPs share a key, whichever NSPs failed
-or delivered a node.  Every input to a state's backup is a function of
-``(O, U)``:
+A state is three integer bitmasks (tables in ``cg.step_masks``): ``O``,
+the owned nodes; ``U``, the live NSPs; and ``S``, the successful NSPs.  An
+NSP in neither ``U`` nor ``S`` failed.  The value depends on ``(O, U)``
+alone, so the solver keys its memo on it; ``S`` is carried for the value
+net, whose input tells a failed NSP from a successful one.  Every input to
+a state's backup is a function of ``(O, U)``:
 
 - the admissible set is the NSPs of ``U`` whose source is in ``O``, in id
   order;
@@ -24,21 +24,17 @@ or delivered a node.  Every input to a state's backup is a function of
   never DA); if none did, every DA path failed iff none is in ``U``; and no
   action remains iff the admissible set is empty;
 - the walk of action ``a``: failing edge ``e`` leads to
-  ``(O, U - sharers(e))``.  Two failures merge in trit space iff they fail
-  the same live NSPs, that is iff their ``U - sharers(e)`` agree, so the
-  merge pattern, the first-edge order and the float sums depend on
-  ``(U, a)`` alone.  Success leads to ``(O | terminal(a), U - {a})`` and
-  comes last.  In trit space it never merges with a failure (``a``
-  succeeded there and failed here), so it stays a separate outcome even
-  where the keys coincide: ``a``'s terminal is already owned and ``a`` is
-  the failing edge's only live sharer.
+  ``(O, U - sharers(e), S)``, and failures at different edges merge iff
+  their ``U - sharers(e)`` agree, so the merge pattern, the first-edge
+  order and the float sums depend on ``(U, a)`` alone.  Success leads to
+  ``(O | terminal(a), U - {a}, S | {a})`` and comes last.  It never merges
+  with a failure (its ``S`` holds ``a``), so it stays a separate outcome
+  even where the ``(O, U)`` keys coincide: ``a``'s terminal is already
+  owned and ``a`` is the failing edge's only live sharer.
 
-Every outcome has a smaller ``U``, so by induction on ``|U|`` trit states
+Every outcome has a smaller ``U``, so by induction on ``|U|`` states
 sharing a key add the same floats in the same order: their values are
-bit-identical and their smallest-id argmax is the same.  The public
-functions keep their trit signatures and compute through the masks;
-``transition`` and ``expand`` map each outcome back to its trit state (the
-NSPs of ``U - U'`` failed, and on success ``a`` succeeded).
+bit-identical and their smallest-id argmax is the same.
 
 One edge walk gives the step law: ``expand`` pairs every admissible action
 with its ``TransitionDistribution`` (for the solver and the net's backup),
@@ -55,11 +51,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .kernel import CondensedGraph, StepMasks
 
-UNATTEMPTED = 0
-SUCCESS = 1
-FAILED = -1
-
-State = tuple[int, ...]
+# (owned nodes, live NSPs, successful NSPs)
+State = tuple[int, int, int]
 
 # default cap on the exact solver's memo, in distinct (owned nodes, live
 # NSPs) states
@@ -81,7 +74,7 @@ def initial_state(cg: CondensedGraph, plan: Sequence[int] | None = None) -> Stat
     ``plan`` is a 0/1 vector over ``cg.bw_edges``; every NSP whose
     block-worthy edge is blocked starts out failed.
     """
-    status = [UNATTEMPTED] * cg.n_nsps
+    live = (1 << cg.n_nsps) - 1
     if plan is not None:
         if len(plan) != len(cg.bw_edges):
             raise ValueError(
@@ -90,8 +83,8 @@ def initial_state(cg: CondensedGraph, plan: Sequence[int] | None = None) -> Stat
         for i, bit in enumerate(plan):
             if bit:
                 for nsp_id in cg.bw_edge_to_nsps[cg.bw_edges[i]]:
-                    status[nsp_id] = FAILED
-    return tuple(status)
+                    live &= ~(1 << nsp_id)
+    return cg.step_masks.entry, live, 0
 
 
 @dataclass(frozen=True)
@@ -105,18 +98,6 @@ class TransitionDistribution:
 
     def total(self) -> float:
         return self.detect_prob + (self.cumulative[-1] if self.cumulative else 0.0)
-
-
-def _key(cg: CondensedGraph, s: State) -> tuple[int, int]:
-    """``(O, U)``: the nodes the attacker owns and the live NSPs of ``s``."""
-    terminal = cg.step_masks.terminal
-    owned, live = cg.step_masks.entry, 0
-    for i, status in enumerate(s):
-        if status == UNATTEMPTED:
-            live |= 1 << i
-        elif status == SUCCESS:
-            owned |= terminal[i]
-    return owned, live
 
 
 def _ids(mask: int) -> Iterator[int]:
@@ -180,64 +161,52 @@ def _walk(
     return outcomes, detect, prefix > 0.0
 
 
-def _allows(cg: CondensedGraph, key: tuple[int, int], action: object) -> bool:
-    """Whether ``action`` is an integer id in the key's admissible set."""
-    if not isinstance(action, Integral) or not 0 <= action < cg.n_nsps:
-        return False
-    return bool(_moves(cg.step_masks, *key) >> int(action) & 1)
-
-
 def _distribution(
-    cg: CondensedGraph, s: State, key: tuple[int, int], action: int
+    cg: CondensedGraph, s: State, action: int
 ) -> TransitionDistribution:
-    """The walk of ``action`` from ``s``, whose key is ``key``, with each
-    outcome as a trit state: the NSPs it killed failed, and on success
-    ``action`` succeeded."""
-    owned, live = key
+    """The walk of ``action`` from ``s``; the success also adds ``action`` to
+    the successful NSPs."""
+    owned, live, won = s
     outcomes, detect, succeeded = _walk(cg.step_masks, owned, live, action)
-    trits = []
-    for (_, rest), _ in outcomes:
-        nxt = list(s)
-        for i in _ids(live & ~rest):
-            nxt[i] = FAILED
-        trits.append(nxt)
+    tagged = [((o, u, won), p) for (o, u), p in outcomes]
     if succeeded:
-        trits[-1][action] = SUCCESS  # its U - U' is {action}
+        (o, u), p = outcomes[-1]
+        tagged[-1] = ((o, u, won | 1 << action), p)
     return TransitionDistribution(
-        outcomes=tuple((tuple(nxt), p) for nxt, (_, p) in zip(trits, outcomes)),
+        outcomes=tuple(tagged),
         detect_prob=detect,
         cumulative=tuple(accumulate(p for _, p in outcomes)),
     )
 
 
 def admissible_actions(cg: CondensedGraph, s: State) -> tuple[int, ...]:
-    """Unattempted NSPs whose source the attacker owns: an entry node or the
+    """Live NSPs whose source the attacker owns: an entry node or the
     terminal of a successful NSP."""
-    return tuple(_ids(_moves(cg.step_masks, *_key(cg, s))))
+    return tuple(_ids(_moves(cg.step_masks, s[0], s[1])))
 
 
 def is_admissible(cg: CondensedGraph, s: State, action: object) -> bool:
     """Whether ``action`` is one of ``admissible_actions(cg, s)``; anything
     but an integer is not, so callers can refuse it with their own error."""
-    return _allows(cg, _key(cg, s), action)
+    if not isinstance(action, Integral) or not 0 <= action < cg.n_nsps:
+        return False
+    return bool(_moves(cg.step_masks, s[0], s[1]) >> int(action) & 1)
 
 
 def transition(cg: CondensedGraph, s: State, action: int) -> TransitionDistribution:
     """The outcome distribution of one chosen action, checked admissible."""
-    key = _key(cg, s)
-    if not _allows(cg, key, action):
+    if not is_admissible(cg, s, action):
         raise InadmissibleActionError(
             f"NSP {action} is not admissible from state {s}"
         )
-    return _distribution(cg, s, key, int(action))
+    return _distribution(cg, s, int(action))
 
 
 def expand(cg: CondensedGraph, s: State) -> list[tuple[int, TransitionDistribution]]:
     """Every admissible action of ``s``, in id order, with its distribution."""
-    key = _key(cg, s)
     return [
-        (a, _distribution(cg, s, key, a))
-        for a in _ids(_moves(cg.step_masks, *key))
+        (a, _distribution(cg, s, a))
+        for a in _ids(_moves(cg.step_masks, s[0], s[1]))
     ]
 
 
@@ -255,7 +224,7 @@ def terminal_value(cg: CondensedGraph, s: State) -> float | None:
     """1.0 once a DA path succeeded, 0.0 once the attack can no longer reach
     DA (all DA paths failed, or no admissible action remains), else None."""
     t = cg.step_masks
-    owned, live = _key(cg, s)
+    owned, live, _ = s
     return _terminal(t, owned, live, _moves(t, owned, live))
 
 
@@ -273,7 +242,7 @@ class ExactSolver:
 
     def value_and_action(self, s: State) -> tuple[float, int | None]:
         """The state's value and the smallest-id optimal action."""
-        root = _key(self.cg, s)
+        root = s[:2]
         memo = self._memo
         if root in memo:
             return memo[root]

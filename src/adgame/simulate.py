@@ -30,10 +30,7 @@ import numpy as np
 
 from .kernel import CondensedGraph
 from .mdp import (
-    FAILED,
     State,
-    SUCCESS,
-    UNATTEMPTED,
     ExactSolver,
     initial_state,
     is_admissible,
@@ -212,17 +209,18 @@ def simulate_on_original(
         else:
             p_detect[i], p_stop[i] = e.p_d, e.p_d + e.p_f
     nsp_edges = [np.asarray(p.edges, dtype=np.intp) for p in cg.nsps]
-    sharers = cg.edge_to_nsps
+    t = cg.step_masks
 
     def step(state, ptr, action, tape, rows):
+        owned, live, won = state
         edges = nsp_edges[action]
         width = len(edges)
         draws = tape[rows, ptr : ptr + width]
         stopped = draws < p_stop[edges]
         any_stop = stopped.any(axis=1)
-        nxt = list(state)
-        nxt[action] = SUCCESS
-        yield (tuple(nxt), ptr + width), rows[~any_stop]
+        bit = 1 << int(action)
+        nxt = (owned | t.terminal[action], live & ~bit, won | bit)
+        yield (nxt, ptr + width), rows[~any_stop]
         if not any_stop.any():
             return
         hit_rows = rows[any_stop]
@@ -233,11 +231,8 @@ def simulate_on_original(
         fail_rows = hit_rows[~detected]
         fail_at = hit_at[~detected]
         for pos in np.unique(fail_at):
-            nxt = list(state)
-            for other in sharers[int(edges[pos])]:
-                if nxt[other] == UNATTEMPTED:
-                    nxt[other] = FAILED
-            yield (tuple(nxt), ptr + int(pos) + 1), fail_rows[fail_at == pos]
+            nxt = (owned, live & ~t.edges[action][pos][3], won)
+            yield (nxt, ptr + int(pos) + 1), fail_rows[fail_at == pos]
 
     draws_per_run = sum(len(p.edges) for p in cg.nsps)
     return _play(cg, plan, policy, runs, seed, first_run, draws_per_run, step)

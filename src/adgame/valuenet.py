@@ -48,9 +48,17 @@ class CheckpointFormatError(Exception):
     holds a net whose input width is not the instance's NSP count."""
 
 
-def encode_states(states: Sequence[State]) -> np.ndarray:
-    """One row per trit state: success +1, unattempted 0, failed -1."""
-    return np.asarray(states, dtype=np.float64)
+def encode_states(states: Sequence[State], width: int) -> np.ndarray:
+    """One row per state over its ``width`` NSPs: success +1, live 0, failed
+    -1, that is ``2 S + U - 1`` from the successful and live masks."""
+    n_bytes = (width + 7) // 8
+
+    def bits(masks) -> np.ndarray:
+        raw = b"".join(m.to_bytes(n_bytes, "little") for m in masks)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(states), n_bytes)
+        return np.unpackbits(rows, axis=1, count=width, bitorder="little")
+
+    return 2.0 * bits(s[2] for s in states) + bits(s[1] for s in states) - 1.0
 
 
 class ValueNet:
@@ -185,7 +193,7 @@ def _values(net: ValueNet, cg: CondensedGraph, states: list[State]) -> np.ndarra
         else:
             out[i] = tv
     if ask:
-        out[ask] = net.forward(encode_states([states[i] for i in ask]))
+        out[ask] = net.forward(encode_states([states[i] for i in ask], cg.n_nsps))
     return out
 
 
@@ -339,7 +347,7 @@ def train_round(
         for at in range(0, len(states), config.batch_size):
             batch = states[at : at + config.batch_size]
             targets = bellman_targets(net, cg, batch)
-            loss, grads = net.loss_and_grads(encode_states(batch), targets)
+            loss, grads = net.loss_and_grads(encode_states(batch, cg.n_nsps), targets)
             optimizer.step(grads)
             batch_losses.append(loss)
         mean_loss = float(np.mean(batch_losses))
@@ -376,15 +384,17 @@ def load_checkpoint(path: str) -> tuple[ValueNet, int]:
         at = 16 + 4 * n_sizes
         seed, round_index = struct.unpack_from("<qI", blob, at)
         at += 12
-        params = np.frombuffer(blob[at:], dtype="<f8")
     except struct.error as exc:
         raise CheckpointFormatError(f"truncated checkpoint: {exc}") from exc
     if len(sizes) != depth + 2:
         raise CheckpointFormatError("depth disagrees with the layer list")
-    net = ValueNet.from_sizes(sizes, seed=int(seed))
-    if params.shape != (net.n_params(),):
+    # checked before the net is built, so a forged header allocates nothing
+    n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+    if len(blob) - at != 8 * n_params:
         raise CheckpointFormatError(
-            f"expected {net.n_params()} parameters, found {params.shape[0]}"
+            f"expected {n_params} parameters ({8 * n_params} bytes), "
+            f"found {len(blob) - at} bytes"
         )
-    net.set_flat_params(params)
+    net = ValueNet.from_sizes(sizes, seed=int(seed))
+    net.set_flat_params(np.frombuffer(blob, dtype="<f8", offset=at))
     return net, int(round_index)

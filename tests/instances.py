@@ -1,5 +1,8 @@
-"""Hand-built and randomly sampled game instances shared across the suite."""
+"""Hand-built and randomly sampled game instances shared across the suite,
+and a forged value-net checkpoint."""
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
@@ -191,3 +194,14 @@ def random_instance(
     if cg.n_nsps > max_nsps:
         return None
     return cg
+
+
+def write_forged_checkpoint(path: str, sizes: tuple[int, ...]) -> None:
+    """A well-formed checkpoint header claiming layer ``sizes`` over a
+    payload of only four parameters."""
+    with open(path, "wb") as fh:
+        fh.write(b"ADVN")
+        fh.write(struct.pack("<III", 1, len(sizes) - 2, len(sizes)))
+        fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
+        fh.write(struct.pack("<qI", 0, 0))
+        fh.write(bytes(32))

@@ -32,7 +32,6 @@ from adgame.graph import save_graph
 from adgame.kernel import condense
 from adgame.mdp import (
     ExactSolver,
-    UNATTEMPTED,
     admissible_actions,
     dp_value,
     initial_state,
@@ -49,8 +48,7 @@ from instances import (
     shared_suffix_graph,
     textbook_kernel_graph,
 )
-
-SUCCESS, FAILED = 1, -1
+from oracles import FAILED, SUCCESS, UNATTEMPTED, state_of, trits_of
 
 
 @pytest.fixture
@@ -87,8 +85,8 @@ def _memo_expectimax(cg, state) -> float:
 
 def test_c01_transition_law_reproduces_worked_example(verdict):
     cg = condense(shared_suffix_graph(p_d=0.1, p_f=0.2))
-    dist = transition(cg, (UNATTEMPTED, UNATTEMPTED), 0)
-    got = dict(dist.outcomes)
+    dist = transition(cg, state_of(cg, (UNATTEMPTED, UNATTEMPTED)), 0)
+    got = {trits_of(cg, s): p for s, p in dist.outcomes}
     want = {
         (FAILED, UNATTEMPTED): 0.34,
         (FAILED, FAILED): 0.098,

@@ -12,12 +12,8 @@ from adgame.graph import save_graph
 from adgame.kernel import condense
 from adgame.mdp import (
     ExactSolver,
-    FAILED,
     InadmissibleActionError,
     StateSpaceLimitError,
-    SUCCESS,
-    UNATTEMPTED,
-    _key,
     admissible_actions,
     argmax,
     dp_value,
@@ -35,7 +31,16 @@ from instances import (
     textbook_kernel_graph,
     two_parallel_graph,
 )
-from oracles import expectimax_value, trit_transition
+from oracles import (
+    FAILED,
+    SUCCESS,
+    UNATTEMPTED,
+    expectimax_value,
+    reachable_states,
+    state_of,
+    trit_transition,
+    trits_of,
+)
 
 U, S, F = UNATTEMPTED, SUCCESS, FAILED
 
@@ -43,8 +48,8 @@ U, S, F = UNATTEMPTED, SUCCESS, FAILED
 def test_shared_edge_transition_golden():
     # Both NSPs walk the shared final edge; failing it fails both at once.
     cg = condense(shared_suffix_graph(p_d=0.1, p_f=0.2))
-    dist = transition(cg, (U, U), 0)
-    got = dict(dist.outcomes)
+    dist = transition(cg, state_of(cg, (U, U)), 0)
+    got = {trits_of(cg, s): p for s, p in dist.outcomes}
     assert abs(got[(F, U)] - 0.34) <= 1e-12
     assert abs(got[(F, F)] - 0.098) <= 1e-12
     assert abs(got[(S, U)] - 0.343) <= 1e-12
@@ -55,8 +60,8 @@ def test_shared_edge_transition_golden():
 
 def test_transition_certain_single_edge():
     cg = condense(two_parallel_graph(p_d=0.0, p_f=0.0))
-    dist = transition(cg, (U, U), 0)
-    assert dist.outcomes == (((S, U), 1.0),)
+    dist = transition(cg, state_of(cg, (U, U)), 0)
+    assert dist.outcomes == ((state_of(cg, (S, U)), 1.0),)
     assert dist.detect_prob == 0.0
 
 
@@ -76,8 +81,8 @@ def test_transition_certain_failure_fails_all_sharers():
     import dataclasses
 
     cg2 = condense(dataclasses.replace(g, edges=tuple(edges)))
-    dist = transition(cg2, (U, U), 0)
-    got = dict(dist.outcomes)
+    dist = transition(cg2, state_of(cg2, (U, U)), 0)
+    got = {trits_of(cg2, s): p for s, p in dist.outcomes}
     assert abs(got[(F, F)] - 0.49) <= 1e-12
     assert (S, U) not in got
     assert abs(dist.total() - 1.0) <= 1e-12
@@ -85,9 +90,9 @@ def test_transition_certain_failure_fails_all_sharers():
 
 def test_initial_state_blocks_shared_paths_together():
     cg = condense(shared_suffix_graph())
-    assert initial_state(cg) == (U, U)
-    assert initial_state(cg, [1]) == (F, F)
-    assert initial_state(cg, [0]) == (U, U)
+    assert trits_of(cg, initial_state(cg)) == (U, U)
+    assert trits_of(cg, initial_state(cg, [1])) == (F, F)
+    assert trits_of(cg, initial_state(cg, [0])) == (U, U)
 
 
 def test_initial_state_only_touches_matching_block_worthy():
@@ -98,7 +103,7 @@ def test_initial_state_only_touches_matching_block_worthy():
     }
     plan = [0] * len(cg.bw_edges)
     plan[by_pair[("a", "e")]] = 1
-    s = initial_state(cg, plan)
+    s = trits_of(cg, initial_state(cg, plan))
     for p in cg.nsps:
         if p.nodes == ("a", "e", "f"):
             assert s[p.id] == F
@@ -118,26 +123,28 @@ def test_admissible_actions_track_checkpoints():
     first = admissible_actions(cg, start)
     assert [cg.nsps[a].source for a in first] == ["s"]
     (entry_nsp,) = first
-    after = list(start)
+    after = list(trits_of(cg, start))
     after[entry_nsp] = S
-    owned_sources = {cg.nsps[a].source for a in admissible_actions(cg, tuple(after))}
+    owned_sources = {
+        cg.nsps[a].source for a in admissible_actions(cg, state_of(cg, tuple(after)))
+    }
     assert owned_sources == {"a"}
 
 
 def test_admissible_actions_empty_when_everything_failed():
     cg = condense(two_parallel_graph())
-    assert admissible_actions(cg, (F, F)) == ()
+    assert admissible_actions(cg, state_of(cg, (F, F))) == ()
 
 
 def test_terminal_values():
     cg = condense(shared_suffix_graph())
-    assert terminal_value(cg, (S, U)) == 1.0
-    assert terminal_value(cg, (F, F)) == 0.0
-    assert terminal_value(cg, (U, U)) is None
+    assert terminal_value(cg, state_of(cg, (S, U))) == 1.0
+    assert terminal_value(cg, state_of(cg, (F, F))) == 0.0
+    assert terminal_value(cg, state_of(cg, (U, U))) is None
     # No admissible action left but DA not reached: the attack fizzles.
     cg2 = condense(textbook_kernel_graph())
     s = [F] * cg2.n_nsps
-    assert terminal_value(cg2, tuple(s)) == 0.0
+    assert terminal_value(cg2, state_of(cg2, tuple(s))) == 0.0
 
 
 def test_dp_value_on_chain_is_success_product():
@@ -192,23 +199,10 @@ def test_unfailing_a_path_never_hurts():
         base[cg.n_nsps // 2] = F
         relaxed = list(base)
         relaxed[cg.n_nsps // 2] = U
-        assert solver.value(tuple(base)) <= solver.value(tuple(relaxed)) + 1e-12
-
-
-def _reachable_states(cg):
-    """Every state the game can reach from the unblocked start."""
-    seen = {initial_state(cg)}
-    frontier = [initial_state(cg)]
-    while frontier:
-        s = frontier.pop()
-        if terminal_value(cg, s) is not None:
-            continue
-        for a in admissible_actions(cg, s):
-            for nxt, _ in transition(cg, s, a).outcomes:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return seen
+        assert (
+            solver.value(state_of(cg, tuple(base)))
+            <= solver.value(state_of(cg, tuple(relaxed))) + 1e-12
+        )
 
 
 def _small_instances(n_seeds):
@@ -220,7 +214,7 @@ def _small_instances(n_seeds):
 
 def test_transition_mass_sums_to_one_everywhere():
     for cg in _small_instances(60):
-        for s in _reachable_states(cg):
+        for s in reachable_states(cg):
             for a in admissible_actions(cg, s):
                 dist = transition(cg, s, a)
                 assert abs(dist.total() - 1.0) <= 1e-12
@@ -229,7 +223,7 @@ def test_transition_mass_sums_to_one_everywhere():
 
 def test_expand_is_the_checked_transition_of_every_admissible_action():
     for cg in _small_instances(60):
-        for s in _reachable_states(cg):
+        for s in reachable_states(cg):
             expanded = expand(cg, s)
             assert expanded == [
                 (a, transition(cg, s, a)) for a in admissible_actions(cg, s)
@@ -247,12 +241,13 @@ def test_transition_is_the_trit_walk_bit_for_bit():
     # the NSP's terminal is owned and it is the failing edge's only live sharer
     same_key = 0
     for cg in _small_instances(60):
-        for s in _reachable_states(cg):
+        for s in reachable_states(cg):
             for a in admissible_actions(cg, s):
                 dist = transition(cg, s, a)
-                want = trit_transition(cg, s, a)
-                assert (dist.outcomes, dist.detect_prob, dist.cumulative) == want
-                keys = [_key(cg, nxt) for nxt, _ in dist.outcomes]
+                want = trit_transition(cg, trits_of(cg, s), a)
+                got = tuple((trits_of(cg, nxt), p) for nxt, p in dist.outcomes)
+                assert (got, dist.detect_prob, dist.cumulative) == want
+                keys = [nxt[:2] for nxt, _ in dist.outcomes]
                 same_key += len(set(keys)) < len(keys)
     assert same_key > 0
 
@@ -265,12 +260,12 @@ def _trit_memo(cg, starts):
 
     def solve(s):
         if s not in memo:
-            tv = terminal_value(cg, s)
+            tv = terminal_value(cg, state_of(cg, s))
             if tv is not None:
                 memo[s] = (tv, None)
             else:
                 best_a, best_q = None, -1.0
-                for a in admissible_actions(cg, s):
+                for a in admissible_actions(cg, state_of(cg, s)):
                     outcomes, _, _ = trit_transition(cg, s, a)
                     q = sum(p * solve(nxt)[0] for nxt, p in outcomes)
                     if q > best_q:
@@ -288,13 +283,13 @@ def test_solver_on_owned_and_live_masks_is_bit_identical_to_a_trit_memo():
     for cg in _small_instances(40):
         n_bw = len(cg.bw_edges)
         plans = [None] + [tuple(int(i == j) for i in range(n_bw)) for j in range(n_bw)]
-        ref = _trit_memo(cg, [initial_state(cg, plan) for plan in plans])
+        ref = _trit_memo(cg, [trits_of(cg, initial_state(cg, plan)) for plan in plans])
         solver = ExactSolver(cg)
         by_key = {}
         for s, (value, action) in ref.items():
-            got_value, got_action = solver.value_and_action(s)
+            got_value, got_action = solver.value_and_action(state_of(cg, s))
             assert (got_value.hex(), got_action) == (value.hex(), action)
-            by_key.setdefault(_key(cg, s), set()).add((value.hex(), action))
+            by_key.setdefault(state_of(cg, s)[:2], set()).add((value.hex(), action))
         assert all(len(answers) == 1 for answers in by_key.values())
         assert solver.states_solved == len(by_key)
         checked += len(ref)
@@ -338,10 +333,10 @@ def test_argmax_breaks_ties_low_and_starts_below_zero():
 def test_transition_rejects_inadmissible_action():
     cg = condense(shared_suffix_graph())
     with pytest.raises(InadmissibleActionError):
-        transition(cg, (S, U), 0)
+        transition(cg, state_of(cg, (S, U)), 0)
     for action in (99, -1, None, 1.5):
         with pytest.raises(InadmissibleActionError):
-            transition(cg, (U, U), action)
+            transition(cg, state_of(cg, (U, U)), action)
 
 
 def test_memo_budget_raises_resource_error():
@@ -359,3 +354,18 @@ def test_solver_memo_is_reused_across_queries():
     states_after_first = solver.states_solved
     solver.value(initial_state(cg))
     assert solver.states_solved == states_after_first
+
+
+def test_states_and_trit_states_correspond_one_to_one():
+    # guards every cache keyed on states: the net policy's, the simulator's
+    # groups and c03's expectimax memo
+    checked = 0
+    for cg in _small_instances(60):
+        n_bw = len(cg.bw_edges)
+        plans = [None] + [tuple(int(i == j) for i in range(n_bw)) for j in range(n_bw)]
+        states = reachable_states(cg, plans)
+        trits = {trits_of(cg, s) for s in states}
+        assert len(trits) == len(states)
+        assert all(state_of(cg, trits_of(cg, s)) == s for s in states)
+        checked += len(states)
+    assert checked > 1000

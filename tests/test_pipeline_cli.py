@@ -27,7 +27,7 @@ from adgame.pipeline import (
 from adgame.simulate import SimulationReport
 from adgame.valuenet import ValueNet, load_checkpoint, save_checkpoint
 
-from instances import build_game
+from instances import build_game, write_forged_checkpoint
 
 TINY = dict(
     n_computers=30,
@@ -430,6 +430,17 @@ def test_cli_simulate_refuses_a_net_of_the_wrong_width(tmp_path, capsys, graph_f
     assert err["error"] == "CheckpointFormatError"
     assert "3 inputs" in err["message"] and "15 NSPs" in err["message"]
     assert not os.path.exists(tmp_path / "simulation.csv")
+
+
+def test_cli_simulate_refuses_a_forged_checkpoint_header(tmp_path, capsys, graph_file):
+    ckpt = str(tmp_path / "forged.ckpt")
+    write_forged_checkpoint(ckpt, (2048, 2048, 1))
+    args = ["--set", f"graph_file={graph_file}", "--seed", "0", "--out", str(tmp_path)]
+    assert main(["simulate", "--runs", "10", "--checkpoint", ckpt] + args) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    assert json.loads(lines[0])["error"] == "CheckpointFormatError"
 
 
 @pytest.mark.parametrize("runs", ["0", "-5"])

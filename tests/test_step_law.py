@@ -18,6 +18,7 @@ from adgame.simulate import DpPolicy, simulate
 from adgame.valuenet import ValueNet, rollout
 
 from instances import random_instance
+from oracles import trits_of
 
 # the module, not the package's re-exported ``simulate`` function
 sim = importlib.import_module("adgame.simulate")
@@ -106,8 +107,8 @@ def test_simulate_picks_the_outcome_of_the_strict_rule_at_boundaries(monkeypatch
                 assert first_step[r] == dist.outcomes[want][0]
 
 
-def _trits(s) -> str:
-    return "".join("+0-"[1 - t] for t in s)
+def _trits(cg, s) -> str:
+    return "".join("+0-"[1 - t] for t in trits_of(cg, s))
 
 
 # per seed of random_instance: (exact value, best action) unblocked and with
@@ -170,5 +171,7 @@ def test_pinned_values_successes_and_rollouts(seed):
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     rng = np.random.default_rng(seed)
     s0 = initial_state(cg)
-    got = [" ".join(map(_trits, rollout(net, cg, s0, 1.0, rng))) for _ in walks]
+    got = [
+        " ".join(_trits(cg, s) for s in rollout(net, cg, s0, 1.0, rng)) for _ in walks
+    ]
     assert got == walks

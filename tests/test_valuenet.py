@@ -1,11 +1,14 @@
 """Value network: gradients, terminal handling, rollouts, training."""
 from __future__ import annotations
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from adgame.kernel import condense
-from adgame.mdp import FAILED, SUCCESS, UNATTEMPTED, initial_state, transition
+from adgame.mdp import initial_state, transition
 from adgame.valuenet import (
     Adam,
     CheckpointFormatError,
@@ -24,16 +27,64 @@ from adgame.valuenet import (
 )
 from adgame.simulate import simulate
 
-from instances import chain_graph, random_instance, shared_suffix_graph, two_parallel_graph
+from instances import (
+    chain_graph,
+    random_instance,
+    shared_suffix_graph,
+    two_parallel_graph,
+    write_forged_checkpoint,
+)
+from oracles import (
+    FAILED,
+    SUCCESS,
+    UNATTEMPTED,
+    reachable_states,
+    state_of,
+    trits_of,
+)
+
+
+def _bare(width: int) -> SimpleNamespace:
+    """Stands in for an instance of ``width`` NSPs and no nodes: all that
+    the trit converters read."""
+    return SimpleNamespace(
+        n_nsps=width, step_masks=SimpleNamespace(entry=0, terminal=(0,) * width)
+    )
 
 
 def test_encode_state_maps_trits():
-    one = encode_states([(SUCCESS, FAILED, UNATTEMPTED)])
+    three = _bare(3)
+    one = encode_states([state_of(three, (SUCCESS, FAILED, UNATTEMPTED))], 3)
     assert one.tolist() == [[1.0, -1.0, 0.0]]
-    assert encode_states([(0, 0, 0), (FAILED, SUCCESS, SUCCESS)]).tolist() == [
+    two = [state_of(three, (0, 0, 0)), state_of(three, (FAILED, SUCCESS, SUCCESS))]
+    assert encode_states(two, 3).tolist() == [
         [0.0, 0.0, 0.0],
         [-1.0, 1.0, 1.0],
     ]
+
+
+def test_encode_states_equals_the_trit_encoding():
+    checked = 0
+    for seed in range(40):
+        cg = random_instance(seed, max_nsps=9)
+        if cg is None:
+            continue
+        states = list(reachable_states(cg))
+        got = encode_states(states, cg.n_nsps)
+        assert got.dtype == np.float64 and got.shape == (len(states), cg.n_nsps)
+        for row, s in zip(got, states):
+            assert np.array_equal(row, np.asarray(trits_of(cg, s), float))
+        checked += len(states)
+    assert checked > 1000
+    # both sides of every byte boundary up to the paper graph's 173 NSPs
+    rng = np.random.default_rng(0)
+    for width in (1, 7, 8, 9, 16, 17, 173):
+        rows = [(SUCCESS,) * width, (FAILED,) * width, (UNATTEMPTED,) * width]
+        rows += [tuple(rng.integers(-1, 2, width).tolist()) for _ in range(50)]
+        states = [state_of(_bare(width), trits) for trits in rows]
+        assert np.array_equal(encode_states(states, width), np.asarray(rows, float))
+        empty = encode_states([], width)
+        assert empty.shape == (0, width) and empty.dtype == np.float64
 
 
 def test_forward_output_strictly_inside_unit_interval():
@@ -47,9 +98,9 @@ def test_forward_output_strictly_inside_unit_interval():
 def test_predict_short_circuits_terminals():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=2, width=8, seed=0)
-    assert predict(net, cg, (SUCCESS, UNATTEMPTED)) == 1.0
-    assert predict(net, cg, (FAILED, FAILED)) == 0.0
-    mid = predict(net, cg, (UNATTEMPTED, UNATTEMPTED))
+    assert predict(net, cg, state_of(cg, (SUCCESS, UNATTEMPTED))) == 1.0
+    assert predict(net, cg, state_of(cg, (FAILED, FAILED))) == 0.0
+    mid = predict(net, cg, state_of(cg, (UNATTEMPTED, UNATTEMPTED)))
     assert 0.0 < mid < 1.0
 
 
@@ -143,10 +194,13 @@ def test_bellman_targets_bounded_and_terminal_exact():
     cg = condense(shared_suffix_graph())
     net = ValueNet(cg.n_nsps, depth=2, width=8, seed=5)
     states = [
-        (UNATTEMPTED, UNATTEMPTED),
-        (SUCCESS, UNATTEMPTED),
-        (FAILED, FAILED),
-        (FAILED, UNATTEMPTED),
+        state_of(cg, trits)
+        for trits in (
+            (UNATTEMPTED, UNATTEMPTED),
+            (SUCCESS, UNATTEMPTED),
+            (FAILED, FAILED),
+            (FAILED, UNATTEMPTED),
+        )
     ]
     targets = bellman_targets(net, cg, states)
     assert np.all(targets >= 0.0) and np.all(targets <= 1.0)
@@ -157,7 +211,7 @@ def test_bellman_targets_bounded_and_terminal_exact():
 def test_action_values_weight_outcomes_by_probability():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=2, width=8, seed=2)
-    s = (UNATTEMPTED, UNATTEMPTED)
+    s = state_of(cg, (UNATTEMPTED, UNATTEMPTED))
     got = dict(action_values(net, cg, s))
     for a in (0, 1):
         expect = sum(
@@ -170,7 +224,8 @@ def test_rollout_on_terminal_start_returns_it_alone():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     rng = np.random.default_rng(0)
-    assert rollout(net, cg, (FAILED, FAILED), 0.5, rng) == [(FAILED, FAILED)]
+    dead = state_of(cg, (FAILED, FAILED))
+    assert rollout(net, cg, dead, 0.5, rng) == [dead]
 
 
 def test_rollout_visits_follow_transition_law():
@@ -180,10 +235,10 @@ def test_rollout_visits_follow_transition_law():
     n = 10_000
     counts = {"detected": 0, "success": 0, "fail": 0}
     for _ in range(n):
-        states = rollout(net, cg, (UNATTEMPTED, UNATTEMPTED), 1.0, rng)
+        states = rollout(net, cg, state_of(cg, (UNATTEMPTED, UNATTEMPTED)), 1.0, rng)
         if len(states) == 1:
             counts["detected"] += 1
-        elif SUCCESS in states[1]:
+        elif SUCCESS in trits_of(cg, states[1]):
             counts["success"] += 1
         else:
             counts["fail"] += 1
@@ -202,7 +257,7 @@ def test_rollout_states_are_reachable_and_end_terminal():
         rng = np.random.default_rng(seed)
         states = rollout(net, cg, initial_state(cg), 0.5, rng)
         assert states[0] == initial_state(cg)
-        assert all(len(s) == cg.n_nsps for s in states)
+        assert all(state_of(cg, trits_of(cg, s)) == s for s in states)
 
 
 def test_train_round_learns_single_path_value():
@@ -297,6 +352,20 @@ def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
         load_checkpoint(str(path))
 
 
+def test_checkpoint_checks_the_payload_before_allocating(tmp_path):
+    # the header claims a 2048-wide net, about 34 MB of parameters
+    path = str(tmp_path / "forged.ckpt")
+    write_forged_checkpoint(path, (2048, 2048, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_net_greedy_policy_is_admissible_in_simulation():
     cg = condense(shared_suffix_graph())
     net = ValueNet(cg.n_nsps, depth=2, width=8, seed=9)
@@ -308,6 +377,7 @@ def test_greedy_action_breaks_ties_toward_smaller_id():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     # symmetric instance and symmetric state: both actions score equally
-    got = dict(action_values(net, cg, (UNATTEMPTED, UNATTEMPTED)))
+    s = state_of(cg, (UNATTEMPTED, UNATTEMPTED))
+    got = dict(action_values(net, cg, s))
     if got[0] == got[1]:
-        assert greedy_action(net, cg, (UNATTEMPTED, UNATTEMPTED)) == 0
+        assert greedy_action(net, cg, s) == 0
