@@ -132,22 +132,28 @@ def diversity_select_removal(pop: Population) -> int:
     worst member is removed instead so the new best is always retained.
     Otherwise each member's residual count vector (per-edge block counts
     minus its own bits, sorted descending) is compared; the
-    lexicographically smallest residual loses, oldest member first on ties.
+    lexicographically smallest residual loses, oldest member first on ties,
+    and the first index on full ties.
+
+    One array sort does it: row j of ``np.sort(counts - bits)`` is member
+    j's residual in ascending order, so its last column is the residual's
+    first entry.  ``np.lexsort`` orders rows by its last key first, so the
+    keys ``born`` then the ascending columns compare rows by their
+    descending residual, then by ``born``.  The keys are integers, so the
+    order is exact, and lexsort is stable, so full ties keep the lowest
+    index: its first row is the member the ``(residual, born)`` minimum
+    above picks.
     """
     if len(pop) < 2:
         raise ValueError("removal needs at least two members")
     candidate = pop[-1]
     if all(candidate.fitness < m.fitness for m in pop[:-1]):
         return _worst_index(pop)
-    counts = np.sum([m.bits for m in pop], axis=0)
-    chosen = 0
-    chosen_key = None
-    for j, m in enumerate(pop):
-        residual = tuple(sorted(counts - np.asarray(m.bits), reverse=True))
-        key = (residual, m.born)
-        if chosen_key is None or key < chosen_key:
-            chosen, chosen_key = j, key
-    return chosen
+    bits = np.frombuffer(b"".join(bytes(m.bits) for m in pop), np.int8)
+    bits = bits.reshape(len(pop), len(candidate.bits))
+    residual = np.sort(bits.sum(axis=0, dtype=np.int64) - bits, axis=1)
+    born = np.array([m.born for m in pop], dtype=np.int64)
+    return int(np.lexsort(np.vstack((born, residual.T)))[0])
 
 
 FitnessFn = Callable[[Plan], float]

@@ -222,10 +222,16 @@ def argmax(pairs: Iterable[tuple[int, float]]) -> tuple[int | None, float]:
 
 def terminal_value(cg: CondensedGraph, s: State) -> float | None:
     """1.0 once a DA path succeeded, 0.0 once the attack can no longer reach
-    DA (all DA paths failed, or no admissible action remains), else None."""
+    DA (all DA paths failed, or no admissible action remains), else None.
+
+    Entry nodes are always owned, so a live NSP out of an entry proves an
+    admissible action exists; only without one is the owned-node walk
+    needed.  ``_terminal`` reads nothing of ``moves`` but whether it is 0.
+    """
     t = cg.step_masks
     owned, live, _ = s
-    return _terminal(t, owned, live, _moves(t, owned, live))
+    moves = live & t.entry_out or _moves(t, owned, live)
+    return _terminal(t, owned, live, moves)
 
 
 class ExactSolver:

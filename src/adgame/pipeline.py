@@ -8,6 +8,8 @@ checkpoint, the simulation row, and a JSON record.
 
 All artifacts except the timing sidecar are bit-reproducible for a given
 config and seed: wall-clock measurements live in ``timings.json`` only.
+It holds ``total_s`` and one ``<phase>_s`` per phase of the run; the
+phases are disjoint, so they sum to at most ``total_s``.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import json
 import os
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
@@ -77,6 +80,14 @@ class PipelineError(Exception):
 
 class ReportCompatibilityError(Exception):
     """Records under comparison come from incompatible experiment setups."""
+
+
+@contextmanager
+def _phase(phases: dict[str, float], name: str):
+    """Add the wall time of the ``with`` block to ``phases[name]``."""
+    t = time.perf_counter()
+    yield
+    phases[name] = phases.get(name, 0.0) + time.perf_counter() - t
 
 
 def _child_seed(seed: int, stream: int, index: int = 0) -> int:
@@ -265,12 +276,14 @@ def _finish_run(
     """The end of every run: simulate the best plan, record and persist.
 
     ``outcome`` holds the record fields the strategy decides; the config
-    and the instance supply the rest.  ``total_s`` runs from ``started``.
+    and the instance supply the rest.  ``total_s`` runs from ``started``;
+    ``phases`` gains ``simulate_s``.
     """
     plan = outcome["best_plan"]
-    report = simulate(
-        inst.cg, plan, policy, config.mc_runs, seed=_child_seed(seed, _S_SIM)
-    )
+    with _phase(phases, "simulate_s"):
+        report = simulate(
+            inst.cg, plan, policy, config.mc_runs, seed=_child_seed(seed, _S_SIM)
+        )
     record = RunRecord(
         seed=seed,
         config=_config_snapshot(config),
@@ -311,8 +324,12 @@ def run_nndp_edo(
     if strategy not in _SEARCH_AND_TRAIN:
         raise PipelineError(f"unknown search-and-train strategy {strategy!r}")
     started = time.perf_counter()
+    phases = dict.fromkeys(
+        ("prepare_s", "search_s", "train_s", "rescore_s", "exact_s"), 0.0
+    )
     name, search = _SEARCH_AND_TRAIN[strategy]
-    inst = prepare_instance(config, seed)
+    with _phase(phases, "prepare_s"):
+        inst = prepare_instance(config, seed)
     cg = inst.cg
     net = ValueNet(
         cg.n_nsps, depth=config.depth, width=config.width,
@@ -328,52 +345,51 @@ def run_nndp_edo(
     round_best: list[float] = []
     curves: list[tuple[float, ...]] = []
     diverged = False
-    search_s = train_s = 0.0
     if config.rounds == 0:
-        pop = search(
-            cg, evaluator, config.budget, config.mu, 0, rng=_rng(seed, _S_SEARCH, 0)
-        )
-    else:
-        for r in range(config.rounds):
-            t = time.perf_counter()
+        with _phase(phases, "search_s"):
             pop = search(
-                cg, evaluator, config.budget, config.mu, config.iterations,
-                rng=_rng(seed, _S_SEARCH, r),
+                cg, evaluator, config.budget, config.mu, 0,
+                rng=_rng(seed, _S_SEARCH, 0),
             )
-            search_s += time.perf_counter() - t
-            round_best.append(best_member(pop).fitness)
-            t = time.perf_counter()
-            stats = train_round(
-                net, cg, [m.bits for m in pop], tconf,
-                rng=_rng(seed, _S_TRAIN, r), optimizer=optimizer,
-            )
-            train_s += time.perf_counter() - t
+    else:
+        # one training round more than searches: the last one follows the
+        # last search
+        for r in range(config.rounds + 1):
+            if r < config.rounds:
+                with _phase(phases, "search_s"):
+                    pop = search(
+                        cg, evaluator, config.budget, config.mu, config.iterations,
+                        rng=_rng(seed, _S_SEARCH, r),
+                    )
+                round_best.append(best_member(pop).fitness)
+            with _phase(phases, "train_s"):
+                stats = train_round(
+                    net, cg, [m.bits for m in pop], tconf,
+                    rng=_rng(seed, _S_TRAIN, r), optimizer=optimizer,
+                )
             curves.append(stats.epoch_losses)
             diverged = diverged or stats.diverged
-        stats = train_round(
-            net, cg, [m.bits for m in pop], tconf,
-            rng=_rng(seed, _S_TRAIN, config.rounds), optimizer=optimizer,
-        )
-        curves.append(stats.epoch_losses)
-        diverged = diverged or stats.diverged
     plateaued = bool(
         curves and curves[-1] and float(np.mean(curves[-1])) > 0.1
     )
     # the final training round sharpened the net after the last search, so
     # re-score the surviving plans before picking the winner
-    best_fitness, _, best = min(
-        (evaluator(m.bits), m.born, m) for m in pop
-    )
+    with _phase(phases, "rescore_s"):
+        best_fitness, _, best = min(
+            (evaluator(m.bits), m.born, m) for m in pop
+        )
+    with _phase(phases, "exact_s"):
+        exact_value = _exact_value_or_none(cg, best.bits, config.memo_limit)
     return _finish_run(
         config, seed, inst, started, pop, net, NetGreedyPolicy(net, cg),
-        "net-greedy", {"search_s": search_s, "train_s": train_s},
+        "net-greedy", phases,
         strategy=name,
         round_best_fitness=tuple(round_best),
         loss_curves=tuple(curves),
         training_flag=diverged or plateaued,
         best_plan=best.bits,
         best_fitness=best_fitness,
-        exact_value=_exact_value_or_none(cg, best.bits, config.memo_limit),
+        exact_value=exact_value,
     )
 
 
@@ -391,18 +407,22 @@ def run_baseline(config: ExperimentConfig, strategy: str, seed: int) -> RunRecor
     if strategy in _SEARCH_AND_TRAIN:
         return run_nndp_edo(config, seed, strategy)
     started = time.perf_counter()
-    inst = prepare_instance(config, seed)
-    ev = ExactFitness(inst.cg, memo_limit=config.memo_limit)
-    if strategy == "greedy":
-        plan = greedy_run(inst.cg, ev, config.budget)
-    else:
-        plan = exhaustive_run(
-            inst.cg, ev, config.budget, enumeration_budget=config.enumeration_budget
-        )
-    fitness = ev(plan)
+    phases = dict.fromkeys(("prepare_s", "search_s"), 0.0)
+    with _phase(phases, "prepare_s"):
+        inst = prepare_instance(config, seed)
+    with _phase(phases, "search_s"):
+        ev = ExactFitness(inst.cg, memo_limit=config.memo_limit)
+        if strategy == "greedy":
+            plan = greedy_run(inst.cg, ev, config.budget)
+        else:
+            plan = exhaustive_run(
+                inst.cg, ev, config.budget,
+                enumeration_budget=config.enumeration_budget,
+            )
+        fitness = ev(plan)
     return _finish_run(
         config, seed, inst, started, [Member(plan, fitness, 0)], None,
-        ev.policy, "exact-dp", {},
+        ev.policy, "exact-dp", phases,
         strategy=strategy,
         round_best_fitness=(),
         loss_curves=(),

@@ -388,6 +388,8 @@ def load_checkpoint(path: str) -> tuple[ValueNet, int]:
         raise CheckpointFormatError(f"truncated checkpoint: {exc}") from exc
     if len(sizes) != depth + 2:
         raise CheckpointFormatError("depth disagrees with the layer list")
+    if min(sizes) < 1 or sizes[-1] != 1:
+        raise CheckpointFormatError(f"bad layer sizes {list(sizes)}")
     # checked before the net is built, so a forged header allocates nothing
     n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
     if len(blob) - at != 8 * n_params:

@@ -1,11 +1,14 @@
-"""Hand-built and randomly sampled game instances shared across the suite,
-and a forged value-net checkpoint."""
+"""Hand-built, randomly sampled and generated game instances shared across
+the suite, and a forged value-net checkpoint."""
 from __future__ import annotations
 
+import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 
+from adgame.config import ExperimentConfig
 from adgame.graph import (
     AttackGraph,
     COMPUTER,
@@ -14,8 +17,10 @@ from adgame.graph import (
     GENERIC,
     Node,
     prune,
+    save_graph,
 )
 from adgame.kernel import CondensedGraph, condense
+from adgame.pipeline import build_source_graph, prepare_instance
 
 EdgeSpec = tuple[str, str, float, float, bool]
 
@@ -196,12 +201,27 @@ def random_instance(
     return cg
 
 
-def write_forged_checkpoint(path: str, sizes: tuple[int, ...]) -> None:
+# the benchmark's generated graphs: config fields and instance seed
+GRAPH_B = (dict(n_computers=30, entry_pool_size=6, entry_count=3), 0)
+GRAPH_D = (dict(n_computers=40, entry_pool_size=8, entry_count=4), 1)
+
+
+def saved_instance(directory: str, fields: dict, seed: int) -> CondensedGraph:
+    """A generated graph, saved and loaded again as the benchmark does."""
+    base = ExperimentConfig(**fields)
+    path = os.path.join(directory, "graph.txt")
+    save_graph(build_source_graph(base, seed), path)
+    return prepare_instance(replace(base, graph_file=path), seed).cg
+
+
+def write_forged_checkpoint(
+    path: str, sizes: tuple[int, ...], n_params: int = 4
+) -> None:
     """A well-formed checkpoint header claiming layer ``sizes`` over a
-    payload of only four parameters."""
+    payload of ``n_params`` zero parameters."""
     with open(path, "wb") as fh:
         fh.write(b"ADVN")
         fh.write(struct.pack("<III", 1, len(sizes) - 2, len(sizes)))
         fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
         fh.write(struct.pack("<qI", 0, 0))
-        fh.write(bytes(32))
+        fh.write(bytes(8 * n_params))

@@ -18,6 +18,7 @@ from adgame.defense import (
     diversity_select_removal,
     edo_run,
     exhaustive_run,
+    format_plan,
     greedy_run,
     load_population,
     mutate,
@@ -31,9 +32,12 @@ from adgame.simulate import DpPolicy, simulate
 from adgame.valuenet import ValueNet
 
 from instances import (
+    GRAPH_B,
+    GRAPH_D,
     four_parallel_graph,
     greedy_trap_graph,
     random_instance,
+    saved_instance,
     shared_suffix_graph,
     textbook_kernel_graph,
     two_parallel_graph,
@@ -146,6 +150,63 @@ def test_diversity_removal_matches_brute_comparator():
             for born in range(size)
         ]
         assert diversity_select_removal(pop) == _brute_removal(pop)
+
+
+def test_diversity_removal_matches_brute_comparator_at_paper_width():
+    # the paper round's shape: 101 members over 101 block-worthy edges at
+    # budget 5, with repeated plans, tied fitnesses and shuffled birth order
+    rng = np.random.default_rng(11)
+    for case in range(200):
+        plans = []
+        for _ in range(101):
+            if plans and rng.random() < 0.2:
+                plans.append(plans[int(rng.integers(len(plans)))])
+            else:
+                plans.append(random_plan(101, 5, rng))
+        fitness = [float(rng.choice([0.25, 0.3, 0.3, 0.35])) for _ in plans]
+        if case % 10 == 0:
+            fitness[-1] = 0.2  # a strictly best candidate
+        pop = [
+            Member(bits, f, int(born))
+            for bits, f, born in zip(plans, fitness, rng.permutation(101))
+        ]
+        assert diversity_select_removal(pop) == _brute_removal(pop)
+    empty = [Member((), 0.5, int(born)) for born in (3, 1, 4, 1, 5)]
+    assert diversity_select_removal(empty) == _brute_removal(empty) == 1
+
+
+# (format_plan, float.hex(fitness), born) of every final member of
+# edo_run(ExactFitness, budget 2, mu=12, 300 iterations, default_rng(7))
+EDO_PIN_B = [("00100000100", "0x0.0p+0", born) for born in range(293, 305)]
+EDO_PIN_D = [
+    ("110000000", "0x1.fb00aefb2e8e3p-2", 350),
+    ("001000100", "0x1.244d1c2bd3241p-1", 357),
+    ("001000010", "0x1.244d1c2bd3241p-1", 358),
+    ("010000001", "0x1.fb00aefb2e8e3p-2", 359),
+    ("001001000", "0x1.21957a504a1acp-1", 367),
+    ("010000001", "0x1.fb00aefb2e8e3p-2", 368),
+    ("001000010", "0x1.244d1c2bd3241p-1", 369),
+    ("110000000", "0x1.fb00aefb2e8e3p-2", 371),
+    ("001100000", "0x1.01ecffd78a86fp-1", 375),
+    ("011000000", "0x1.e4acfff45864cp-2", 376),
+]
+
+
+@pytest.mark.filterwarnings("ignore:dropping entry nodes")
+@pytest.mark.parametrize(
+    "graph,pin", [(GRAPH_B, EDO_PIN_B), (GRAPH_D, EDO_PIN_D)], ids=["graph-B", "graph-D"]
+)
+def test_edo_run_on_exact_fitness_is_pinned(tmp_path, graph, pin):
+    # exact fitness is pure Python floats, so the pin holds on any machine.
+    # B collapses onto its one zero-value plan; D keeps seven distinct plans,
+    # so a change to the survivor rule or its tie-breaks moves D's pin
+    cg = saved_instance(tmp_path, *graph)
+    pop = edo_run(
+        cg, ExactFitness(cg), 2, mu=12, iterations=300,
+        rng=np.random.default_rng(7),
+    )
+    got = [(format_plan(m.bits), float.hex(m.fitness), m.born) for m in pop]
+    assert got == pin
 
 
 def test_exact_fitness_matches_dp_and_caches():

@@ -2,18 +2,16 @@
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import replace
 
 import pytest
 
-from adgame.config import ExperimentConfig
-from adgame.graph import save_graph
 from adgame.kernel import condense
 from adgame.mdp import (
     ExactSolver,
     InadmissibleActionError,
     StateSpaceLimitError,
+    _moves,
+    _terminal,
     admissible_actions,
     argmax,
     dp_value,
@@ -22,11 +20,13 @@ from adgame.mdp import (
     terminal_value,
     transition,
 )
-from adgame.pipeline import build_source_graph, prepare_instance
 
 from instances import (
+    GRAPH_B,
+    GRAPH_D,
     chain_graph,
     random_instance,
+    saved_instance,
     shared_suffix_graph,
     textbook_kernel_graph,
     two_parallel_graph,
@@ -212,6 +212,28 @@ def _small_instances(n_seeds):
     ]
 
 
+def test_terminal_value_screens_on_live_entry_moves():
+    # a live NSP out of an entry settles "an action exists" without the
+    # owned-node walk; states with every entry NSP dead take the walk
+    screened = walked = walked_open = 0
+    for seed in range(60):
+        cg = random_instance(seed)
+        if cg is None:
+            continue
+        t = cg.step_masks
+        for s in reachable_states(cg):
+            owned, live, _ = s
+            assert terminal_value(cg, s) == _terminal(
+                t, owned, live, _moves(t, owned, live)
+            )
+            if live & t.entry_out:
+                screened += 1
+            else:
+                walked += 1
+                walked_open += _moves(t, owned, live) != 0
+    assert screened > 0 and walked > 0 and walked_open > 0
+
+
 def test_transition_mass_sums_to_one_everywhere():
     for cg in _small_instances(60):
         for s in reachable_states(cg):
@@ -298,19 +320,13 @@ def test_solver_on_owned_and_live_masks_is_bit_identical_to_a_trit_memo():
 
 @pytest.mark.filterwarnings("ignore:dropping entry nodes")
 @pytest.mark.parametrize(
-    "fields,seed,n_plans,n_states",
-    [
-        (dict(n_computers=40, entry_pool_size=8, entry_count=4), 1, 46, 6_256),
-        (dict(n_computers=30, entry_pool_size=6, entry_count=3), 0, 67, 62_176),
-    ],
+    "graph,n_plans,n_states",
+    [(GRAPH_D, 46, 6_256), (GRAPH_B, 67, 62_176)],
     ids=["graph-D", "graph-B"],
 )
-def test_states_solved_counts_owned_and_live_keys(tmp_path, fields, seed, n_plans, n_states):
+def test_states_solved_counts_owned_and_live_keys(tmp_path, graph, n_plans, n_states):
     # the benchmark's graphs, generated, saved and loaded as perfbench does
-    base = ExperimentConfig(**fields)
-    path = os.path.join(tmp_path, "graph.txt")
-    save_graph(build_source_graph(base, seed), path)
-    cg = prepare_instance(replace(base, graph_file=path), seed).cg
+    cg = saved_instance(tmp_path, *graph)
     n_bw = len(cg.bw_edges)
     plans = [
         tuple(int(i in chosen) for i in range(n_bw))

@@ -277,6 +277,28 @@ def test_exact_baselines_record_exact_values(tmp_path, graph_file):
         run_baseline(cfg, "simulated-annealing", 0)
 
 
+@pytest.mark.parametrize(
+    "strategy,record_name,phases",
+    [
+        ("edo", "nndp-edo",
+         {"prepare_s", "search_s", "train_s", "rescore_s", "exact_s", "simulate_s"}),
+        ("greedy", "greedy", {"prepare_s", "search_s", "simulate_s"}),
+    ],
+    ids=["edo", "greedy"],
+)
+def test_timings_time_every_phase_within_the_total(
+    tmp_path, graph_file, strategy, record_name, phases
+):
+    cfg = tiny_config(str(tmp_path), graph_file=graph_file)
+    run_baseline(cfg, strategy, 0)
+    path = os.path.join(run_dir_for(cfg, record_name, 0), "timings.json")
+    with open(path, encoding="utf-8") as fh:
+        timings = json.load(fh)
+    assert set(timings) == phases | {"total_s"}
+    assert all(timings[name] >= 0.0 for name in phases)
+    assert sum(timings[name] for name in phases) <= timings["total_s"]
+
+
 def test_report_tabulates_and_refuses_mixed_runs(tmp_path, graph_file):
     cfg = tiny_config(str(tmp_path), graph_file=graph_file)
     run_nndp_edo(cfg, 0)
@@ -441,6 +463,19 @@ def test_cli_simulate_refuses_a_forged_checkpoint_header(tmp_path, capsys, graph
     lines = captured.err.splitlines()
     assert len(lines) == 1 and captured.out == ""
     assert json.loads(lines[0])["error"] == "CheckpointFormatError"
+
+
+def test_cli_simulate_refuses_bad_checkpoint_layer_sizes(tmp_path, capsys, graph_file):
+    ckpt = str(tmp_path / "sizes.ckpt")
+    write_forged_checkpoint(ckpt, (0, 1), n_params=1)
+    args = ["--set", f"graph_file={graph_file}", "--seed", "0", "--out", str(tmp_path)]
+    assert main(["simulate", "--runs", "10", "--checkpoint", ckpt] + args) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    err = json.loads(lines[0])
+    assert err["error"] == "CheckpointFormatError"
+    assert "bad layer sizes" in err["message"]
 
 
 @pytest.mark.parametrize("runs", ["0", "-5"])

@@ -366,6 +366,17 @@ def test_checkpoint_checks_the_payload_before_allocating(tmp_path):
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize(
+    "sizes,n_params", [((0, 1), 1), ((3, 2), 8)], ids=["zero-width", "two-outputs"]
+)
+def test_checkpoint_refuses_bad_layer_sizes(tmp_path, sizes, n_params):
+    # the payload length matches the header, so only the sizes are wrong
+    path = str(tmp_path / "forged.ckpt")
+    write_forged_checkpoint(path, sizes, n_params)
+    with pytest.raises(CheckpointFormatError, match="bad layer sizes"):
+        load_checkpoint(path)
+
+
 def test_net_greedy_policy_is_admissible_in_simulation():
     cg = condense(shared_suffix_graph())
     net = ValueNet(cg.n_nsps, depth=2, width=8, seed=9)
