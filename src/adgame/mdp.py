@@ -37,8 +37,9 @@ sharing a key add the same floats in the same order: their values are
 bit-identical and their smallest-id argmax is the same.
 
 One edge walk gives the step law: ``expand`` pairs every admissible action
-with its ``TransitionDistribution`` (for the solver and the net's backup),
-and ``transition`` checks one chosen action first.  A distribution's
+with its outcome states and masses (for the net's backup), and
+``transition`` checks one chosen action and returns its
+``TransitionDistribution`` with the detection mass.  A distribution's
 ``cumulative`` table holds its outcome masses summed left to right; a
 uniform ``u`` picks the first outcome whose sum exceeds it, else detection.
 """
@@ -161,22 +162,18 @@ def _walk(
     return outcomes, detect, prefix > 0.0
 
 
-def _distribution(
-    cg: CondensedGraph, s: State, action: int
-) -> TransitionDistribution:
-    """The walk of ``action`` from ``s``; the success also adds ``action`` to
-    the successful NSPs."""
+def _tagged(
+    t: StepMasks, s: State, action: int
+) -> tuple[list[tuple[State, float]], float]:
+    """The walk of ``action`` from ``s`` as outcome states, and the detection
+    mass; the success also adds ``action`` to the successful NSPs."""
     owned, live, won = s
-    outcomes, detect, succeeded = _walk(cg.step_masks, owned, live, action)
+    outcomes, detect, succeeded = _walk(t, owned, live, action)
     tagged = [((o, u, won), p) for (o, u), p in outcomes]
     if succeeded:
         (o, u), p = outcomes[-1]
         tagged[-1] = ((o, u, won | 1 << action), p)
-    return TransitionDistribution(
-        outcomes=tuple(tagged),
-        detect_prob=detect,
-        cumulative=tuple(accumulate(p for _, p in outcomes)),
-    )
+    return tagged, detect
 
 
 def admissible_actions(cg: CondensedGraph, s: State) -> tuple[int, ...]:
@@ -199,15 +196,22 @@ def transition(cg: CondensedGraph, s: State, action: int) -> TransitionDistribut
         raise InadmissibleActionError(
             f"NSP {action} is not admissible from state {s}"
         )
-    return _distribution(cg, s, int(action))
+    outcomes, detect = _tagged(cg.step_masks, s, int(action))
+    return TransitionDistribution(
+        outcomes=tuple(outcomes),
+        detect_prob=detect,
+        cumulative=tuple(accumulate(p for _, p in outcomes)),
+    )
 
 
-def expand(cg: CondensedGraph, s: State) -> list[tuple[int, TransitionDistribution]]:
-    """Every admissible action of ``s``, in id order, with its distribution."""
-    return [
-        (a, _distribution(cg, s, a))
-        for a in _ids(_moves(cg.step_masks, s[0], s[1]))
-    ]
+def expand(
+    cg: CondensedGraph, s: State
+) -> list[tuple[int, list[tuple[State, float]]]]:
+    """Every admissible action of ``s``, in id order, with the outcomes of
+    its ``transition``: one edge walk each, without the admissibility check,
+    the detection mass or the running sums."""
+    t = cg.step_masks
+    return [(a, _tagged(t, s, a)[0]) for a in _ids(_moves(t, s[0], s[1]))]
 
 
 def argmax(pairs: Iterable[tuple[int, float]]) -> tuple[int | None, float]:
@@ -234,11 +238,51 @@ def terminal_value(cg: CondensedGraph, s: State) -> float | None:
     return _terminal(t, owned, live, moves)
 
 
+def key_floor_log2(cg: CondensedGraph, s: State) -> int:
+    """An ``m`` such that the memo holds at least ``2**m`` keys once ``s``
+    is solved.
+
+    ``m`` counts the live NSPs out of an entry that have an edge ``e`` with
+    ``p_f > 0`` whose only live sharer is the NSP itself, and whose walk
+    reaches ``e`` with positive pass mass (the float products of
+    ``_walk``); a terminal ``s`` counts 0.  Call these NSPs ``E`` and let
+    ``(O, U)`` be the key of ``s``.  Every subset ``F`` of ``E`` can fail
+    while the rest of ``U`` stays live: the memo holds ``(O, U - F)``.
+    By induction on ``|F|``, pick ``a`` in ``F``, one ending in DA if every
+    live DA NSP is in ``F``.  The memo holds ``(O, U - (F - {a}))``, and
+    that key is not terminal: DA is not in ``O`` (``s`` is not terminal
+    and failures add no node), ``a`` is live and leaves an entry (always
+    owned), and a live DA NSP remains (``a`` itself or one outside ``F``).
+    The memo holds a non-terminal key only together with every outcome of
+    every admissible action.  The walk of ``a`` reaches ``e`` and fails
+    there; ``e``'s live sharers are a subset of ``{a}``, so that outcome
+    is ``(O, U - F)``, kept even when its mass underflows to 0.  The
+    ``2**|E|`` keys are distinct.
+    """
+    t = cg.step_masks
+    owned, live, _ = s
+    if terminal_value(cg, s) is not None:
+        return 0
+    m = 0
+    for a in _ids(live & t.entry_out):
+        prefix = 1.0
+        for _, p_f, p_s, sharers in t.edges[a]:
+            if p_f > 0.0 and live & sharers == 1 << a:
+                m += 1
+                break
+            prefix *= p_s
+            if prefix <= 0.0:
+                break
+    return m
+
+
 class ExactSolver:
     """Memoized DP over the reachable ``(O, U)`` keys.
 
     ``memo_limit`` caps the number of distinct keys; beyond it the solver
-    raises StateSpaceLimitError instead of exhausting memory.
+    raises StateSpaceLimitError instead of exhausting memory.  A new root
+    whose ``key_floor_log2`` proves it needs more keys than the cap raises
+    before any key is stored.
     """
 
     def __init__(self, cg: CondensedGraph, memo_limit: int = MEMO_LIMIT):
@@ -252,6 +296,13 @@ class ExactSolver:
         memo = self._memo
         if root in memo:
             return memo[root]
+        m = key_floor_log2(self.cg, s)
+        if 1 << m > self.memo_limit:
+            raise StateSpaceLimitError(
+                f"the state needs at least 2**{m} distinct (owned nodes, live "
+                f"NSPs) states, more than {self.memo_limit}; use the neural "
+                "approximate solver instead"
+            )
         t = self.cg.step_masks
         stack = [root]
         expanded: dict[tuple[int, int], list] = {}

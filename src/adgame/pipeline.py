@@ -9,7 +9,9 @@ checkpoint, the simulation row, and a JSON record.
 All artifacts except the timing sidecar are bit-reproducible for a given
 config and seed: wall-clock measurements live in ``timings.json`` only.
 It holds ``total_s`` and one ``<phase>_s`` per phase of the run; the
-phases are disjoint, so they sum to at most ``total_s``.
+phases are disjoint, so they sum to at most ``total_s``.  Search-and-train
+runs also write ``counters.json``: the work their backup table did or saved
+and whether the exact attempt was skipped by ``mdp.key_floor_log2``.
 """
 from __future__ import annotations
 
@@ -52,10 +54,11 @@ from .graph import (
 )
 from .generator import generate_synthetic
 from .kernel import CondensedGraph, condense, kernel_report
-from .mdp import StateSpaceLimitError
+from .mdp import StateSpaceLimitError, initial_state, key_floor_log2
 from .simulate import Policy, SimulationReport, simulate
 from .valuenet import (
     Adam,
+    BackupTable,
     NetGreedyPolicy,
     TrainingConfig,
     ValueNet,
@@ -249,6 +252,7 @@ def _persist(
     report: SimulationReport,
     net: ValueNet | None,
     timings: dict,
+    counters: dict | None,
 ) -> str:
     run_dir = run_dir_for(config, record.strategy, record.seed)
     os.makedirs(run_dir, exist_ok=True)
@@ -262,22 +266,26 @@ def _persist(
     )
     if net is not None:
         save_checkpoint(os.path.join(run_dir, "net.ckpt"), net, config.rounds)
-    with open(os.path.join(run_dir, "timings.json"), "w", encoding="utf-8") as fh:
-        json.dump(timings, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    sidecars = {"timings.json": timings, "counters.json": counters}
+    for name, data in sidecars.items():
+        if data is not None:
+            with open(os.path.join(run_dir, name), "w", encoding="utf-8") as fh:
+                json.dump(data, fh, indent=1, sort_keys=True)
+                fh.write("\n")
     return run_dir
 
 
 def _finish_run(
     config: ExperimentConfig, seed: int, inst: PreparedInstance, started: float,
     pop: Population, net: ValueNet | None, policy: Policy, evaluator: str,
-    phases: dict, **outcome,
+    phases: dict, counters: dict | None = None, **outcome,
 ) -> RunRecord:
     """The end of every run: simulate the best plan, record and persist.
 
     ``outcome`` holds the record fields the strategy decides; the config
     and the instance supply the rest.  ``total_s`` runs from ``started``;
-    ``phases`` gains ``simulate_s``.
+    ``phases`` gains ``simulate_s``.  ``counters`` is written as it stands
+    after the simulation.
     """
     plan = outcome["best_plan"]
     with _phase(phases, "simulate_s"):
@@ -302,7 +310,7 @@ def _finish_run(
         **outcome,
     )
     timings = {"total_s": time.perf_counter() - started, **phases}
-    _persist(config, record, inst, pop, report, net, timings)
+    _persist(config, record, inst, pop, report, net, timings, counters)
     return record
 
 
@@ -318,7 +326,8 @@ def run_nndp_edo(
     fitness function, then trains the net on rollouts from the resulting
     population; one extra training round follows the last search.  The best
     final plan is re-scored by Monte Carlo under the net's greedy policy,
-    and exactly when the state space allows it.
+    and exactly when the state space allows it.  Training and the final
+    policy share one backup table, which is dropped when the run returns.
     """
     config.validate()
     if strategy not in _SEARCH_AND_TRAIN:
@@ -342,6 +351,7 @@ def run_nndp_edo(
         explore_prob=config.explore_prob,
     )
     evaluator = NetFitness(net, cg)
+    table = BackupTable(cg)
     round_best: list[float] = []
     curves: list[tuple[float, ...]] = []
     diverged = False
@@ -366,6 +376,7 @@ def run_nndp_edo(
                 stats = train_round(
                     net, cg, [m.bits for m in pop], tconf,
                     rng=_rng(seed, _S_TRAIN, r), optimizer=optimizer,
+                    table=table,
                 )
             curves.append(stats.epoch_losses)
             diverged = diverged or stats.diverged
@@ -380,9 +391,16 @@ def run_nndp_edo(
         )
     with _phase(phases, "exact_s"):
         exact_value = _exact_value_or_none(cg, best.bits, config.memo_limit)
+        m = key_floor_log2(cg, initial_state(cg, best.bits))
+    counters = {
+        "backup_table": table.counts,
+        "exact_attempt": {
+            "key_floor_log2": m, "skipped_by_bound": 1 << m > config.memo_limit,
+        },
+    }
     return _finish_run(
-        config, seed, inst, started, pop, net, NetGreedyPolicy(net, cg),
-        "net-greedy", phases,
+        config, seed, inst, started, pop, net, NetGreedyPolicy(net, cg, table),
+        "net-greedy", phases, counters,
         strategy=name,
         round_best_fitness=tuple(round_best),
         loss_curves=tuple(curves),

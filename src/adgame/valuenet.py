@@ -9,6 +9,20 @@ while the batch's gradient is taken.
 Terminal states are never asked of the network; their exact values (one for
 a reached target, zero for a dead or exhausted game) short-circuit both
 prediction and target computation.
+
+A state's backup has a part that does not depend on the net: its admissible
+actions, their outcome masses, the exact values of the terminal successors
+and the encoded rows of the others.  A ``BackupTable`` builds that part once
+per state and keeps it, with the last action values computed from it, the
+net that computed them and that net's weights version.  ``Adam.step`` and
+``set_flat_params`` are the only writers of a net's parameters, and each
+bumps its version, so a backup asked again of the same net at the same
+version is the same computation, and the table returns its stored result.
+Otherwise it hands ``forward`` the same matrix in the same row order as a
+fresh backup, so its values are bit-identical.  A table belongs to one
+caller (a pipeline run, a training round, one call) and is dropped with it;
+it holds at most ``BACKUP_TABLE_BYTES``, or one entry when a single entry is
+larger, and starts empty again when an entry would overflow it.
 """
 from __future__ import annotations
 
@@ -42,6 +56,12 @@ BATCH_SIZE = 16
 EPOCHS_PER_ROUND = 500
 EXPLORE_PROB = 0.5
 
+# a backup table's memory budget, and the charges for what an entry holds
+# beside its arrays (measured with tracemalloc, rounded up)
+BACKUP_TABLE_BYTES = 16 << 20
+_ENTRY_BYTES = 2048
+_ACTION_BYTES = 256
+
 
 class CheckpointFormatError(Exception):
     """The checkpoint file is malformed, from an unknown format version, or
@@ -49,8 +69,9 @@ class CheckpointFormatError(Exception):
 
 
 def encode_states(states: Sequence[State], width: int) -> np.ndarray:
-    """One row per state over its ``width`` NSPs: success +1, live 0, failed
-    -1, that is ``2 S + U - 1`` from the successful and live masks."""
+    """One ``int8`` row per state over its ``width`` NSPs: success +1, live
+    0, failed -1, that is ``2 S + U - 1`` from the successful and live
+    masks.  The net converts rows to float64, exactly."""
     n_bytes = (width + 7) // 8
 
     def bits(masks) -> np.ndarray:
@@ -58,7 +79,12 @@ def encode_states(states: Sequence[State], width: int) -> np.ndarray:
         rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(states), n_bytes)
         return np.unpackbits(rows, axis=1, count=width, bitorder="little")
 
-    return 2.0 * bits(s[2] for s in states) + bits(s[1] for s in states) - 1.0
+    rows = bits(s[2] for s in states)
+    rows <<= 1
+    rows += bits(s[1] for s in states)
+    rows = rows.view(np.int8)
+    rows -= 1
+    return rows
 
 
 class ValueNet:
@@ -79,6 +105,7 @@ class ValueNet:
             raise ValueError(f"bad layer sizes {sizes}")
         self.sizes = tuple(int(n) for n in sizes)
         self.seed = seed
+        self.version = 0  # bumped by every write of the parameters
         rng = np.random.default_rng(seed)
         # layer by layer, weights then bias: the checkpoint's flat order
         self.params: list[np.ndarray] = []
@@ -105,6 +132,7 @@ class ValueNet:
         for p in self.params:
             p[...] = flat[at : at + p.size].reshape(p.shape)
             at += p.size
+        self.version += 1
 
     def _forward_trace(self, x: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Activations and pre-activations per layer, kept for backprop."""
@@ -176,60 +204,128 @@ class Adam:
             v *= b2
             v += (1 - b2) * grad**2
             param -= scale * m / (np.sqrt(v) + ADAM_EPS)
+        self.net.version += 1
 
 
 def predict(net: ValueNet, cg: CondensedGraph, s: State) -> float:
     """Value of a state: exact on terminals, network output otherwise."""
-    return float(_values(net, cg, [s])[0])
+    tv = terminal_value(cg, s)
+    if tv is not None:
+        return tv
+    return float(net.forward(encode_states([s], cg.n_nsps))[0])
 
 
-def _values(net: ValueNet, cg: CondensedGraph, states: list[State]) -> np.ndarray:
-    out = np.empty(len(states))
-    ask: list[int] = []
-    for i, s in enumerate(states):
-        tv = terminal_value(cg, s)
-        if tv is None:
-            ask.append(i)
+class _Backup:
+    """The net-free part of one state's backup, and its last action values."""
+
+    __slots__ = ("spans", "weights", "values", "ask", "rows", "q", "net", "version")
+
+    def __init__(self, cg: CondensedGraph, s: State):
+        spans: list[tuple[int, int, int]] = []
+        succ: list[State] = []
+        probs: list[float] = []
+        for a, outcomes in expand(cg, s):
+            start = len(succ)
+            for s2, p in outcomes:
+                succ.append(s2)
+                probs.append(p)
+            spans.append((a, start, len(succ)))
+        values = np.zeros(len(succ))
+        ask: list[int] = []
+        for i, s2 in enumerate(succ):
+            tv = terminal_value(cg, s2)
+            if tv is None:
+                ask.append(i)
+            else:
+                values[i] = tv
+        self.spans = spans  # (action, first outcome, end), in id order
+        self.weights = np.asarray(probs)
+        self.values = values  # exact on terminal successors, 0 elsewhere
+        self.ask = np.asarray(ask, dtype=np.intp)  # the other successors
+        self.rows = encode_states([succ[i] for i in ask], cg.n_nsps)
+        self.q: list[tuple[int, float]] = []
+        self.net: ValueNet | None = None  # the net that gave ``q``
+        self.version = 0  # and its weights version then
+
+    def nbytes(self) -> int:
+        arrays = (self.weights, self.values, self.ask, self.rows)
+        return _ENTRY_BYTES + _ACTION_BYTES * len(self.spans) + sum(
+            x.nbytes for x in arrays
+        )
+
+
+class BackupTable:
+    """Backups of one instance's states keyed on the state, built once; their
+    action values are served again while the same net keeps its weights.
+
+    ``counts`` tallies entries built, lookups that found an entry, action
+    values served without the net, and rows the net evaluated.
+    """
+
+    def __init__(self, cg: CondensedGraph):
+        self.cg = cg
+        self._entries: dict[State, _Backup] = {}
+        self._bytes = 0
+        self.counts = dict.fromkeys(
+            ("entries_built", "entry_reuses", "q_list_reuses", "net_rows"), 0
+        )
+
+    def action_values(self, net: ValueNet, s: State) -> list[tuple[int, float]]:
+        b = self._entries.get(s)
+        if b is None:
+            b = _Backup(self.cg, s)
+            self.counts["entries_built"] += 1
+            size = b.nbytes()
+            if self._bytes + size > BACKUP_TABLE_BYTES:
+                self._entries.clear()
+                self._bytes = 0
+            self._entries[s] = b
+            self._bytes += size
         else:
-            out[i] = tv
-    if ask:
-        out[ask] = net.forward(encode_states([states[i] for i in ask], cg.n_nsps))
-    return out
+            self.counts["entry_reuses"] += 1
+            if b.net is net and b.version == net.version:
+                self.counts["q_list_reuses"] += 1
+                return list(b.q)
+        vals = b.values.copy()
+        if len(b.ask):
+            vals[b.ask] = net.forward(b.rows)
+            self.counts["net_rows"] += len(b.ask)
+        w = b.weights
+        b.q = [(a, float(np.dot(w[lo:hi], vals[lo:hi]))) for a, lo, hi in b.spans]
+        b.net, b.version = net, net.version
+        return list(b.q)
 
 
 def action_values(
-    net: ValueNet, cg: CondensedGraph, s: State
+    net: ValueNet, cg: CondensedGraph, s: State, table: BackupTable | None = None
 ) -> list[tuple[int, float]]:
-    """One-step Bellman backup of every admissible action under the net.
+    """One-step Bellman backup of every admissible action under the net,
+    through ``table`` (a fresh one when None).
 
     Detection carries zero value, so only the explicit outcomes contribute.
     """
-    spans: list[tuple[int, tuple[int, int]]] = []
-    succ: list[State] = []
-    probs: list[float] = []
-    for a, dist in expand(cg, s):
-        start = len(succ)
-        for s2, p in dist.outcomes:
-            succ.append(s2)
-            probs.append(p)
-        spans.append((a, (start, len(succ))))
-    vals = _values(net, cg, succ)
-    weights = np.asarray(probs)
-    return [
-        (a, float(np.dot(weights[lo:hi], vals[lo:hi]))) for a, (lo, hi) in spans
-    ]
+    if table is None:
+        table = BackupTable(cg)
+    elif table.cg is not cg:
+        raise ValueError("the backup table belongs to another instance")
+    return table.action_values(net, s)
 
 
-def greedy_action(net: ValueNet, cg: CondensedGraph, s: State) -> int:
+def greedy_action(
+    net: ValueNet, cg: CondensedGraph, s: State, table: BackupTable | None = None
+) -> int:
     """Best action under the net's backup; ties go to the smallest path id."""
-    best_a, _ = argmax(action_values(net, cg, s))
+    best_a, _ = argmax(action_values(net, cg, s, table))
     if best_a is None:
         raise ValueError(f"state {s} has no admissible action")
     return best_a
 
 
 def bellman_targets(
-    net: ValueNet, cg: CondensedGraph, states: Sequence[State]
+    net: ValueNet,
+    cg: CondensedGraph,
+    states: Sequence[State],
+    table: BackupTable | None = None,
 ) -> np.ndarray:
     """Regression targets: exact terminal values, best backups elsewhere."""
     out = np.empty(len(states))
@@ -238,14 +334,16 @@ def bellman_targets(
         if tv is not None:
             out[i] = tv
         else:
-            out[i] = max(q for _, q in action_values(net, cg, s))
+            out[i] = max(q for _, q in action_values(net, cg, s, table))
     return out
 
 
 class NetGreedyPolicy:
     """Deterministic policy playing the net's greedy action, memoized."""
 
-    def __init__(self, net: ValueNet, cg: CondensedGraph):
+    def __init__(
+        self, net: ValueNet, cg: CondensedGraph, table: BackupTable | None = None
+    ):
         if net.n_inputs != cg.n_nsps:
             raise CheckpointFormatError(
                 f"the net takes {net.n_inputs} inputs but the instance has "
@@ -253,12 +351,13 @@ class NetGreedyPolicy:
             )
         self.net = net
         self.cg = cg
+        self.table = table
         self._cache: dict[State, int] = {}
 
     def __call__(self, s: State) -> int:
         a = self._cache.get(s)
         if a is None:
-            a = greedy_action(self.net, self.cg, s)
+            a = greedy_action(self.net, self.cg, s, self.table)
             self._cache[s] = a
         return a
 
@@ -269,6 +368,7 @@ def rollout(
     s0: State,
     explore_prob: float,
     rng: np.random.Generator,
+    table: BackupTable | None = None,
 ) -> list[State]:
     """States visited by one attack under the net's policy with exploration.
 
@@ -284,7 +384,7 @@ def rollout(
         if rng.random() < explore_prob:
             a = acts[int(rng.integers(len(acts)))]
         else:
-            a = greedy_action(net, cg, s)
+            a = greedy_action(net, cg, s, table)
         dist = transition(cg, s, a)
         pick = bisect_right(dist.cumulative, rng.random())
         if pick == len(dist.outcomes):
@@ -322,6 +422,7 @@ def train_round(
     config: TrainingConfig,
     rng: np.random.Generator,
     optimizer: Adam | None = None,
+    table: BackupTable | None = None,
 ) -> TrainStats:
     """One training round: per epoch, roll out a random plan and regress.
 
@@ -329,24 +430,27 @@ def train_round(
     until a full batch of visited states is collected.  Targets are
     recomputed from the current parameters before each batch update.  A
     non-finite mean loss aborts the round with the diverged flag set so
-    callers can record the failure and move on.
+    callers can record the failure and move on.  Backups go through
+    ``table`` (one for this round when None).
     """
     config.validate()
     if not plans:
         raise ValueError("plans must be non-empty")
     if optimizer is None:
         optimizer = Adam(net)
+    if table is None:
+        table = BackupTable(cg)
     losses: list[float] = []
     for _ in range(config.epochs_per_round):
         plan = plans[int(rng.integers(len(plans)))]
         s0 = initial_state(cg, plan)
         states: list[State] = []
         while len(states) < config.batch_size:
-            states.extend(rollout(net, cg, s0, config.explore_prob, rng))
+            states.extend(rollout(net, cg, s0, config.explore_prob, rng, table))
         batch_losses = []
         for at in range(0, len(states), config.batch_size):
             batch = states[at : at + config.batch_size]
-            targets = bellman_targets(net, cg, batch)
+            targets = bellman_targets(net, cg, batch, table)
             loss, grads = net.loss_and_grads(encode_states(batch, cg.n_nsps), targets)
             optimizer.step(grads)
             batch_losses.append(loss)

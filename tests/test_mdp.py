@@ -17,6 +17,7 @@ from adgame.mdp import (
     dp_value,
     expand,
     initial_state,
+    key_floor_log2,
     terminal_value,
     transition,
 )
@@ -24,6 +25,7 @@ from adgame.mdp import (
 from instances import (
     GRAPH_B,
     GRAPH_D,
+    build_game,
     chain_graph,
     random_instance,
     saved_instance,
@@ -246,11 +248,12 @@ def test_transition_mass_sums_to_one_everywhere():
 def test_expand_is_the_checked_transition_of_every_admissible_action():
     for cg in _small_instances(60):
         for s in reachable_states(cg):
-            expanded = expand(cg, s)
-            assert expanded == [
-                (a, transition(cg, s, a)) for a in admissible_actions(cg, s)
+            dists = [transition(cg, s, a) for a in admissible_actions(cg, s)]
+            assert expand(cg, s) == [
+                (a, list(dist.outcomes))
+                for a, dist in zip(admissible_actions(cg, s), dists)
             ]
-            for _, dist in expanded:
+            for dist in dists:
                 running, acc = [], 0.0
                 for _, p in dist.outcomes:
                     acc += p
@@ -338,6 +341,75 @@ def test_states_solved_counts_owned_and_live_keys(tmp_path, graph, n_plans, n_st
     for plan in plans:
         solver.value(initial_state(cg, plan))
     assert solver.states_solved == n_states
+
+
+def _roots(cg, budget):
+    n_bw = len(cg.bw_edges)
+    return [
+        initial_state(cg, tuple(int(i in chosen) for i in range(n_bw)))
+        for k in range(budget + 1)
+        for chosen in itertools.combinations(range(n_bw), k)
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:dropping entry nodes")
+def test_key_floor_bounds_the_keys_a_fresh_solve_stores(tmp_path):
+    # blocked plans included: blocking can kill an NSP counted at the
+    # unblocked root, or leave a failing edge with one live sharer
+    cases = [
+        (saved_instance(tmp_path, *GRAPH_B), 1),
+        (saved_instance(tmp_path, *GRAPH_D), 2),
+    ]
+    cases += [(cg, 2) for cg in _small_instances(80)]
+    floors = []
+    for cg, budget in cases:
+        for root in _roots(cg, budget):
+            m = key_floor_log2(cg, root)
+            solver = ExactSolver(cg)
+            solver.value(root)
+            assert solver.states_solved >= 1 << m, (root, m)
+            floors.append(m)
+    assert len(floors) > 300 and max(floors) >= 4 and floors.count(0) > 0
+
+
+def test_key_floor_counts_only_nsps_that_fail_alone():
+    cg = condense(two_parallel_graph())
+    assert key_floor_log2(cg, state_of(cg, (U, U))) == 2
+    for trits in ((S, U), (F, F), (S, F)):  # terminal roots
+        assert key_floor_log2(cg, state_of(cg, trits)) == 0
+    # three entry NSPs whose one failable edge is shared: a failure kills
+    # all three, so the solve stores 5 keys, fewer than 2**3
+    for own_p_f, m in ((0.0, 0), (0.1, 3)):
+        specs = [(e, "m", 0.1, own_p_f, False) for e in ("A", "B", "C")]
+        cg = condense(build_game(specs + [("m", "da", 0.1, 0.2, True)], set("ABC")))
+        assert cg.n_nsps == 3
+        root = initial_state(cg)
+        assert key_floor_log2(cg, root) == m
+        solver = ExactSolver(cg)
+        solver.value(root)
+        assert solver.states_solved >= 1 << m
+        assert own_p_f > 0.0 or solver.states_solved < 8
+
+
+def test_a_root_past_its_key_floor_raises_before_storing_a_key():
+    checked = 0
+    for cg in _small_instances(80):
+        for root in _roots(cg, 1):
+            m = key_floor_log2(cg, root)
+            if m == 0:
+                continue
+            solver = ExactSolver(cg, memo_limit=(1 << m) - 1)
+            with pytest.raises(StateSpaceLimitError, match="approximate"):
+                solver.value(root)
+            assert solver.states_solved == 0
+            # at the floor the solve may run: it raises only past the limit
+            at_floor = ExactSolver(cg, memo_limit=1 << m)
+            try:
+                at_floor.value(root)
+            except StateSpaceLimitError:
+                assert at_floor.states_solved == 1 << m
+            checked += 1
+    assert checked > 50
 
 
 def test_argmax_breaks_ties_low_and_starts_below_zero():

@@ -13,6 +13,7 @@ from adgame.config import ExperimentConfig
 from adgame.defense import ExactFitness, load_population
 from adgame.graph import EmptyGameError, load_graph, save_graph
 from adgame.kernel import condense
+from adgame.mdp import ExactSolver, StateSpaceLimitError, initial_state, key_floor_log2
 from adgame.pipeline import (
     PipelineError,
     ReportCompatibilityError,
@@ -91,6 +92,18 @@ def test_paper_scale_instance_key_is_pinned(distribution, key):
     # and entry selection must keep every draw across code changes
     config = ExperimentConfig(n_computers=500, distribution=distribution)
     assert prepare_instance(config, 0).instance_key == key
+
+
+def test_paper_scale_exact_attempt_fails_fast():
+    # 2**20 keys are provably needed, so the solver raises at once instead
+    # of filling its memo to the limit first
+    cg = prepare_instance(ExperimentConfig(n_computers=500), 0).cg
+    root = initial_state(cg)
+    assert key_floor_log2(cg, root) == 20
+    solver = ExactSolver(cg)
+    with pytest.raises(StateSpaceLimitError, match="2\\*\\*20"):
+        solver.value(root)
+    assert solver.states_solved == 0
 
 
 def test_prepare_instance_drops_stranded_entry(tmp_path):
@@ -195,7 +208,8 @@ def test_record_missing_a_field_is_a_pipeline_error(tmp_path):
 
 def _artifact_bytes(run_dir: str) -> dict[str, bytes]:
     out = {}
-    for name in ("record.json", "population.txt", "net.ckpt", "graph.txt"):
+    names = ("record.json", "population.txt", "net.ckpt", "graph.txt", "counters.json")
+    for name in names:
         p = os.path.join(run_dir, name)
         if os.path.exists(p):
             with open(p, "rb") as fh:
@@ -204,11 +218,19 @@ def _artifact_bytes(run_dir: str) -> dict[str, bytes]:
 
 
 def test_run_nndp_edo_persists_and_reruns_bit_identical(tmp_path, graph_file):
-    cfg = tiny_config(str(tmp_path), graph_file=graph_file)
+    # budget 1: at budget 2 every plan of this graph ends the game at once,
+    # so no backup would be asked
+    cfg = tiny_config(str(tmp_path), graph_file=graph_file, budget=1)
     rec1 = run_nndp_edo(cfg, 0)
     run_dir = run_dir_for(cfg, "nndp-edo", 0)
     first = _artifact_bytes(run_dir)
-    assert set(first) == {"record.json", "population.txt", "net.ckpt", "graph.txt"}
+    assert set(first) == {
+        "record.json", "population.txt", "net.ckpt", "graph.txt", "counters.json"
+    }
+    assert json.loads(first["counters.json"])["backup_table"]["entries_built"] > 0
+    # other runs in between: nothing one run memoizes may reach the next
+    run_nndp_edo(cfg, 1)
+    run_nndp_edo(cfg, 0, "vec")
     rec2 = run_nndp_edo(cfg, 0)
     assert rec1 == rec2
     assert _artifact_bytes(run_dir) == first
@@ -226,6 +248,22 @@ def test_run_nndp_edo_persists_and_reruns_bit_identical(tmp_path, graph_file):
     assert rec1.exact_value == pytest.approx(
         ExactFitness(inst.cg)(rec1.best_plan), abs=1e-12
     )
+
+
+def test_counters_record_the_backup_table_and_the_exact_attempt(tmp_path, graph_file):
+    cfg = tiny_config(str(tmp_path), graph_file=graph_file, budget=1)
+    run_nndp_edo(cfg, 0)
+    with open(os.path.join(run_dir_for(cfg, "nndp-edo", 0), "counters.json")) as fh:
+        counters = json.load(fh)
+    table = counters["backup_table"]
+    assert set(table) == {"entries_built", "entry_reuses", "q_list_reuses", "net_rows"}
+    assert table["entries_built"] > 0 and table["net_rows"] > 0
+    assert 0 < table["q_list_reuses"] <= table["entry_reuses"]
+    # B's plans need far fewer keys than any memo limit
+    assert counters["exact_attempt"] == {"key_floor_log2": 2, "skipped_by_bound": False}
+    run_baseline(cfg, "greedy", 0)
+    greedy_dir = run_dir_for(cfg, "greedy", 0)
+    assert not os.path.exists(os.path.join(greedy_dir, "counters.json"))
 
 
 def test_rounds_zero_is_an_untrained_baseline(tmp_path, graph_file):

@@ -7,10 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from adgame import valuenet
 from adgame.kernel import condense
-from adgame.mdp import initial_state, transition
+from adgame.mdp import admissible_actions, initial_state, terminal_value, transition
 from adgame.valuenet import (
     Adam,
+    BackupTable,
     CheckpointFormatError,
     NetGreedyPolicy,
     TrainingConfig,
@@ -71,7 +73,7 @@ def test_encode_states_equals_the_trit_encoding():
             continue
         states = list(reachable_states(cg))
         got = encode_states(states, cg.n_nsps)
-        assert got.dtype == np.float64 and got.shape == (len(states), cg.n_nsps)
+        assert got.dtype == np.int8 and got.shape == (len(states), cg.n_nsps)
         for row, s in zip(got, states):
             assert np.array_equal(row, np.asarray(trits_of(cg, s), float))
         checked += len(states)
@@ -84,7 +86,7 @@ def test_encode_states_equals_the_trit_encoding():
         states = [state_of(_bare(width), trits) for trits in rows]
         assert np.array_equal(encode_states(states, width), np.asarray(rows, float))
         empty = encode_states([], width)
-        assert empty.shape == (0, width) and empty.dtype == np.float64
+        assert empty.shape == (0, width) and empty.dtype == np.int8
 
 
 def test_forward_output_strictly_inside_unit_interval():
@@ -218,6 +220,135 @@ def test_action_values_weight_outcomes_by_probability():
             p * predict(net, cg, s2) for s2, p in transition(cg, s, a).outcomes
         )
         assert got[a] == pytest.approx(expect, abs=1e-12)
+
+
+def _fresh_backup(net, cg, s):
+    """The backup as it was built before the table: every admissible
+    action's checked transition, float rows, terminals asked of no net."""
+    spans, succ, probs = [], [], []
+    for a in admissible_actions(cg, s):
+        start = len(succ)
+        for s2, p in transition(cg, s, a).outcomes:
+            succ.append(s2)
+            probs.append(p)
+        spans.append((a, start, len(succ)))
+    vals = np.empty(len(succ))
+    ask = []
+    for i, s2 in enumerate(succ):
+        tv = terminal_value(cg, s2)
+        if tv is None:
+            ask.append(i)
+        else:
+            vals[i] = tv
+    if ask:
+        rows = encode_states([succ[i] for i in ask], cg.n_nsps).astype(np.float64)
+        vals[ask] = net.forward(rows)
+    w = np.asarray(probs)
+    return [(a, float(np.dot(w[lo:hi], vals[lo:hi]))) for a, lo, hi in spans]
+
+
+def _hex(pairs):
+    return [(a, float.hex(q)) for a, q in pairs]
+
+
+def _open_states(cg):
+    return sorted(s for s in reachable_states(cg) if terminal_value(cg, s) is None)
+
+
+def test_backup_table_serves_the_fresh_backup_bit_for_bit():
+    checked = reused = 0
+    for seed in range(30):
+        cg = random_instance(seed, max_nsps=9)
+        if cg is None:
+            continue
+        net = ValueNet(cg.n_nsps, depth=2, width=16, seed=seed)
+        table = BackupTable(cg)
+        states = _open_states(cg)
+        for _ in range(2):  # the second pass is served from the stored lists
+            for s in states:
+                got = _hex(action_values(net, cg, s, table))
+                assert got == _hex(action_values(net, cg, s))
+                assert got == _hex(_fresh_backup(net, cg, s))
+                checked += 1
+        assert [float.hex(t) for t in bellman_targets(net, cg, states, table)] == [
+            float.hex(t) for t in bellman_targets(net, cg, states)
+        ]
+        reused += table.counts["q_list_reuses"]
+        assert table.counts["entries_built"] == len(states)
+    assert checked > 500 and reused >= checked // 2
+
+
+def test_backup_table_recomputes_once_the_weights_change():
+    cg = random_instance(3, max_nsps=9)
+    net = ValueNet(cg.n_nsps, depth=2, width=16, seed=0)
+    states = _open_states(cg)
+    table = BackupTable(cg)
+    before = [action_values(net, cg, s, table) for s in states]
+    x = encode_states(states, cg.n_nsps)
+    _, grads = net.loss_and_grads(x, np.full(len(states), 0.9))
+    updates = [
+        lambda: Adam(net, learning_rate=0.05).step(grads),
+        lambda: net.set_flat_params(net.flat_params() * 1.5),
+    ]
+    for update in updates:
+        version = net.version
+        update()
+        assert net.version != version
+        served = table.counts["q_list_reuses"]
+        after = [action_values(net, cg, s, table) for s in states]
+        assert table.counts["q_list_reuses"] == served
+        fresh = [action_values(net, cg, s) for s in states]
+        assert [_hex(q) for q in after] == [_hex(q) for q in fresh]
+        assert after != before
+        before = after
+
+
+def test_backup_table_eviction_changes_no_result(monkeypatch):
+    cg = random_instance(76, max_nsps=12, max_mid=9)
+    config = TrainingConfig(batch_size=8, epochs_per_round=30)
+    plans = [tuple(int(i == j) for i in range(len(cg.bw_edges))) for j in range(3)]
+
+    def train(table):
+        net = ValueNet(cg.n_nsps, depth=2, width=16, seed=1)
+        stats = train_round(
+            net, cg, plans, config, np.random.default_rng(2), table=table
+        )
+        return stats.epoch_losses, net.flat_params().tobytes()
+
+    roomy = BackupTable(cg)
+    want = train(roomy)
+    # room for about three entries: the table empties itself many times
+    monkeypatch.setattr(valuenet, "BACKUP_TABLE_BYTES", 3 * valuenet._ENTRY_BYTES)
+    tight = BackupTable(cg)
+    assert train(tight) == want
+    assert tight.counts["entries_built"] > 3 * roomy.counts["entries_built"]
+    assert tight._bytes <= valuenet.BACKUP_TABLE_BYTES
+
+
+def test_train_round_without_a_table_is_the_shared_table_round():
+    # perfbench's self-test calls train_round without a table
+    cg = random_instance(76, max_nsps=12, max_mid=9)
+    plans = [(0,) * len(cg.bw_edges)]
+    config = TrainingConfig(batch_size=4, epochs_per_round=20)
+    runs = []
+    for table in (None, BackupTable(cg)):
+        net = ValueNet(cg.n_nsps, depth=2, width=8, seed=0)
+        optimizer = Adam(net)
+        kwargs = {} if table is None else {"table": table}
+        stats = train_round(
+            net, cg, plans, config, rng=np.random.default_rng(0), optimizer=optimizer,
+            **kwargs,
+        )
+        runs.append((stats.epoch_losses, net.flat_params().tobytes(), optimizer.t))
+    assert runs[0] == runs[1]
+
+
+def test_backup_table_refuses_another_instance():
+    cg = condense(two_parallel_graph())
+    net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
+    other = BackupTable(condense(two_parallel_graph()))
+    with pytest.raises(ValueError, match="another instance"):
+        action_values(net, cg, state_of(cg, (UNATTEMPTED, UNATTEMPTED)), other)
 
 
 def test_rollout_on_terminal_start_returns_it_alone():
