@@ -12,7 +12,7 @@ import time
 import warnings
 from dataclasses import replace
 
-from adgame.config import ExperimentConfig, load_config
+from adgame.config import ConfigError, ExperimentConfig, load_config
 from adgame.defense import DefenseConfigError
 from adgame.mdp import StateSpaceLimitError
 from adgame.pipeline import STRATEGIES, report, run_baseline, run_dir_for
@@ -55,7 +55,10 @@ def main(argv=None) -> int:
         )
 
     if args.config:
-        config = load_config(args.config)
+        try:
+            config = load_config(args.config)
+        except ConfigError as exc:
+            ap.error(str(exc))
     else:
         config = DESK if args.preset == "desk" else PAPER
     if args.out:

@@ -34,6 +34,7 @@ from .simulate import (
 )
 from .valuenet import (
     Adam,
+    BackupTable,
     CheckpointFormatError,
     NetGreedyPolicy,
     TrainingConfig,

@@ -19,7 +19,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .defense import ExactFitness, format_plan
 from .graph import save_graph
 from .simulate import DpPolicy, simulate, simulate_on_original
-from .valuenet import NetGreedyPolicy, load_checkpoint
+from .valuenet import BackupTable, NetGreedyPolicy, load_checkpoint
 
 
 class CommandLineError(Exception):
@@ -137,7 +137,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     plan = _parse_plan(args.plan, len(inst.cg.bw_edges))
     if args.checkpoint:
         net, _ = load_checkpoint(args.checkpoint)
-        policy = NetGreedyPolicy(net, inst.cg)
+        policy = NetGreedyPolicy(net, BackupTable(inst.cg))
         evaluator = "net-greedy"
     else:
         policy = DpPolicy(inst.cg, memo_limit=config.memo_limit)

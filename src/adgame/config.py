@@ -74,6 +74,11 @@ class ExperimentConfig:
             raise ConfigError("mc_runs must be positive")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {list(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            # runs are keyed on the seed: a repeat would overwrite its run
+            raise ConfigError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.memo_limit < 1 or self.enumeration_budget < 1:
             raise ConfigError("limits must be positive")
 

@@ -399,7 +399,7 @@ def run_nndp_edo(
         },
     }
     return _finish_run(
-        config, seed, inst, started, pop, net, NetGreedyPolicy(net, cg, table),
+        config, seed, inst, started, pop, net, NetGreedyPolicy(net, table),
         "net-greedy", phases, counters,
         strategy=name,
         round_best_fitness=tuple(round_best),

@@ -19,10 +19,13 @@ net that computed them and that net's weights version.  ``Adam.step`` and
 bumps its version, so a backup asked again of the same net at the same
 version is the same computation, and the table returns its stored result.
 Otherwise it hands ``forward`` the same matrix in the same row order as a
-fresh backup, so its values are bit-identical.  A table belongs to one
-caller (a pipeline run, a training round, one call) and is dropped with it;
-it holds at most ``BACKUP_TABLE_BYTES``, or one entry when a single entry is
-larger, and starts empty again when an entry would overflow it.
+fresh backup, so its values are bit-identical.  The table is the one memo
+of the net's decisions: ``greedy_action``, ``bellman_targets``, ``rollout``
+and ``NetGreedyPolicy`` take it and read the instance from ``table.cg``.  A
+pipeline run's training rounds and final policy share one table, and a
+``train_round`` given none makes one for the round.  A table holds at most
+``BACKUP_TABLE_BYTES``, or one entry when a single entry is larger, and
+starts empty again when an entry would overflow it.
 """
 from __future__ import annotations
 
@@ -271,6 +274,8 @@ class BackupTable:
         )
 
     def action_values(self, net: ValueNet, s: State) -> list[tuple[int, float]]:
+        """One-step Bellman backup of every admissible action under the net;
+        detection carries zero value, so only explicit outcomes contribute."""
         b = self._entries.get(s)
         if b is None:
             b = _Backup(self.cg, s)
@@ -296,79 +301,51 @@ class BackupTable:
         return list(b.q)
 
 
-def action_values(
-    net: ValueNet, cg: CondensedGraph, s: State, table: BackupTable | None = None
-) -> list[tuple[int, float]]:
-    """One-step Bellman backup of every admissible action under the net,
-    through ``table`` (a fresh one when None).
-
-    Detection carries zero value, so only the explicit outcomes contribute.
-    """
-    if table is None:
-        table = BackupTable(cg)
-    elif table.cg is not cg:
-        raise ValueError("the backup table belongs to another instance")
-    return table.action_values(net, s)
-
-
-def greedy_action(
-    net: ValueNet, cg: CondensedGraph, s: State, table: BackupTable | None = None
-) -> int:
+def greedy_action(net: ValueNet, table: BackupTable, s: State) -> int:
     """Best action under the net's backup; ties go to the smallest path id."""
-    best_a, _ = argmax(action_values(net, cg, s, table))
+    best_a, _ = argmax(table.action_values(net, s))
     if best_a is None:
         raise ValueError(f"state {s} has no admissible action")
     return best_a
 
 
 def bellman_targets(
-    net: ValueNet,
-    cg: CondensedGraph,
-    states: Sequence[State],
-    table: BackupTable | None = None,
+    net: ValueNet, table: BackupTable, states: Sequence[State]
 ) -> np.ndarray:
     """Regression targets: exact terminal values, best backups elsewhere."""
     out = np.empty(len(states))
     for i, s in enumerate(states):
-        tv = terminal_value(cg, s)
+        tv = terminal_value(table.cg, s)
         if tv is not None:
             out[i] = tv
         else:
-            out[i] = max(q for _, q in action_values(net, cg, s, table))
+            out[i] = max(q for _, q in table.action_values(net, s))
     return out
 
 
 class NetGreedyPolicy:
-    """Deterministic policy playing the net's greedy action, memoized."""
+    """Deterministic policy playing the net's greedy action under the current
+    weights; ``table`` is its only memo."""
 
-    def __init__(
-        self, net: ValueNet, cg: CondensedGraph, table: BackupTable | None = None
-    ):
-        if net.n_inputs != cg.n_nsps:
+    def __init__(self, net: ValueNet, table: BackupTable):
+        if net.n_inputs != table.cg.n_nsps:
             raise CheckpointFormatError(
                 f"the net takes {net.n_inputs} inputs but the instance has "
-                f"{cg.n_nsps} NSPs"
+                f"{table.cg.n_nsps} NSPs"
             )
         self.net = net
-        self.cg = cg
         self.table = table
-        self._cache: dict[State, int] = {}
 
     def __call__(self, s: State) -> int:
-        a = self._cache.get(s)
-        if a is None:
-            a = greedy_action(self.net, self.cg, s, self.table)
-            self._cache[s] = a
-        return a
+        return greedy_action(self.net, self.table, s)
 
 
 def rollout(
     net: ValueNet,
-    cg: CondensedGraph,
+    table: BackupTable,
     s0: State,
     explore_prob: float,
     rng: np.random.Generator,
-    table: BackupTable | None = None,
 ) -> list[State]:
     """States visited by one attack under the net's policy with exploration.
 
@@ -377,6 +354,7 @@ def rollout(
     the true outcome distribution.  Detection ends the walk with no extra
     state to record.
     """
+    cg = table.cg
     states = [s0]
     s = s0
     while terminal_value(cg, s) is None:
@@ -384,7 +362,7 @@ def rollout(
         if rng.random() < explore_prob:
             a = acts[int(rng.integers(len(acts)))]
         else:
-            a = greedy_action(net, cg, s, table)
+            a = greedy_action(net, table, s)
         dist = transition(cg, s, a)
         pick = bisect_right(dist.cumulative, rng.random())
         if pick == len(dist.outcomes):
@@ -431,7 +409,7 @@ def train_round(
     recomputed from the current parameters before each batch update.  A
     non-finite mean loss aborts the round with the diverged flag set so
     callers can record the failure and move on.  Backups go through
-    ``table`` (one for this round when None).
+    ``table``, which must be ``cg``'s (one for this round when None).
     """
     config.validate()
     if not plans:
@@ -440,17 +418,19 @@ def train_round(
         optimizer = Adam(net)
     if table is None:
         table = BackupTable(cg)
+    elif table.cg is not cg:
+        raise ValueError("the backup table belongs to another instance")
     losses: list[float] = []
     for _ in range(config.epochs_per_round):
         plan = plans[int(rng.integers(len(plans)))]
         s0 = initial_state(cg, plan)
         states: list[State] = []
         while len(states) < config.batch_size:
-            states.extend(rollout(net, cg, s0, config.explore_prob, rng, table))
+            states.extend(rollout(net, table, s0, config.explore_prob, rng))
         batch_losses = []
         for at in range(0, len(states), config.batch_size):
             batch = states[at : at + config.batch_size]
-            targets = bellman_targets(net, cg, batch, table)
+            targets = bellman_targets(net, table, batch)
             loss, grads = net.loss_and_grads(encode_states(batch, cg.n_nsps), targets)
             optimizer.step(grads)
             batch_losses.append(loss)

@@ -67,6 +67,20 @@ def test_validate_rejects_bad_values():
             ExperimentConfig(**bad).validate()
 
 
+@pytest.mark.parametrize(
+    "seeds,message",
+    [("-1", "seeds must be nonnegative"), ("1,1", "seeds must be distinct")],
+    ids=["negative", "repeated"],
+)
+def test_load_config_refuses_a_negative_or_repeated_seed(tmp_path, seeds, message):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"seeds = {seeds}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match=message):
+        load_config(overrides=[f"seeds={seeds}"])
+
+
 def test_missing_file_raises():
     with pytest.raises(ConfigError):
         load_config("/does/not/exist.cfg")

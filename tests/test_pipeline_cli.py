@@ -481,6 +481,25 @@ def test_cli_error_lines_are_machine_readable(tmp_path, capsys, graph_file):
     assert json.loads(capsys.readouterr().err)["error"] == "DefenseConfigError"
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--seed", "-1"], "seeds must be nonnegative"),
+        (["--set", "seeds=1,1"], "seeds must be distinct"),
+    ],
+    ids=["negative", "repeated"],
+)
+def test_cli_refuses_a_negative_or_repeated_seed(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert main(["kernelize", "--out", str(out)] + args) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError" and message in err["message"]
+    assert not out.exists()
+
+
 def test_cli_simulate_refuses_a_net_of_the_wrong_width(tmp_path, capsys, graph_file):
     ckpt = str(tmp_path / "narrow.ckpt")
     save_checkpoint(ckpt, ValueNet(3, depth=1, width=4))

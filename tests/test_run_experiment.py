@@ -57,3 +57,19 @@ def test_unknown_strategy_is_refused_before_any_run(tmp_path, capsys):
     assert exc.value.code == 2
     assert "unknown strategies annealing" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_repeated_seeds_are_refused_before_any_run(tmp_path, capsys):
+    config = tmp_path / "twice.cfg"
+    config.write_text(
+        "n_computers = 40\nentry_pool_size = 8\nentry_count = 4\nseeds = 1,1\n"
+    )
+    argv = [
+        "--config", str(config), "--strategies", "greedy",
+        "--out", str(tmp_path / "runs"),
+    ]
+    with pytest.raises(SystemExit) as exc:
+        _load_script().main(argv)
+    assert exc.value.code == 2
+    assert "seeds must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()

@@ -17,7 +17,6 @@ from adgame.valuenet import (
     NetGreedyPolicy,
     TrainingConfig,
     ValueNet,
-    action_values,
     bellman_targets,
     encode_states,
     greedy_action,
@@ -204,7 +203,7 @@ def test_bellman_targets_bounded_and_terminal_exact():
             (FAILED, UNATTEMPTED),
         )
     ]
-    targets = bellman_targets(net, cg, states)
+    targets = bellman_targets(net, BackupTable(cg), states)
     assert np.all(targets >= 0.0) and np.all(targets <= 1.0)
     assert targets[1] == 1.0
     assert targets[2] == 0.0
@@ -214,7 +213,7 @@ def test_action_values_weight_outcomes_by_probability():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=2, width=8, seed=2)
     s = state_of(cg, (UNATTEMPTED, UNATTEMPTED))
-    got = dict(action_values(net, cg, s))
+    got = dict(BackupTable(cg).action_values(net, s))
     for a in (0, 1):
         expect = sum(
             p * predict(net, cg, s2) for s2, p in transition(cg, s, a).outcomes
@@ -266,12 +265,12 @@ def test_backup_table_serves_the_fresh_backup_bit_for_bit():
         states = _open_states(cg)
         for _ in range(2):  # the second pass is served from the stored lists
             for s in states:
-                got = _hex(action_values(net, cg, s, table))
-                assert got == _hex(action_values(net, cg, s))
+                got = _hex(table.action_values(net, s))
+                assert got == _hex(BackupTable(cg).action_values(net, s))
                 assert got == _hex(_fresh_backup(net, cg, s))
                 checked += 1
-        assert [float.hex(t) for t in bellman_targets(net, cg, states, table)] == [
-            float.hex(t) for t in bellman_targets(net, cg, states)
+        assert [float.hex(t) for t in bellman_targets(net, table, states)] == [
+            float.hex(t) for t in bellman_targets(net, BackupTable(cg), states)
         ]
         reused += table.counts["q_list_reuses"]
         assert table.counts["entries_built"] == len(states)
@@ -283,7 +282,7 @@ def test_backup_table_recomputes_once_the_weights_change():
     net = ValueNet(cg.n_nsps, depth=2, width=16, seed=0)
     states = _open_states(cg)
     table = BackupTable(cg)
-    before = [action_values(net, cg, s, table) for s in states]
+    before = [table.action_values(net, s) for s in states]
     x = encode_states(states, cg.n_nsps)
     _, grads = net.loss_and_grads(x, np.full(len(states), 0.9))
     updates = [
@@ -295,9 +294,9 @@ def test_backup_table_recomputes_once_the_weights_change():
         update()
         assert net.version != version
         served = table.counts["q_list_reuses"]
-        after = [action_values(net, cg, s, table) for s in states]
+        after = [table.action_values(net, s) for s in states]
         assert table.counts["q_list_reuses"] == served
-        fresh = [action_values(net, cg, s) for s in states]
+        fresh = [BackupTable(cg).action_values(net, s) for s in states]
         assert [_hex(q) for q in after] == [_hex(q) for q in fresh]
         assert after != before
         before = after
@@ -343,12 +342,18 @@ def test_train_round_without_a_table_is_the_shared_table_round():
     assert runs[0] == runs[1]
 
 
-def test_backup_table_refuses_another_instance():
+def test_train_round_refuses_another_instances_table():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
+    before = net.flat_params()
     other = BackupTable(condense(two_parallel_graph()))
     with pytest.raises(ValueError, match="another instance"):
-        action_values(net, cg, state_of(cg, (UNATTEMPTED, UNATTEMPTED)), other)
+        train_round(
+            net, cg, [()], TrainingConfig(batch_size=2, epochs_per_round=1),
+            np.random.default_rng(0), table=other,
+        )
+    assert np.array_equal(net.flat_params(), before)
+    assert other.counts["entries_built"] == 0
 
 
 def test_rollout_on_terminal_start_returns_it_alone():
@@ -356,17 +361,18 @@ def test_rollout_on_terminal_start_returns_it_alone():
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     rng = np.random.default_rng(0)
     dead = state_of(cg, (FAILED, FAILED))
-    assert rollout(net, cg, dead, 0.5, rng) == [dead]
+    assert rollout(net, BackupTable(cg), dead, 0.5, rng) == [dead]
 
 
 def test_rollout_visits_follow_transition_law():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     rng = np.random.default_rng(123)
+    table = BackupTable(cg)
     n = 10_000
     counts = {"detected": 0, "success": 0, "fail": 0}
     for _ in range(n):
-        states = rollout(net, cg, state_of(cg, (UNATTEMPTED, UNATTEMPTED)), 1.0, rng)
+        states = rollout(net, table, state_of(cg, (UNATTEMPTED, UNATTEMPTED)), 1.0, rng)
         if len(states) == 1:
             counts["detected"] += 1
         elif SUCCESS in trits_of(cg, states[1]):
@@ -386,7 +392,7 @@ def test_rollout_states_are_reachable_and_end_terminal():
             continue
         net = ValueNet(cg.n_nsps, depth=2, width=8, seed=seed)
         rng = np.random.default_rng(seed)
-        states = rollout(net, cg, initial_state(cg), 0.5, rng)
+        states = rollout(net, BackupTable(cg), initial_state(cg), 0.5, rng)
         assert states[0] == initial_state(cg)
         assert all(state_of(cg, trits_of(cg, s)) == s for s in states)
 
@@ -511,8 +517,31 @@ def test_checkpoint_refuses_bad_layer_sizes(tmp_path, sizes, n_params):
 def test_net_greedy_policy_is_admissible_in_simulation():
     cg = condense(shared_suffix_graph())
     net = ValueNet(cg.n_nsps, depth=2, width=8, seed=9)
-    report = simulate(cg, None, NetGreedyPolicy(net, cg), runs=2000, seed=5)
+    policy = NetGreedyPolicy(net, BackupTable(cg))
+    report = simulate(cg, None, policy, runs=2000, seed=5)
     assert 0.0 <= report.success_rate <= 1.0
+
+
+def test_net_greedy_policy_plays_the_fresh_action_after_the_weights_change():
+    cg = random_instance(14, max_nsps=9)
+    s0 = initial_state(cg)
+    succ = [[s2 for s2, _ in transition(cg, s0, a).outcomes] for a in (0, 1)]
+    x = encode_states(succ[0] + succ[1], cg.n_nsps)
+    y = np.array([1.0] * len(succ[0]) + [0.0] * len(succ[1]))
+
+    def negate(net):
+        net.set_flat_params(-net.flat_params())
+
+    def adam_step(net):
+        _, grads = net.loss_and_grads(x, y)  # favours action 0's outcomes
+        Adam(net, learning_rate=0.01).step(grads)
+
+    for update in (negate, adam_step):
+        net = ValueNet(cg.n_nsps, depth=2, width=16, seed=14)
+        policy = NetGreedyPolicy(net, BackupTable(cg))
+        assert policy(s0) == 1
+        update(net)
+        assert policy(s0) == greedy_action(net, BackupTable(cg), s0) == 0
 
 
 def test_greedy_action_breaks_ties_toward_smaller_id():
@@ -520,6 +549,7 @@ def test_greedy_action_breaks_ties_toward_smaller_id():
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     # symmetric instance and symmetric state: both actions score equally
     s = state_of(cg, (UNATTEMPTED, UNATTEMPTED))
-    got = dict(action_values(net, cg, s))
+    table = BackupTable(cg)
+    got = dict(table.action_values(net, s))
     if got[0] == got[1]:
-        assert greedy_action(net, cg, s) == 0
+        assert greedy_action(net, table, s) == 0
