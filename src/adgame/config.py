@@ -7,6 +7,7 @@ overrides, so sweeps never require code changes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -66,8 +67,13 @@ class ExperimentConfig:
             raise ConfigError("mu must be positive; iterations and rounds nonnegative")
         if self.depth < 1 or self.width < 1:
             raise ConfigError("depth and width must be positive")
-        if self.batch_size < 1 or self.learning_rate <= 0 or self.epochs_per_round < 0:
+        if self.batch_size < 1 or self.epochs_per_round < 0:
             raise ConfigError("bad training settings")
+        if not 0.0 < self.learning_rate < math.inf:
+            # nan fails both comparisons
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate!r}"
+            )
         if not 0.0 <= self.explore_prob <= 1.0:
             raise ConfigError("explore_prob must lie in [0, 1]")
         if self.mc_runs < 1:

@@ -36,6 +36,17 @@ Every outcome has a smaller ``U``, so by induction on ``|U|`` states
 sharing a key add the same floats in the same order: their values are
 bit-identical and their smallest-id argmax is the same.
 
+The walk of ``a`` reads ``U`` only through ``U & span(a)``, where
+``span(a)`` is the union of the sharers of ``a``'s edges.  Its masses
+(``prefix * p_f`` and the final ``prefix``) read no mask at all, and two
+failures merge iff ``U - sharers(e1) == U - sharers(e2)``, which holds
+iff it holds inside ``span(a)``: outside it both sides are ``U``.  So the
+merge pattern, the first-edge order, the float sums and the mass check
+are functions of ``a`` and ``U & span(a)``, and the solver walks each such
+pair once (``ExactSolver`` has the rebuild).  Every key still sees
+exactly its own walk's outcomes and masses in its own walk's order, so
+the memo is the one a walk per key builds, bit for bit.
+
 One edge walk gives the step law: ``expand`` pairs every admissible action
 with its outcome states and masses (for the net's backup), and
 ``transition`` checks one chosen action and returns its
@@ -46,8 +57,10 @@ uniform ``u`` picks the first outcome whose sum exceeds it, else detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from numbers import Integral
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .kernel import CondensedGraph, StepMasks
@@ -109,12 +122,17 @@ def _ids(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _moves(t: StepMasks, owned: int, live: int) -> int:
-    """The admissible set: live NSPs whose source is owned."""
+def _reach(t: StepMasks, owned: int) -> int:
+    """The NSPs whose source is owned, live or not."""
     reach = t.entry_out
     for node in _ids(owned & ~t.entry):
         reach |= t.out[node]
-    return live & reach
+    return reach
+
+
+def _moves(t: StepMasks, owned: int, live: int) -> int:
+    """The admissible set: live NSPs whose source is owned."""
+    return live & _reach(t, owned)
 
 
 def _terminal(t: StepMasks, owned: int, live: int, moves: int) -> float | None:
@@ -283,12 +301,55 @@ class ExactSolver:
     raises StateSpaceLimitError instead of exhausting memory.  A new root
     whose ``key_floor_log2`` proves it needs more keys than the cap raises
     before any key is stored.
+
+    Two tables, which live and die with the solver, spare a key the work
+    another key already did.  ``_reach(O)``, the NSPs leaving an owned
+    node, is cached per owned set.  The step table keys the walk of
+    action ``a`` on ``(a, U & span(a))`` (the module docstring argues
+    why that is all the walk reads).  An entry is ``_walk`` run on ``(0,
+    U & span(a))``: the failure remainders ``r``, every outcome's mass
+    (the success's last) and whether ``a`` can succeed (its pass mass did
+    not underflow).  The key ``(O, U)`` then has the failure outcomes
+    ``(O, r | (U - span(a)))`` (``r -> r | (U - span(a))`` is one-to-one,
+    so nothing merges anew), followed by the success ``(O | terminal(a),
+    U - {a})``: exactly ``_walk``'s list, with the same floats in the
+    same order.  The loop scores each action with the built-in ``sum``
+    over that list in that order (compensated on Python 3.12+, so a
+    hand-written ``+=`` would change bits there), keeps the first
+    strictly larger q, and pushes the missing successors in the same
+    order, so the memo's keys, values, actions and insertion order, and
+    the key at which ``memo_limit`` is hit, are those of a walk per key.
+    The step table holds at most one entry per (key, action) pair.
     """
 
     def __init__(self, cg: CondensedGraph, memo_limit: int = MEMO_LIMIT):
         self.cg = cg
         self.memo_limit = memo_limit
         self._memo: dict[tuple[int, int], tuple[float, int | None]] = {}
+        # per action: span(a), and U & span(a) -> (failure remainders,
+        # outcome masses, whether the last outcome is the success)
+        self._span = tuple(
+            reduce(or_, (sharers for *_, sharers in edges), 0)
+            for edges in cg.step_masks.edges
+        )
+        self._steps: tuple[dict, ...] = tuple({} for _ in self._span)
+        self._reach: dict[int, int] = {}
+
+    def _step(self, a: int, live_span: int) -> tuple:
+        """The step-table entry of ``a`` at ``U & span(a) == live_span``,
+        built by one ``_walk`` on first use: the failure remainders, every
+        outcome's mass (the success's last) and whether ``a`` can succeed."""
+        entry = self._steps[a].get(live_span)
+        if entry is None:
+            outcomes, _, succeeded = _walk(self.cg.step_masks, 0, live_span, a)
+            failures = outcomes[:-1] if succeeded else outcomes
+            entry = (
+                tuple(r for (_, r), _ in failures),
+                tuple(p for _, p in outcomes),
+                succeeded,
+            )
+            self._steps[a][live_span] = entry
+        return entry
 
     def value_and_action(self, s: State) -> tuple[float, int | None]:
         """The state's value and the smallest-id optimal action."""
@@ -304,6 +365,8 @@ class ExactSolver:
                 "approximate solver instead"
             )
         t = self.cg.step_masks
+        terminal, spans = t.terminal, self._span
+        steps, reaches = self._steps, self._reach
         stack = [root]
         expanded: dict[tuple[int, int], list] = {}
         while stack:
@@ -313,25 +376,34 @@ class ExactSolver:
                 continue
             if top not in expanded:
                 owned, live = top
-                moves = _moves(t, owned, live)
+                reach = reaches.get(owned)
+                if reach is None:
+                    reach = reaches[owned] = _reach(t, owned)
+                moves = live & reach
                 tv = _terminal(t, owned, live, moves)
                 if tv is not None:
                     self._remember(top, tv, None)
                     stack.pop()
                     continue
-                dists = expanded[top] = [
-                    (a, _walk(t, owned, live, a)[0]) for a in _ids(moves)
-                ]
-                missing = [
-                    nxt for _, outs in dists for nxt, _ in outs if nxt not in memo
-                ]
+                dists = expanded[top] = []
+                missing = []
+                for a in _ids(moves):
+                    live_span = live & spans[a]
+                    entry = steps[a].get(live_span) or self._step(a, live_span)
+                    rest = live ^ live_span
+                    keys = [(owned, r | rest) for r in entry[0]]
+                    if entry[2]:
+                        keys.append((owned | terminal[a], live & ~(1 << a)))
+                    dists.append((a, keys, entry[1]))
+                    missing += [nxt for nxt in keys if nxt not in memo]
                 if missing:
                     stack.extend(missing)
                     continue
-            best_action, best_value = argmax(
-                (a, sum(p * memo[nxt][0] for nxt, p in outs))
-                for a, outs in expanded.pop(top)
-            )
+            best_action, best_value = None, -1.0
+            for a, keys, masses in expanded.pop(top):
+                q = sum([p * memo[nxt][0] for nxt, p in zip(keys, masses)])
+                if q > best_value:
+                    best_action, best_value = a, q
             self._remember(top, best_value, best_action)
             stack.pop()
         return memo[root]
@@ -353,6 +425,11 @@ class ExactSolver:
     @property
     def states_solved(self) -> int:
         return len(self._memo)
+
+    @property
+    def step_walks(self) -> int:
+        """Edge walks run so far: one per step-table entry."""
+        return sum(map(len, self._steps))
 
 
 def dp_value(cg: CondensedGraph, s: State | None = None) -> float:

@@ -9,9 +9,11 @@ checkpoint, the simulation row, and a JSON record.
 All artifacts except the timing sidecar are bit-reproducible for a given
 config and seed: wall-clock measurements live in ``timings.json`` only.
 It holds ``total_s`` and one ``<phase>_s`` per phase of the run; the
-phases are disjoint, so they sum to at most ``total_s``.  Search-and-train
-runs also write ``counters.json``: the work their backup table did or saved
-and whether the exact attempt was skipped by ``mdp.key_floor_log2``.
+phases are disjoint, so they sum to at most ``total_s``.  Every run also
+writes ``counters.json``.  Search-and-train runs record the work their
+backup table did or saved, and the keys their exact attempt stored and
+whether ``mdp.key_floor_log2`` skipped it.  Greedy and exhaustive runs
+record the keys and edge walks of their exact solver.
 """
 from __future__ import annotations
 
@@ -217,11 +219,16 @@ def _config_snapshot(config: ExperimentConfig) -> dict:
 
 def _exact_value_or_none(
     cg: CondensedGraph, plan: tuple[int, ...], memo_limit: int
-) -> float | None:
+) -> tuple[float | None, int]:
+    """The plan's exact value, or None past ``memo_limit``, and the keys the
+    attempt stored: 0 when ``key_floor_log2`` refused the root, and
+    ``memo_limit`` when the memo overflowed."""
+    ev = ExactFitness(cg, memo_limit=memo_limit)
     try:
-        return ExactFitness(cg, memo_limit=memo_limit)(plan)
+        value = ev(plan)
     except StateSpaceLimitError:
-        return None
+        value = None
+    return value, ev.policy.states_solved
 
 
 def run_dir_for(config: ExperimentConfig, strategy: str, seed: int) -> str:
@@ -252,7 +259,7 @@ def _persist(
     report: SimulationReport,
     net: ValueNet | None,
     timings: dict,
-    counters: dict | None,
+    counters: dict,
 ) -> str:
     run_dir = run_dir_for(config, record.strategy, record.seed)
     os.makedirs(run_dir, exist_ok=True)
@@ -268,17 +275,16 @@ def _persist(
         save_checkpoint(os.path.join(run_dir, "net.ckpt"), net, config.rounds)
     sidecars = {"timings.json": timings, "counters.json": counters}
     for name, data in sidecars.items():
-        if data is not None:
-            with open(os.path.join(run_dir, name), "w", encoding="utf-8") as fh:
-                json.dump(data, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+        with open(os.path.join(run_dir, name), "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=1, sort_keys=True)
+            fh.write("\n")
     return run_dir
 
 
 def _finish_run(
     config: ExperimentConfig, seed: int, inst: PreparedInstance, started: float,
     pop: Population, net: ValueNet | None, policy: Policy, evaluator: str,
-    phases: dict, counters: dict | None = None, **outcome,
+    phases: dict, counters: dict, **outcome,
 ) -> RunRecord:
     """The end of every run: simulate the best plan, record and persist.
 
@@ -390,12 +396,13 @@ def run_nndp_edo(
             (evaluator(m.bits), m.born, m) for m in pop
         )
     with _phase(phases, "exact_s"):
-        exact_value = _exact_value_or_none(cg, best.bits, config.memo_limit)
+        exact_value, keys = _exact_value_or_none(cg, best.bits, config.memo_limit)
         m = key_floor_log2(cg, initial_state(cg, best.bits))
     counters = {
         "backup_table": table.counts,
         "exact_attempt": {
-            "key_floor_log2": m, "skipped_by_bound": 1 << m > config.memo_limit,
+            "key_floor_log2": m, "keys": keys,
+            "skipped_by_bound": 1 << m > config.memo_limit,
         },
     }
     return _finish_run(
@@ -438,9 +445,15 @@ def run_baseline(config: ExperimentConfig, strategy: str, seed: int) -> RunRecor
                 enumeration_budget=config.enumeration_budget,
             )
         fitness = ev(plan)
+    # the simulation plays from keys the search solved, so it adds none
+    counters = {
+        "exact_solver": {
+            "keys": ev.policy.states_solved, "step_walks": ev.policy.step_walks,
+        },
+    }
     return _finish_run(
         config, seed, inst, started, [Member(plan, fitness, 0)], None,
-        ev.policy, "exact-dp", phases,
+        ev.policy, "exact-dp", phases, counters,
         strategy=strategy,
         round_best_fitness=(),
         loss_curves=(),

@@ -145,6 +145,9 @@ def _play(
                 if len(sub):
                     successes += _settle(cg, groups, key, sub)
         done += n
+        # let this tape go before the next one is drawn, so that two never
+        # coexist (13 MB each on graph D's raw-edge walk)
+        del tape
     rate = successes / runs
     return SimulationReport(
         runs=runs,

@@ -4,6 +4,8 @@ Tests write states as trit tuples, one entry per NSP: ``UNATTEMPTED`` (0),
 ``SUCCESS`` (+1) or ``FAILED`` (-1).  ``state_of`` and ``trits_of`` convert
 between them and the package's (owned nodes, live NSPs, successful NSPs)
 bitmasks; ``trit_transition`` walks the trit states themselves.
+``ReferenceSolver`` is the exact solver that walks every admissible action
+of every key it expands.
 """
 from __future__ import annotations
 
@@ -11,9 +13,17 @@ from itertools import accumulate
 
 from adgame.kernel import CondensedGraph
 from adgame.mdp import (
+    MEMO_LIMIT,
     State,
+    StateSpaceLimitError,
+    _ids,
+    _moves,
+    _terminal,
+    _walk,
     admissible_actions,
+    argmax,
     initial_state,
+    key_floor_log2,
     terminal_value,
     transition,
 )
@@ -128,3 +138,68 @@ def trit_transition(
         succeeded[action] = SUCCESS
         acc[tuple(succeeded)] = prefix
     return tuple(acc.items()), detect, tuple(accumulate(acc.values()))
+
+
+class ReferenceSolver:
+    """The exact solver with one ``_walk`` per admissible action of every
+    expanded key, the admissible set rebuilt from the owned nodes and the
+    actions scored through ``argmax``: the loop that ``ExactSolver``'s step
+    table and reach cache must reproduce key for key, in insertion order."""
+
+    def __init__(self, cg, memo_limit: int = MEMO_LIMIT):
+        self.cg = cg
+        self.memo_limit = memo_limit
+        self._memo: dict[tuple[int, int], tuple[float, int | None]] = {}
+
+    def value_and_action(self, s: State) -> tuple[float, int | None]:
+        root = s[:2]
+        memo = self._memo
+        if root in memo:
+            return memo[root]
+        m = key_floor_log2(self.cg, s)
+        if 1 << m > self.memo_limit:
+            raise StateSpaceLimitError(
+                f"the state needs at least 2**{m} distinct (owned nodes, live "
+                f"NSPs) states, more than {self.memo_limit}; use the neural "
+                "approximate solver instead"
+            )
+        t = self.cg.step_masks
+        stack = [root]
+        expanded: dict[tuple[int, int], list] = {}
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            if top not in expanded:
+                owned, live = top
+                moves = _moves(t, owned, live)
+                tv = _terminal(t, owned, live, moves)
+                if tv is not None:
+                    self._remember(top, tv, None)
+                    stack.pop()
+                    continue
+                dists = expanded[top] = [
+                    (a, _walk(t, owned, live, a)[0]) for a in _ids(moves)
+                ]
+                missing = [
+                    nxt for _, outs in dists for nxt, _ in outs if nxt not in memo
+                ]
+                if missing:
+                    stack.extend(missing)
+                    continue
+            best_action, best_value = argmax(
+                (a, sum(p * memo[nxt][0] for nxt, p in outs))
+                for a, outs in expanded.pop(top)
+            )
+            self._remember(top, best_value, best_action)
+            stack.pop()
+        return memo[root]
+
+    def _remember(self, key: tuple[int, int], value: float, action: int | None) -> None:
+        if key not in self._memo and len(self._memo) >= self.memo_limit:
+            raise StateSpaceLimitError(
+                f"more than {self.memo_limit} distinct (owned nodes, live NSPs) "
+                "states; use the neural approximate solver instead"
+            )
+        self._memo[key] = (value, action)

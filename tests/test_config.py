@@ -81,6 +81,16 @@ def test_load_config_refuses_a_negative_or_repeated_seed(tmp_path, seeds, messag
         load_config(overrides=[f"seeds={seeds}"])
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_config_refuses_a_non_finite_learning_rate(tmp_path, value):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"learning_rate = {value}\n")
+    with pytest.raises(ConfigError, match="learning_rate must be positive and finite"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match="learning_rate must be positive and finite"):
+        load_config(overrides=[f"learning_rate={value}"])
+
+
 def test_missing_file_raises():
     with pytest.raises(ConfigError):
         load_config("/does/not/exist.cfg")

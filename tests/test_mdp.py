@@ -1,9 +1,11 @@
 """Attacker decision process: transitions, terminal values, and exact DP."""
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from adgame.kernel import condense
 from adgame.mdp import (
@@ -12,6 +14,7 @@ from adgame.mdp import (
     StateSpaceLimitError,
     _moves,
     _terminal,
+    _walk,
     admissible_actions,
     argmax,
     dp_value,
@@ -37,6 +40,7 @@ from oracles import (
     FAILED,
     SUCCESS,
     UNATTEMPTED,
+    ReferenceSolver,
     expectimax_value,
     reachable_states,
     state_of,
@@ -457,3 +461,124 @@ def test_states_and_trit_states_correspond_one_to_one():
         assert all(state_of(cg, trits_of(cg, s)) == s for s in states)
         checked += len(states)
     assert checked > 1000
+
+
+def _memo_items(solver):
+    """The memo in insertion order, values as ``float.hex``."""
+    return [
+        (key, value.hex(), action) for key, (value, action) in solver._memo.items()
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:dropping entry nodes")
+def test_solver_memo_equals_the_walk_per_expansion_reference(tmp_path):
+    # keys, values, actions and insertion order, on the benchmark's graphs
+    # (every plan of budget <= 2) and on small random instances
+    cases = [
+        (saved_instance(tmp_path, *GRAPH_B), 2),
+        (saved_instance(tmp_path, *GRAPH_D), 2),
+    ]
+    cases += [(cg, 1) for cg in _small_instances(60)]
+    solvers = []
+    for cg, budget in cases:
+        solver, reference = ExactSolver(cg), ReferenceSolver(cg)
+        assert solver.step_walks == 0
+        for root in _roots(cg, budget):
+            assert solver.value_and_action(root) == reference.value_and_action(root)
+        assert _memo_items(solver) == _memo_items(reference)
+        solvers.append(solver)
+    assert sum(solver.states_solved for solver in solvers) > 70_000
+    # graph B's keys walk only 26 distinct (action, live sharers) pairs
+    assert (solvers[0].states_solved, solvers[0].step_walks) == (62_176, 26)
+
+
+def _first_overflow(solver, roots):
+    """The error of the first root that overflows the memo, or None."""
+    try:
+        for root in roots:
+            solver.value_and_action(root)
+    except StateSpaceLimitError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:dropping entry nodes")
+def test_solver_overflows_where_the_reference_does(tmp_path):
+    # the same root overflows, after the same keys were stored in the same
+    # order, for several memo limits below the key count
+    cases = [saved_instance(tmp_path, *GRAPH_D)] + _small_instances(30)[:8]
+    checked = 0
+    for cg in cases:
+        roots = _roots(cg, 2)
+        full = ExactSolver(cg)
+        assert _first_overflow(full, roots) is None
+        n = full.states_solved
+        for limit in sorted({1, 2, n // 3, n // 2, n - 1} - {0}):
+            solver = ExactSolver(cg, memo_limit=limit)
+            reference = ReferenceSolver(cg, memo_limit=limit)
+            error = _first_overflow(solver, roots)
+            assert error is not None and error == _first_overflow(reference, roots)
+            assert _memo_items(solver) == _memo_items(reference)
+            assert solver.states_solved <= limit
+            checked += 1
+    assert checked > 20
+
+
+@functools.lru_cache(maxsize=None)
+def _reachable(seed):
+    cg = random_instance(seed, max_nsps=7)
+    return cg, sorted(reachable_states(cg)) if cg is not None else []
+
+
+def _rebuilt_walk(solver, s, a):
+    """``a``'s outcome keys and masses from its step-table entry, by the
+    rule ``ExactSolver`` applies, next to ``_walk``'s own."""
+    owned, live, _ = s
+    t = solver.cg.step_masks
+    span = solver._span[a]
+    remainders, masses, succeeded = solver._step(a, live & span)
+    keys = [(owned, r | (live & ~span)) for r in remainders]
+    if succeeded:
+        keys.append((owned | t.terminal[a], live & ~(1 << a)))
+    walked, _, walked_success = _walk(t, owned, live, a)
+    got = [(key, p.hex()) for key, p in zip(keys, masses, strict=True)]
+    return (got, succeeded), ([(key, p.hex()) for key, p in walked], walked_success)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 59), st.integers(0, 10**6), st.integers(0, 10**6))
+@example(0, 20, 0)  # the success lands on a failure outcome's key
+def test_step_entry_rebuilds_the_walk_bit_for_bit(seed, state_ix, action_ix):
+    cg, states = _reachable(seed)
+    if cg is None:
+        return
+    s = states[state_ix % len(states)]
+    actions = admissible_actions(cg, s)
+    if terminal_value(cg, s) is not None or not actions:
+        return
+    got, want = _rebuilt_walk(ExactSolver(cg), s, actions[action_ix % len(actions)])
+    assert got == want
+
+
+def test_one_step_entry_serves_every_key_with_its_live_sharers():
+    # one solver per instance, so most entries were built for another key;
+    # the pinned example above is one of the success-on-a-failure-key cases
+    same_key = served = 0
+    for seed in range(20):
+        cg, states = _reachable(seed)
+        if cg is None:
+            continue
+        solver = ExactSolver(cg)
+        for s in states:
+            for a in admissible_actions(cg, s):
+                got, want = _rebuilt_walk(solver, s, a)
+                assert got == want
+                keys = [key for key, _ in got[0]]
+                same_key += got[1] and keys[-1] in keys[:-1]
+                served += 1
+        assert solver.step_walks < served
+    assert same_key > 0
+    cg, states = _reachable(0)
+    owned, live, _ = s = states[20]
+    outs, _, succeeded = _walk(cg.step_masks, owned, live, admissible_actions(cg, s)[0])
+    assert succeeded and outs[-1][0] in [key for key, _ in outs[:-1]]

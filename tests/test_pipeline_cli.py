@@ -10,7 +10,7 @@ import pytest
 
 from adgame.cli import main
 from adgame.config import ExperimentConfig
-from adgame.defense import ExactFitness, load_population
+from adgame.defense import ExactFitness, greedy_run, load_population
 from adgame.graph import EmptyGameError, load_graph, save_graph
 from adgame.kernel import condense
 from adgame.mdp import ExactSolver, StateSpaceLimitError, initial_state, key_floor_log2
@@ -252,7 +252,7 @@ def test_run_nndp_edo_persists_and_reruns_bit_identical(tmp_path, graph_file):
 
 def test_counters_record_the_backup_table_and_the_exact_attempt(tmp_path, graph_file):
     cfg = tiny_config(str(tmp_path), graph_file=graph_file, budget=1)
-    run_nndp_edo(cfg, 0)
+    rec = run_nndp_edo(cfg, 0)
     with open(os.path.join(run_dir_for(cfg, "nndp-edo", 0), "counters.json")) as fh:
         counters = json.load(fh)
     table = counters["backup_table"]
@@ -260,10 +260,42 @@ def test_counters_record_the_backup_table_and_the_exact_attempt(tmp_path, graph_
     assert table["entries_built"] > 0 and table["net_rows"] > 0
     assert 0 < table["q_list_reuses"] <= table["entry_reuses"]
     # B's plans need far fewer keys than any memo limit
-    assert counters["exact_attempt"] == {"key_floor_log2": 2, "skipped_by_bound": False}
-    run_baseline(cfg, "greedy", 0)
-    greedy_dir = run_dir_for(cfg, "greedy", 0)
-    assert not os.path.exists(os.path.join(greedy_dir, "counters.json"))
+    cg = prepare_instance(cfg, 0).cg
+    fresh = ExactSolver(cg)
+    assert fresh.value(initial_state(cg, rec.best_plan)) == rec.exact_value
+    assert counters["exact_attempt"] == {
+        "key_floor_log2": 2, "keys": fresh.states_solved, "skipped_by_bound": False,
+    }
+    greedy = run_baseline(cfg, "greedy", 0)
+    with open(os.path.join(run_dir_for(cfg, "greedy", 0), "counters.json")) as fh:
+        counters = json.load(fh)
+    # the same search with a fresh evaluator; the simulation adds no key
+    ev = ExactFitness(cg)
+    assert greedy_run(cg, ev, cfg.budget) == greedy.best_plan
+    assert counters == {
+        "exact_solver": {
+            "keys": ev.policy.states_solved, "step_walks": ev.policy.step_walks,
+        },
+    }
+    assert 0 < counters["exact_solver"]["step_walks"] < counters["exact_solver"]["keys"]
+
+
+@pytest.mark.parametrize(
+    "memo_limit,keys,skipped", [(3, 0, True), (4, 4, False)], ids=["bound", "overflow"]
+)
+def test_exact_attempt_counts_the_keys_it_stored_before_giving_up(
+    tmp_path, graph_file, memo_limit, keys, skipped
+):
+    # the best plan's key floor is 2**2: a limit of 3 refuses the root before
+    # storing a key, and a limit of 4 overflows with the memo full
+    cfg = tiny_config(
+        str(tmp_path), graph_file=graph_file, budget=1, memo_limit=memo_limit
+    )
+    rec = run_nndp_edo(cfg, 0)
+    assert rec.exact_value is None
+    with open(os.path.join(run_dir_for(cfg, "nndp-edo", 0), "counters.json")) as fh:
+        attempt = json.load(fh)["exact_attempt"]
+    assert attempt == {"key_floor_log2": 2, "keys": keys, "skipped_by_bound": skipped}
 
 
 def test_rounds_zero_is_an_untrained_baseline(tmp_path, graph_file):
@@ -497,6 +529,20 @@ def test_cli_refuses_a_negative_or_repeated_seed(tmp_path, capsys, args, message
     assert len(lines) == 1 and captured.out == ""
     err = json.loads(lines[0])
     assert err["error"] == "ConfigError" and message in err["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_refuses_a_non_finite_learning_rate(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    args = ["--set", f"learning_rate={value}", "--out", str(out)]
+    assert main(["kernelize"] + args) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    err = json.loads(lines[0])
+    assert err["error"] == "ConfigError"
+    assert "learning_rate must be positive and finite" in err["message"]
     assert not out.exists()
 
 

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import importlib
+import tracemalloc
 
 import pytest
 
 from adgame.kernel import condense
-from adgame.mdp import dp_value
+from adgame.mdp import dp_value, initial_state
 from adgame.simulate import (
     DpPolicy,
     PolicyContractError,
@@ -15,8 +16,10 @@ from adgame.simulate import (
 )
 
 from instances import (
+    GRAPH_D,
     chain_graph,
     random_instance,
+    saved_instance,
     shared_suffix_graph,
     two_parallel_graph,
 )
@@ -145,3 +148,21 @@ def test_random_instances_agree_with_exact_value():
         assert _close(report, value, sigmas=5.0), (seed, value, report.success_rate)
         checked += 1
     assert checked == 6
+
+
+@pytest.mark.filterwarnings("ignore:dropping entry nodes")
+def test_one_uniform_tape_is_alive_at_a_time(tmp_path):
+    # two full chunks: the second tape is drawn after the first one is let
+    # go, so the traced peak stays well below two tapes
+    cg = saved_instance(tmp_path, *GRAPH_D)
+    policy = DpPolicy(cg)
+    policy(initial_state(cg))
+    raw_draws = sum(len(p.edges) for p in cg.nsps)
+    for run, draws in ((simulate, cg.n_nsps), (simulate_on_original, raw_draws)):
+        tracemalloc.start()
+        try:
+            run(cg, None, policy, 2 * sim_module.CHUNK_SIZE, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * sim_module.CHUNK_SIZE * draws * 8, run.__name__
