@@ -16,8 +16,9 @@ the runs into chunks with one tape each, groups runs by (state, tape
 offset), asks the policy once per group, rejects inadmissible actions, and
 absorbs groups that reach a terminal state.  Each simulator only supplies
 the step that moves one group across one attempted path.  Runs in the same
-group advance in lockstep, so the per-step work is a handful of numpy array
-operations rather than a Python loop over runs.
+group advance in lockstep, so no Python loop runs over runs: the kernel step
+is one ``searchsorted``, the raw step one column compare per edge of the
+path over the runs still walking.
 """
 from __future__ import annotations
 
@@ -123,8 +124,8 @@ def _play(
     step: Step,
 ) -> SimulationReport:
     """Advance runs chunk by chunk, grouped by (state, tape offset)."""
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
+    if runs < 1 or first_run < 0:
+        raise ValueError(f"need runs >= 1 and first_run >= 0, not {runs}, {first_run}")
     started = time.perf_counter()
     start = initial_state(cg, plan)
     successes = 0
@@ -198,44 +199,43 @@ def simulate_on_original(
     edge starts the game failed, so an admissible policy never actually
     draws on a blocked edge; the override exists to make the defence
     physical rather than notational.
+
+    A group walks its path edge by edge over the runs still walking: a run
+    stops at the first edge whose draw is below ``p_d + p_f`` (what an
+    ``argmax`` over its whole stretch picks, by the same strict ``<`` on the
+    same floats), detected if below ``p_d`` too, else failing.  So every run
+    ends in the same state at the same offset as a full-width walk; yielding
+    success first, then burns by ascending edge, keeps ``_play``'s order.
     """
     # a wrong-length plan is refused by the engine's initial_state call
-    blocked = set() if plan is None else {
-        e for e, bit in zip(cg.bw_edges, plan) if bit
-    }
-    n_edges = len(cg.graph.edges)
-    p_detect = np.empty(n_edges)
-    p_stop = np.empty(n_edges)  # detection or failure, the walk ends either way
-    for i, e in enumerate(cg.graph.edges):
-        if i in blocked:
-            p_detect[i], p_stop[i] = 0.0, 1.0
-        else:
-            p_detect[i], p_stop[i] = e.p_d, e.p_d + e.p_f
-    nsp_edges = [np.asarray(p.edges, dtype=np.intp) for p in cg.nsps]
-    t = cg.step_masks
+    blocked = set() if plan is None else {e for e, b in zip(cg.bw_edges, plan) if b}
+    t, g = cg.step_masks, cg.graph.edges
+    # per NSP, (stop below, detect below, sharers) of each edge in walk order
+    walks = [
+        tuple(
+            (1.0, 0.0, s) if e in blocked else (g[e].p_d + g[e].p_f, g[e].p_d, s)
+            for e, (*_, s) in zip(p.edges, t.edges[a])
+        )
+        for a, p in enumerate(cg.nsps)
+    ]
 
     def step(state, ptr, action, tape, rows):
         owned, live, won = state
-        edges = nsp_edges[action]
-        width = len(edges)
-        draws = tape[rows, ptr : ptr + width]
-        stopped = draws < p_stop[edges]
-        any_stop = stopped.any(axis=1)
+        walk = walks[action]
+        burns = []
+        for pos, (stop, detect, sharers) in enumerate(walk):
+            u = tape[rows, ptr + pos]
+            halted = u < stop
+            if not halted.any():
+                continue
+            nxt = (owned, live & ~sharers, won)
+            burns.append(((nxt, ptr + pos + 1), rows[halted & (u >= detect)]))
+            rows = rows[~halted]
+            if not len(rows):
+                break
         bit = 1 << int(action)
         nxt = (owned | t.terminal[action], live & ~bit, won | bit)
-        yield (nxt, ptr + width), rows[~any_stop]
-        if not any_stop.any():
-            return
-        hit_rows = rows[any_stop]
-        hit_at = np.argmax(stopped, axis=1)[any_stop]
-        u_hit = draws[any_stop, hit_at]
-        detected = u_hit < p_detect[edges[hit_at]]
-        # detected runs simply end; failed runs burn the edge's paths
-        fail_rows = hit_rows[~detected]
-        fail_at = hit_at[~detected]
-        for pos in np.unique(fail_at):
-            nxt = (owned, live & ~t.edges[action][pos][3], won)
-            yield (nxt, ptr + int(pos) + 1), fail_rows[fail_at == pos]
+        yield (nxt, ptr + len(walk)), rows
+        yield from burns
 
-    draws_per_run = sum(len(p.edges) for p in cg.nsps)
-    return _play(cg, plan, policy, runs, seed, first_run, draws_per_run, step)
+    return _play(cg, plan, policy, runs, seed, first_run, sum(map(len, walks)), step)

@@ -5,11 +5,16 @@ Tests write states as trit tuples, one entry per NSP: ``UNATTEMPTED`` (0),
 between them and the package's (owned nodes, live NSPs, successful NSPs)
 bitmasks; ``trit_transition`` walks the trit states themselves.
 ``ReferenceSolver`` is the exact solver that walks every admissible action
-of every key it expands.
+of every key it expands.  ``reference_simulate_on_original`` is the raw-edge
+Monte Carlo with the full-width step: every run of a group reads its whole
+stretch of the path at once.
 """
 from __future__ import annotations
 
+import importlib
 from itertools import accumulate
+
+import numpy as np
 
 from adgame.kernel import CondensedGraph
 from adgame.mdp import (
@@ -203,3 +208,50 @@ class ReferenceSolver:
                 "states; use the neural approximate solver instead"
             )
         self._memo[key] = (value, action)
+
+
+def reference_simulate_on_original(cg, plan, policy, runs, seed, first_run=0):
+    """``simulate_on_original`` with the step it had before its edge-by-edge
+    walk: one 2-D gather of each run's whole stretch, the first stopping
+    edge by ``argmax``, and one burn group per failing position in
+    ascending order, all played through the simulators' own engine."""
+    sim = importlib.import_module("adgame.simulate")
+    blocked = set() if plan is None else {
+        e for e, bit in zip(cg.bw_edges, plan) if bit
+    }
+    n_edges = len(cg.graph.edges)
+    p_detect = np.empty(n_edges)
+    p_stop = np.empty(n_edges)  # detection or failure, the walk ends either way
+    for i, e in enumerate(cg.graph.edges):
+        if i in blocked:
+            p_detect[i], p_stop[i] = 0.0, 1.0
+        else:
+            p_detect[i], p_stop[i] = e.p_d, e.p_d + e.p_f
+    nsp_edges = [np.asarray(p.edges, dtype=np.intp) for p in cg.nsps]
+    t = cg.step_masks
+
+    def step(state, ptr, action, tape, rows):
+        owned, live, won = state
+        edges = nsp_edges[action]
+        width = len(edges)
+        draws = tape[rows, ptr : ptr + width]
+        stopped = draws < p_stop[edges]
+        any_stop = stopped.any(axis=1)
+        bit = 1 << int(action)
+        nxt = (owned | t.terminal[action], live & ~bit, won | bit)
+        yield (nxt, ptr + width), rows[~any_stop]
+        if not any_stop.any():
+            return
+        hit_rows = rows[any_stop]
+        hit_at = np.argmax(stopped, axis=1)[any_stop]
+        u_hit = draws[any_stop, hit_at]
+        detected = u_hit < p_detect[edges[hit_at]]
+        # detected runs simply end; failed runs burn the edge's paths
+        fail_rows = hit_rows[~detected]
+        fail_at = hit_at[~detected]
+        for pos in np.unique(fail_at):
+            nxt = (owned, live & ~t.edges[action][pos][3], won)
+            yield (nxt, ptr + int(pos) + 1), fail_rows[fail_at == pos]
+
+    draws_per_run = sum(len(p.edges) for p in cg.nsps)
+    return sim._play(cg, plan, policy, runs, seed, first_run, draws_per_run, step)

@@ -25,7 +25,7 @@ from adgame.pipeline import (
     run_nndp_edo,
     write_simulation_csv,
 )
-from adgame.simulate import SimulationReport
+from adgame.simulate import DpPolicy, SimulationReport, simulate_on_original
 from adgame.valuenet import ValueNet, load_checkpoint, save_checkpoint
 
 from instances import build_game, write_forged_checkpoint
@@ -490,6 +490,29 @@ def test_cli_defend_simulate_report(tmp_path, capsys, graph_file):
     table = capsys.readouterr().out
     assert open(os.path.join(out, "report.csv")).read() == table
     assert "nndp-edo" in table and "greedy" in table
+
+
+@pytest.mark.filterwarnings("ignore:dropping entry nodes")
+def test_cli_simulate_original_agrees_with_solve_exact_and_the_library(
+    tmp_path, capsys, graph_file
+):
+    args = ["--set", f"graph_file={graph_file}", "--seed", "0", "--out", str(tmp_path)]
+    cg = prepare_instance(ExperimentConfig(graph_file=graph_file), 0).cg
+    plan = "1" + "0" * (len(cg.bw_edges) - 1)
+    assert main(["solve-exact", "--plan", plan] + args) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+
+    cmd = ["simulate", "--original", "--plan", plan, "--runs", "20000"]
+    assert main(cmd + args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    out = json.loads(lines[0])
+    assert out["runs"] == 20_000
+    assert abs(out["success_rate"] - value) <= 4 * out["std_error"]
+    bits = tuple(int(c) for c in plan)
+    lib = simulate_on_original(cg, bits, DpPolicy(cg), 20_000, seed=0)
+    assert round(out["success_rate"] * out["runs"]) == lib.successes
+    assert out["success_rate"] == lib.success_rate
 
 
 def test_cli_error_lines_are_machine_readable(tmp_path, capsys, graph_file):

@@ -1,4 +1,5 @@
-"""Monte Carlo simulator: fidelity to the exact value, chunk invariance."""
+"""Monte Carlo simulator: fidelity to the exact value, chunk invariance, and
+the raw-edge walk against its full-width reference."""
 from __future__ import annotations
 
 import importlib
@@ -6,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from adgame.defense import ExactFitness, exhaustive_run
 from adgame.kernel import condense
 from adgame.mdp import dp_value, initial_state
 from adgame.simulate import (
@@ -23,6 +25,7 @@ from instances import (
     shared_suffix_graph,
     two_parallel_graph,
 )
+from oracles import reference_simulate_on_original
 
 # the module, not the package's re-exported ``simulate`` function
 sim_module = importlib.import_module("adgame.simulate")
@@ -135,6 +138,14 @@ def test_nonpositive_runs_rejected():
         simulate(cg, None, DpPolicy(cg), runs=0, seed=0)
 
 
+def test_negative_first_run_rejected():
+    # the tape's PCG64.advance would wrap the offset to the stream's far end
+    cg = condense(two_parallel_graph())
+    for sim in (simulate, simulate_on_original):
+        with pytest.raises(ValueError, match="first_run"):
+            sim(cg, None, DpPolicy(cg), runs=100, seed=3, first_run=-50)
+
+
 def test_random_instances_agree_with_exact_value():
     checked = 0
     seed = 0
@@ -166,3 +177,52 @@ def test_one_uniform_tape_is_alive_at_a_time(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * sim_module.CHUNK_SIZE * draws * 8, run.__name__
+
+
+class _Recorder:
+    """A policy that logs every state it is asked about."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.calls = []
+
+    def __call__(self, s):
+        self.calls.append(s)
+        return self.policy(s)
+
+
+def _raw_and_reference(cg, plan, runs, seed):
+    """(successes, policy calls, unwarmed DpPolicy memo items in insertion
+    order) of the edge-by-edge walk, then of the full-width reference."""
+    got = []
+    for run in (simulate_on_original, reference_simulate_on_original):
+        policy = DpPolicy(cg)
+        recorder = _Recorder(policy)
+        report = run(cg, plan, recorder, runs, seed)
+        got.append((report.successes, recorder.calls, list(policy._memo.items())))
+    assert got[0][1], "the policy was never asked"
+    return got
+
+
+@pytest.mark.filterwarnings("ignore:dropping entry nodes")
+def test_raw_walk_matches_the_full_width_reference_on_graph_d(tmp_path, monkeypatch):
+    # the benchmark's mc-eval plans; 70,001 runs leave a ragged last chunk
+    cg = saved_instance(tmp_path, *GRAPH_D)
+    ev = ExactFitness(cg)
+    plans = [(0,) * len(cg.bw_edges)] + [exhaustive_run(cg, ev, k) for k in (1, 2)]
+    for plan in plans:
+        for seed in range(3):
+            new, ref = _raw_and_reference(cg, plan, 70_001, seed)
+            assert new == ref, (plan, seed)
+        with monkeypatch.context() as m:
+            m.setattr(sim_module, "CHUNK_SIZE", 701)
+            chunked, ref = _raw_and_reference(cg, plan, 70_001, 0)
+        assert chunked == ref, plan
+
+
+@pytest.mark.parametrize("seed", [2, 7, 15, 26, 45])
+def test_raw_walk_matches_the_full_width_reference_on_random_instances(seed):
+    cg = random_instance(seed)
+    for plan in (None, (1,) + (0,) * (len(cg.bw_edges) - 1)):
+        new, ref = _raw_and_reference(cg, plan, 20_000, seed)
+        assert new == ref, plan

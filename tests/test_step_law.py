@@ -4,7 +4,8 @@ implementations it replaced.
 
 The pinned values go through no BLAS call: exact values and actions, kernel
 Monte Carlo under the exact policy, and rollouts that only explore (so the
-net is never asked).
+net is never asked).  The raw-edge simulator applies the same strict rule
+edge by edge: a draw below ``p_d`` detects, one below ``p_d + p_f`` fails.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import importlib
 import numpy as np
 import pytest
 
+from adgame.kernel import condense
 from adgame.mdp import (
     ExactSolver,
     admissible_actions,
@@ -20,10 +22,10 @@ from adgame.mdp import (
     initial_state,
     transition,
 )
-from adgame.simulate import DpPolicy, simulate
+from adgame.simulate import DpPolicy, simulate, simulate_on_original
 from adgame.valuenet import BackupTable, ValueNet, rollout
 
-from instances import random_instance
+from instances import chain_graph, random_instance
 from oracles import trits_of
 
 # the module, not the package's re-exported ``simulate`` function
@@ -112,6 +114,56 @@ def test_simulate_picks_the_outcome_of_the_strict_rule_at_boundaries(monkeypatch
                 assert r not in first_step
             else:
                 assert first_step[r] == dist.outcomes[want][0]
+
+
+def _raw_ends(monkeypatch, cg, plan, tape) -> dict[int, tuple]:
+    """Play ``tape`` (one row per run) on the raw edges, always attempting
+    NSP 0: each run's last filed (state, offset), none if it was detected
+    on its first path."""
+    settle = sim._settle
+    ends: dict[int, tuple] = {}
+
+    def record(cg_, groups, key, rows):
+        if key[1]:
+            ends.update((int(r), key) for r in rows)
+        return settle(cg_, groups, key, rows)
+
+    monkeypatch.setattr(sim, "_uniform_tape", lambda *args: tape)
+    monkeypatch.setattr(sim, "_settle", record)
+    simulate_on_original(cg, plan, lambda s: 0, len(tape), seed=0)
+    return ends
+
+
+def test_raw_walk_picks_the_outcome_of_the_strict_rule_at_edge_boundaries(
+    monkeypatch,
+):
+    probs = [(0.1, 0.2), (0.25, 0.5)]
+    cg = condense(chain_graph(probs))
+    assert cg.n_nsps == 1 and len(cg.nsps[0].edges) == 2
+    owned = initial_state(cg)[0]
+    won = ((owned | cg.step_masks.terminal[0], 0, 1), 2)
+    for pos, (p_d, p_f) in enumerate(probs):
+        failed = ((owned, 0, 0), pos + 1)
+        # run r draws cases[r] on edge ``pos`` and 0.99, which passes, on the other
+        cases = [
+            (float(np.nextafter(p_d, 0.0)), None),  # detected
+            (p_d, failed),
+            (float(np.nextafter(p_d + p_f, 0.0)), failed),
+            (p_d + p_f, won),
+        ]
+        tape = np.full((len(cases), 2), 0.99)
+        tape[:, pos] = [u for u, _ in cases]
+        ends = _raw_ends(monkeypatch, cg, None, tape)
+        assert [ends.get(r) for r in range(len(cases))] == [e for _, e in cases]
+
+    # an admissible policy never reaches a blocked edge, so start the game
+    # unblocked while the plan blocks the last edge: it fails every draw
+    assert len(cg.bw_edges) == 1
+    monkeypatch.setattr(sim, "initial_state", lambda cg_, plan=None: initial_state(cg_))
+    tape = np.full((3, 2), 0.99)
+    tape[:, 1] = [0.0, 0.5, float(np.nextafter(1.0, 0.0))]
+    ends = _raw_ends(monkeypatch, cg, (1,), tape)
+    assert [ends.get(r) for r in range(3)] == [((owned, 0, 0), 2)] * 3
 
 
 def _trits(cg, s) -> str:
