@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
-from .defense import ENUMERATION_BUDGET, ITERATIONS, MU
+from .defense import ENUMERATION_BUDGET
 from .graph import DISTRIBUTION_KINDS
 from .mdp import MEMO_LIMIT
 from .valuenet import BATCH_SIZE, DEPTH, EPOCHS_PER_ROUND, EXPLORE_PROB, LEARNING_RATE, WIDTH
@@ -32,8 +32,8 @@ class ExperimentConfig:
 
     # defender search
     budget: int = 5
-    mu: int = MU
-    iterations: int = ITERATIONS
+    mu: int = 100
+    iterations: int = 10000
     rounds: int = 100
 
     # value net and training

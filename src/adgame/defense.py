@@ -26,9 +26,6 @@ from .valuenet import ValueNet, predict
 
 Plan = tuple[int, ...]
 FITNESS_BAND = 0.1
-# search defaults, named after the ExperimentConfig fields that use them
-MU = 100
-ITERATIONS = 10000
 ENUMERATION_BUDGET = 1_000_000
 
 
@@ -272,9 +269,9 @@ def edo_run(
     cg: CondensedGraph,
     ev: FitnessFn,
     k: int,
-    mu: int = MU,
-    iterations: int = ITERATIONS,
-    rng: np.random.Generator | None = None,
+    mu: int,
+    iterations: int,
+    rng: np.random.Generator,
 ) -> Population:
     """Diversity-driven evolutionary search over blocking plans.
 
@@ -283,8 +280,6 @@ def edo_run(
     are evicted, so every returned member (after at least one iteration)
     sits within the band.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     return _evolve(cg, ev, k, mu, iterations, rng, diversity=True)
 
 
@@ -292,13 +287,11 @@ def vec_run(
     cg: CondensedGraph,
     ev: FitnessFn,
     k: int,
-    mu: int = MU,
-    iterations: int = ITERATIONS,
-    rng: np.random.Generator | None = None,
+    mu: int,
+    iterations: int,
+    rng: np.random.Generator,
 ) -> Population:
     """Same loop as edo_run, but survivor selection drops the worst member."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     return _evolve(cg, ev, k, mu, iterations, rng, diversity=False)
 
 
@@ -376,14 +369,15 @@ def load_population(path: str) -> Population:
         )
     pop: Population = []
     for at, line in enumerate(rows):
-        parts = line.split()
-        if len(parts) != 2 or len(parts[0]) != n_bits:
+        # a zero-width plan writes an empty bits field: the row is " <fitness>"
+        bits, sep, fitness_text = line.rpartition(" ")
+        if not sep or len(bits) != n_bits:
             raise PopulationFormatError(f"line {at + 2}: bad row {line!r}")
-        if any(c not in "01" for c in parts[0]):
+        if any(c not in "01" for c in bits):
             raise PopulationFormatError(f"line {at + 2}: bits must be 0/1")
         try:
-            fitness = float(parts[1])
+            fitness = float(fitness_text)
         except ValueError as exc:
             raise PopulationFormatError(f"line {at + 2}: bad fitness") from exc
-        pop.append(Member(tuple(int(c) for c in parts[0]), fitness, born=at))
+        pop.append(Member(tuple(int(c) for c in bits), fitness, born=at))
     return pop

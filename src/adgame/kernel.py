@@ -59,6 +59,7 @@ class StepMasks:
     entry_out: int  # the NSPs that leave an entry node
     # per NSP, its edges in walk order as (p_d, p_f, p_s, NSPs sharing the edge)
     edges: tuple[tuple[tuple[float, float, float, int], ...], ...]
+    span: tuple[int, ...]  # per NSP, the NSPs that share one of its edges
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,10 @@ class CondensedGraph:
             e: sum(1 << i for i in ids) for e, ids in self.edge_to_nsps.items()
         }
         g = self.graph
+        span = [0] * len(self.nsps)
+        for p in self.nsps:
+            for e in p.edges:
+                span[p.id] |= sharers[e]
         return StepMasks(
             entry=sum(1 << at[v] for v in self.entry_nodes),
             da=1 << at[self.da],
@@ -113,6 +118,7 @@ class CondensedGraph:
                 )
                 for p in self.nsps
             ),
+            span=tuple(span),
         )
 
     @cached_property

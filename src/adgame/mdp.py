@@ -37,30 +37,33 @@ sharing a key add the same floats in the same order: their values are
 bit-identical and their smallest-id argmax is the same.
 
 The walk of ``a`` reads ``U`` only through ``U & span(a)``, where
-``span(a)`` is the union of the sharers of ``a``'s edges.  Its masses
-(``prefix * p_f`` and the final ``prefix``) read no mask at all, and two
-failures merge iff ``U - sharers(e1) == U - sharers(e2)``, which holds
-iff it holds inside ``span(a)``: outside it both sides are ``U``.  So the
-merge pattern, the first-edge order, the float sums and the mass check
-are functions of ``a`` and ``U & span(a)``, and the solver walks each such
-pair once (``ExactSolver`` has the rebuild).  Every key still sees
-exactly its own walk's outcomes and masses in its own walk's order, so
-the memo is the one a walk per key builds, bit for bit.
+``span(a)`` (``step_masks.span``) is the union of the sharers of ``a``'s
+edges.  Its masses (``prefix * p_f`` and the final ``prefix``) read no
+mask at all, and two failures merge iff ``U - sharers(e1) == U -
+sharers(e2)``, which holds iff it holds inside ``span(a)``: outside it
+both sides are ``U``.  So ``_walk`` runs on ``U & span(a)`` alone and
+returns the step entry: the failure remainders ``r``, the outcome masses
+(the success's last), whether the success is an outcome, and the
+detection mass.  Every reader rebuilds the outcomes from it by one rule:
+failure ``r`` leads to ``(O, r | (U - span(a)), S)`` (``r -> r | (U -
+span(a))`` is one-to-one, so nothing merges anew), and the success to
+``(O | terminal(a), U - {a}, S | {a})``.  That is the walk on the whole
+of ``U``, with the same floats in the same order, so one entry serves
+every state with the same ``a`` and ``U & span(a)``.
 
 One edge walk gives the step law: ``expand`` pairs every admissible action
-with its outcome states and masses (for the net's backup), and
-``transition`` checks one chosen action and returns its
-``TransitionDistribution`` with the detection mass.  A distribution's
-``cumulative`` table holds its outcome masses summed left to right; a
-uniform ``u`` picks the first outcome whose sum exceeds it, else detection.
+with its outcome states and masses (for the net's backup), ``transition``
+checks one chosen action and returns its ``TransitionDistribution`` with
+the detection mass, and ``ExactSolver`` keeps each entry it walks.  A
+distribution's ``cumulative`` table holds its outcome masses summed left to
+right; a uniform ``u`` picks the first outcome whose sum exceeds it, else
+detection.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 from numbers import Integral
-from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .kernel import CondensedGraph, StepMasks
@@ -110,9 +113,6 @@ class TransitionDistribution:
     detect_prob: float
     cumulative: tuple[float, ...]
 
-    def total(self) -> float:
-        return self.detect_prob + (self.cumulative[-1] if self.cumulative else 0.0)
-
 
 def _ids(mask: int) -> Iterator[int]:
     """The set bits of ``mask``, lowest first."""
@@ -145,10 +145,11 @@ def _terminal(t: StepMasks, owned: int, live: int, moves: int) -> float | None:
 
 
 def _walk(
-    t: StepMasks, owned: int, live: int, action: int
-) -> tuple[list[tuple[tuple[int, int], float]], float, bool]:
-    """Outcome keys and masses of attempting ``action``, the detection mass,
-    and whether the last outcome is the success.
+    t: StepMasks, live_span: int, action: int
+) -> tuple[tuple[int, ...], tuple[float, ...], bool, float]:
+    """The step entry of ``action`` at ``U & span(action) == live_span``:
+    the failure remainders, the outcome masses (the success's last), whether
+    the success is an outcome, and the detection mass.
 
     The walk carries the probability mass of passing every earlier edge.
     Failure at an edge kills every live NSP sharing it, so failures at
@@ -161,37 +162,36 @@ def _walk(
     for p_d, p_f, p_s, sharers in t.edges[action]:
         detect += prefix * p_d
         if p_f > 0.0:
-            rest = live & ~sharers
+            rest = live_span & ~sharers
             failed[rest] = failed.get(rest, 0.0) + prefix * p_f
         prefix *= p_s
         if prefix <= 0.0:
             prefix = 0.0
             break
-    outcomes = [((owned, rest), p) for rest, p in failed.items()]
-    if prefix > 0.0:
-        outcomes.append(
-            ((owned | t.terminal[action], live & ~(1 << action)), prefix)
-        )
+    succeeded = prefix > 0.0
+    masses = (*failed.values(), prefix) if succeeded else tuple(failed.values())
     mass = 0.0
-    for _, p in outcomes:
+    for p in masses:
         mass += p
     if abs(detect + mass - 1.0) > 1e-9:
         raise AssertionError(f"transition mass {detect + mass} != 1")
-    return outcomes, detect, prefix > 0.0
+    return tuple(failed), masses, succeeded, detect
 
 
 def _tagged(
     t: StepMasks, s: State, action: int
 ) -> tuple[list[tuple[State, float]], float]:
     """The walk of ``action`` from ``s`` as outcome states, and the detection
-    mass; the success also adds ``action`` to the successful NSPs."""
+    mass, rebuilt from its step entry."""
     owned, live, won = s
-    outcomes, detect, succeeded = _walk(t, owned, live, action)
-    tagged = [((o, u, won), p) for (o, u), p in outcomes]
+    live_span = live & t.span[action]
+    remainders, masses, succeeded, detect = _walk(t, live_span, action)
+    rest = live ^ live_span
+    states = [(owned, r | rest, won) for r in remainders]
     if succeeded:
-        (o, u), p = outcomes[-1]
-        tagged[-1] = ((o, u, won | 1 << action), p)
-    return tagged, detect
+        bit = 1 << action
+        states.append((owned | t.terminal[action], live & ~bit, won | bit))
+    return list(zip(states, masses)), detect
 
 
 def admissible_actions(cg: CondensedGraph, s: State) -> tuple[int, ...]:
@@ -304,52 +304,25 @@ class ExactSolver:
 
     Two tables, which live and die with the solver, spare a key the work
     another key already did.  ``_reach(O)``, the NSPs leaving an owned
-    node, is cached per owned set.  The step table keys the walk of
-    action ``a`` on ``(a, U & span(a))`` (the module docstring argues
-    why that is all the walk reads).  An entry is ``_walk`` run on ``(0,
-    U & span(a))``: the failure remainders ``r``, every outcome's mass
-    (the success's last) and whether ``a`` can succeed (its pass mass did
-    not underflow).  The key ``(O, U)`` then has the failure outcomes
-    ``(O, r | (U - span(a)))`` (``r -> r | (U - span(a))`` is one-to-one,
-    so nothing merges anew), followed by the success ``(O | terminal(a),
-    U - {a})``: exactly ``_walk``'s list, with the same floats in the
-    same order.  The loop scores each action with the built-in ``sum``
-    over that list in that order (compensated on Python 3.12+, so a
-    hand-written ``+=`` would change bits there), keeps the first
-    strictly larger q, and pushes the missing successors in the same
-    order, so the memo's keys, values, actions and insertion order, and
-    the key at which ``memo_limit`` is hit, are those of a walk per key.
-    The step table holds at most one entry per (key, action) pair.
+    node, is cached per owned set.  The step table keeps each ``_walk``
+    entry under ``(a, U & span(a))``, and the loop rebuilds a key's
+    outcome keys from it by the module docstring's rule.  The loop scores
+    each action with the built-in ``sum`` over those keys in that order
+    (compensated on Python 3.12+, so a hand-written ``+=`` would change
+    bits there), keeps the first strictly larger q, and pushes the missing
+    successors in the same order, so the memo's keys, values, actions and
+    insertion order, and the key at which ``memo_limit`` is hit, are those
+    of a walk per key.  The step table holds at most one entry per (key,
+    action) pair.
     """
 
     def __init__(self, cg: CondensedGraph, memo_limit: int = MEMO_LIMIT):
         self.cg = cg
         self.memo_limit = memo_limit
         self._memo: dict[tuple[int, int], tuple[float, int | None]] = {}
-        # per action: span(a), and U & span(a) -> (failure remainders,
-        # outcome masses, whether the last outcome is the success)
-        self._span = tuple(
-            reduce(or_, (sharers for *_, sharers in edges), 0)
-            for edges in cg.step_masks.edges
-        )
-        self._steps: tuple[dict, ...] = tuple({} for _ in self._span)
+        # per action: U & span(a) -> its ``_walk`` entry
+        self._steps: tuple[dict, ...] = tuple({} for _ in range(cg.n_nsps))
         self._reach: dict[int, int] = {}
-
-    def _step(self, a: int, live_span: int) -> tuple:
-        """The step-table entry of ``a`` at ``U & span(a) == live_span``,
-        built by one ``_walk`` on first use: the failure remainders, every
-        outcome's mass (the success's last) and whether ``a`` can succeed."""
-        entry = self._steps[a].get(live_span)
-        if entry is None:
-            outcomes, _, succeeded = _walk(self.cg.step_masks, 0, live_span, a)
-            failures = outcomes[:-1] if succeeded else outcomes
-            entry = (
-                tuple(r for (_, r), _ in failures),
-                tuple(p for _, p in outcomes),
-                succeeded,
-            )
-            self._steps[a][live_span] = entry
-        return entry
 
     def value_and_action(self, s: State) -> tuple[float, int | None]:
         """The state's value and the smallest-id optimal action."""
@@ -365,7 +338,7 @@ class ExactSolver:
                 "approximate solver instead"
             )
         t = self.cg.step_masks
-        terminal, spans = t.terminal, self._span
+        terminal, spans = t.terminal, t.span
         steps, reaches = self._steps, self._reach
         stack = [root]
         expanded: dict[tuple[int, int], list] = {}
@@ -389,7 +362,9 @@ class ExactSolver:
                 missing = []
                 for a in _ids(moves):
                     live_span = live & spans[a]
-                    entry = steps[a].get(live_span) or self._step(a, live_span)
+                    entry = steps[a].get(live_span)
+                    if entry is None:
+                        entry = steps[a][live_span] = _walk(t, live_span, a)
                     rest = live ^ live_span
                     keys = [(owned, r | rest) for r in entry[0]]
                     if entry[2]:

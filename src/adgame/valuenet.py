@@ -399,7 +399,7 @@ def train_round(
     plans: Sequence[Sequence[int]],
     config: TrainingConfig,
     rng: np.random.Generator,
-    optimizer: Adam | None = None,
+    optimizer: Adam,
     table: BackupTable | None = None,
 ) -> TrainStats:
     """One training round: per epoch, roll out a random plan and regress.
@@ -414,8 +414,6 @@ def train_round(
     config.validate()
     if not plans:
         raise ValueError("plans must be non-empty")
-    if optimizer is None:
-        optimizer = Adam(net)
     if table is None:
         table = BackupTable(cg)
     elif table.cg is not cg:

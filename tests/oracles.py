@@ -4,10 +4,12 @@ Tests write states as trit tuples, one entry per NSP: ``UNATTEMPTED`` (0),
 ``SUCCESS`` (+1) or ``FAILED`` (-1).  ``state_of`` and ``trits_of`` convert
 between them and the package's (owned nodes, live NSPs, successful NSPs)
 bitmasks; ``trit_transition`` walks the trit states themselves.
-``ReferenceSolver`` is the exact solver that walks every admissible action
-of every key it expands.  ``reference_simulate_on_original`` is the raw-edge
-Monte Carlo with the full-width step: every run of a group reads its whole
-stretch of the path at once.
+``reference_walk`` is the edge walk over the whole live set, keyed on the
+owned nodes; ``ReferenceSolver`` is the exact solver that runs it for every
+admissible action of every key it expands.
+``reference_simulate_on_original`` is the raw-edge Monte Carlo with the
+full-width step: every run of a group reads its whole stretch of the path
+at once.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ from adgame.mdp import (
     _ids,
     _moves,
     _terminal,
-    _walk,
     admissible_actions,
     argmax,
     initial_state,
@@ -145,11 +146,48 @@ def trit_transition(
     return tuple(acc.items()), detect, tuple(accumulate(acc.values()))
 
 
+def reference_walk(
+    t, owned: int, live: int, action: int
+) -> tuple[list[tuple[tuple[int, int], float]], float, bool]:
+    """Outcome keys and masses of attempting ``action``, the detection mass,
+    and whether the last outcome is the success.
+
+    The walk carries the probability mass of passing every earlier edge.
+    Failure at an edge kills every live NSP sharing it, so failures at
+    different edges merge when they leave the same live set; they keep the
+    order of their first edge.  The success comes last, unmerged.
+    """
+    failed: dict[int, float] = {}
+    detect = 0.0
+    prefix = 1.0
+    for p_d, p_f, p_s, sharers in t.edges[action]:
+        detect += prefix * p_d
+        if p_f > 0.0:
+            rest = live & ~sharers
+            failed[rest] = failed.get(rest, 0.0) + prefix * p_f
+        prefix *= p_s
+        if prefix <= 0.0:
+            prefix = 0.0
+            break
+    outcomes = [((owned, rest), p) for rest, p in failed.items()]
+    if prefix > 0.0:
+        outcomes.append(
+            ((owned | t.terminal[action], live & ~(1 << action)), prefix)
+        )
+    mass = 0.0
+    for _, p in outcomes:
+        mass += p
+    if abs(detect + mass - 1.0) > 1e-9:
+        raise AssertionError(f"transition mass {detect + mass} != 1")
+    return outcomes, detect, prefix > 0.0
+
+
 class ReferenceSolver:
-    """The exact solver with one ``_walk`` per admissible action of every
-    expanded key, the admissible set rebuilt from the owned nodes and the
-    actions scored through ``argmax``: the loop that ``ExactSolver``'s step
-    table and reach cache must reproduce key for key, in insertion order."""
+    """The exact solver with one ``reference_walk`` per admissible action of
+    every expanded key, the admissible set rebuilt from the owned nodes and
+    the actions scored through ``argmax``: the loop that ``ExactSolver``'s
+    step table and reach cache must reproduce key for key, in insertion
+    order."""
 
     def __init__(self, cg, memo_limit: int = MEMO_LIMIT):
         self.cg = cg
@@ -185,7 +223,7 @@ class ReferenceSolver:
                     stack.pop()
                     continue
                 dists = expanded[top] = [
-                    (a, _walk(t, owned, live, a)[0]) for a in _ids(moves)
+                    (a, reference_walk(t, owned, live, a)[0]) for a in _ids(moves)
                 ]
                 missing = [
                     nxt for _, outs in dists for nxt, _ in outs if nxt not in memo

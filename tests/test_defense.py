@@ -398,6 +398,10 @@ def test_population_snapshot_round_trip(tmp_path):
     assert [(m.bits, m.fitness) for m in loaded] == [
         (m.bits, m.fitness) for m in pop
     ]
+    # an instance without a block-worthy edge writes rows " <fitness>"
+    flat = [Member((), 0.3383, 0), Member((), 0.25, 1)]
+    save_population(path, flat)
+    assert load_population(path) == flat
 
 
 def test_population_snapshot_rejects_malformed(tmp_path):
@@ -409,5 +413,8 @@ def test_population_snapshot_rejects_malformed(tmp_path):
     with pytest.raises(PopulationFormatError):
         load_population(str(path))
     path.write_text("adpop 1 1 3\n1x1 0.25\n")
+    with pytest.raises(PopulationFormatError):
+        load_population(str(path))
+    path.write_text("adpop 1 1 0\n0.25\n")
     with pytest.raises(PopulationFormatError):
         load_population(str(path))

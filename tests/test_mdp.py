@@ -14,7 +14,6 @@ from adgame.mdp import (
     StateSpaceLimitError,
     _moves,
     _terminal,
-    _walk,
     admissible_actions,
     argmax,
     dp_value,
@@ -43,6 +42,7 @@ from oracles import (
     ReferenceSolver,
     expectimax_value,
     reachable_states,
+    reference_walk,
     state_of,
     trit_transition,
     trits_of,
@@ -61,7 +61,7 @@ def test_shared_edge_transition_golden():
     assert abs(got[(S, U)] - 0.343) <= 1e-12
     assert len(got) == 3
     assert abs(dist.detect_prob - 0.219) <= 1e-12
-    assert abs(dist.total() - 1.0) <= 1e-12
+    assert abs(dist.detect_prob + dist.cumulative[-1] - 1.0) <= 1e-12
 
 
 def test_transition_certain_single_edge():
@@ -91,7 +91,7 @@ def test_transition_certain_failure_fails_all_sharers():
     got = {trits_of(cg2, s): p for s, p in dist.outcomes}
     assert abs(got[(F, F)] - 0.49) <= 1e-12
     assert (S, U) not in got
-    assert abs(dist.total() - 1.0) <= 1e-12
+    assert abs(dist.detect_prob + dist.cumulative[-1] - 1.0) <= 1e-12
 
 
 def test_initial_state_blocks_shared_paths_together():
@@ -245,7 +245,7 @@ def test_transition_mass_sums_to_one_everywhere():
         for s in reachable_states(cg):
             for a in admissible_actions(cg, s):
                 dist = transition(cg, s, a)
-                assert abs(dist.total() - 1.0) <= 1e-12
+                assert abs(dist.detect_prob + dist.cumulative[-1] - 1.0) <= 1e-12
                 assert all(p > 0.0 for _, p in dist.outcomes)
 
 
@@ -530,19 +530,37 @@ def _reachable(seed):
     return cg, sorted(reachable_states(cg)) if cg is not None else []
 
 
-def _rebuilt_walk(solver, s, a):
-    """``a``'s outcome keys and masses from its step-table entry, by the
-    rule ``ExactSolver`` applies, next to ``_walk``'s own."""
-    owned, live, _ = s
+def _rebuilds(solver, s, a):
+    """``a``'s outcomes from ``s``, masses as ``float.hex``: the keys the
+    solver's rule rebuilds from the step entry it stored and ``transition``'s
+    states, next to the same two read off ``reference_walk``."""
+    owned, live, won = s
     t = solver.cg.step_masks
-    span = solver._span[a]
-    remainders, masses, succeeded = solver._step(a, live & span)
-    keys = [(owned, r | (live & ~span)) for r in remainders]
+    solver.value(s)  # expands s, so the entry of (a, U & span(a)) is stored
+    remainders, masses, succeeded, detect = solver._steps[a][live & t.span[a]]
+    keys = [(owned, r | (live & ~t.span[a])) for r in remainders]
     if succeeded:
         keys.append((owned | t.terminal[a], live & ~(1 << a)))
-    walked, _, walked_success = _walk(t, owned, live, a)
-    got = [(key, p.hex()) for key, p in zip(keys, masses, strict=True)]
-    return (got, succeeded), ([(key, p.hex()) for key, p in walked], walked_success)
+    dist = transition(solver.cg, s, a)
+    walked, walked_detect, walked_success = reference_walk(t, owned, live, a)
+    tags = [won] * len(walked)
+    if walked_success:
+        tags[-1] |= 1 << a
+    got = (
+        [(key, p.hex()) for key, p in zip(keys, masses, strict=True)],
+        succeeded,
+        detect.hex(),
+        [(nxt, p.hex()) for nxt, p in dist.outcomes],
+        dist.detect_prob.hex(),
+    )
+    want = (
+        [(key, p.hex()) for key, p in walked],
+        walked_success,
+        walked_detect.hex(),
+        [((*key, tag), p.hex()) for (key, p), tag in zip(walked, tags)],
+        walked_detect.hex(),
+    )
+    return got, want
 
 
 @settings(max_examples=300, deadline=None)
@@ -556,7 +574,7 @@ def test_step_entry_rebuilds_the_walk_bit_for_bit(seed, state_ix, action_ix):
     actions = admissible_actions(cg, s)
     if terminal_value(cg, s) is not None or not actions:
         return
-    got, want = _rebuilt_walk(ExactSolver(cg), s, actions[action_ix % len(actions)])
+    got, want = _rebuilds(ExactSolver(cg), s, actions[action_ix % len(actions)])
     assert got == want
 
 
@@ -570,8 +588,10 @@ def test_one_step_entry_serves_every_key_with_its_live_sharers():
             continue
         solver = ExactSolver(cg)
         for s in states:
+            if terminal_value(cg, s) is not None:
+                continue  # the solver expands no terminal key
             for a in admissible_actions(cg, s):
-                got, want = _rebuilt_walk(solver, s, a)
+                got, want = _rebuilds(solver, s, a)
                 assert got == want
                 keys = [key for key, _ in got[0]]
                 same_key += got[1] and keys[-1] in keys[:-1]
@@ -580,5 +600,7 @@ def test_one_step_entry_serves_every_key_with_its_live_sharers():
     assert same_key > 0
     cg, states = _reachable(0)
     owned, live, _ = s = states[20]
-    outs, _, succeeded = _walk(cg.step_masks, owned, live, admissible_actions(cg, s)[0])
+    outs, _, succeeded = reference_walk(
+        cg.step_masks, owned, live, admissible_actions(cg, s)[0]
+    )
     assert succeeded and outs[-1][0] in [key for key, _ in outs[:-1]]

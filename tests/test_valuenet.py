@@ -310,7 +310,7 @@ def test_backup_table_eviction_changes_no_result(monkeypatch):
     def train(table):
         net = ValueNet(cg.n_nsps, depth=2, width=16, seed=1)
         stats = train_round(
-            net, cg, plans, config, np.random.default_rng(2), table=table
+            net, cg, plans, config, np.random.default_rng(2), Adam(net), table=table
         )
         return stats.epoch_losses, net.flat_params().tobytes()
 
@@ -350,7 +350,7 @@ def test_train_round_refuses_another_instances_table():
     with pytest.raises(ValueError, match="another instance"):
         train_round(
             net, cg, [()], TrainingConfig(batch_size=2, epochs_per_round=1),
-            np.random.default_rng(0), table=other,
+            np.random.default_rng(0), Adam(net), table=other,
         )
     assert np.array_equal(net.flat_params(), before)
     assert other.counts["entries_built"] == 0
@@ -401,7 +401,7 @@ def test_train_round_learns_single_path_value():
     cg = condense(chain_graph([(0.1, 0.2)], blockable_last=False))
     net = ValueNet(cg.n_nsps, depth=4, width=256, seed=0)
     config = TrainingConfig(epochs_per_round=500, explore_prob=0.5)
-    stats = train_round(net, cg, [()], config, np.random.default_rng(0))
+    stats = train_round(net, cg, [()], config, np.random.default_rng(0), Adam(net))
     assert not stats.diverged
     assert stats.epoch_losses[-1] < 1e-3
     # the lone path succeeds with probability 0.7
@@ -413,7 +413,8 @@ def test_train_round_zero_epochs_changes_nothing():
     net = ValueNet(cg.n_nsps, depth=2, width=8, seed=4)
     before = net.flat_params()
     stats = train_round(
-        net, cg, [()], TrainingConfig(epochs_per_round=0), np.random.default_rng(0)
+        net, cg, [()], TrainingConfig(epochs_per_round=0), np.random.default_rng(0),
+        Adam(net),
     )
     assert stats.epoch_losses == ()
     assert not stats.diverged
@@ -431,6 +432,7 @@ def test_train_round_is_deterministic_under_seeds():
             [(0,), (1,)],
             TrainingConfig(epochs_per_round=40),
             np.random.default_rng(7),
+            Adam(net),
         )
         runs.append((stats.epoch_losses, net.flat_params()))
     assert runs[0][0] == runs[1][0]
@@ -441,7 +443,7 @@ def test_train_round_rejects_empty_plans_and_bad_config():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     with pytest.raises(ValueError):
-        train_round(net, cg, [], TrainingConfig(), np.random.default_rng(0))
+        train_round(net, cg, [], TrainingConfig(), np.random.default_rng(0), Adam(net))
     with pytest.raises(ValueError):
         TrainingConfig(batch_size=0).validate()
     with pytest.raises(ValueError):
