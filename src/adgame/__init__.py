@@ -37,7 +37,6 @@ from .valuenet import (
     BackupTable,
     CheckpointFormatError,
     NetGreedyPolicy,
-    TrainingConfig,
     ValueNet,
     load_checkpoint,
     save_checkpoint,

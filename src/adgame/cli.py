@@ -1,10 +1,13 @@
 """Command line front end.
 
-Every subcommand accepts `--config FILE`, repeated `--set key=value`
-overrides, `--seed N` (replacing the config's seed list), and `--out DIR`
-(replacing the output directory).  Success exits 0; any failure prints a
-single JSON line `{"error": ..., "message": ...}` on stderr and exits
-nonzero (2 for command line or config mistakes, 1 for everything else).
+Every subcommand but `report` accepts `--config FILE`, repeated `--set
+key=value` overrides, `--seed N` and `--out DIR` (replacing the output
+directory).  It plays the config's first seed, or `N` when `--seed` is
+given.  `report` reads no config: it takes the run directories and an
+optional `--out DIR` for `report.csv`.  Success exits 0; any failure
+prints a single JSON line `{"error": ..., "message": ...}` on stderr and
+exits nonzero (2 for command line or config mistakes, 1 for everything
+else).
 """
 from __future__ import annotations
 
@@ -207,7 +210,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("report", help="tabulate persisted runs")
-    _add_common(p)
+    p.add_argument("--out", help="directory to write report.csv into")
     p.add_argument("run_dirs", nargs="+", help="run directories to compare")
     p.set_defaults(handler=_cmd_report)
 

@@ -11,10 +11,12 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
-from .defense import ENUMERATION_BUDGET
 from .graph import DISTRIBUTION_KINDS
 from .mdp import MEMO_LIMIT
-from .valuenet import BATCH_SIZE, DEPTH, EPOCHS_PER_ROUND, EXPLORE_PROB, LEARNING_RATE, WIDTH
+
+# defaults that ``Adam`` and ``exhaustive_run`` also fall back on
+LEARNING_RATE = 0.001
+ENUMERATION_BUDGET = 1_000_000
 
 
 class ConfigError(Exception):
@@ -37,12 +39,12 @@ class ExperimentConfig:
     rounds: int = 100
 
     # value net and training
-    depth: int = DEPTH
-    width: int = WIDTH
-    batch_size: int = BATCH_SIZE
+    depth: int = 4
+    width: int = 256
+    batch_size: int = 16
     learning_rate: float = LEARNING_RATE
-    epochs_per_round: int = EPOCHS_PER_ROUND
-    explore_prob: float = EXPLORE_PROB
+    epochs_per_round: int = 500
+    explore_prob: float = 0.5
 
     # evaluation
     mc_runs: int = 100000

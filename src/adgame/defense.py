@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import ENUMERATION_BUDGET
 from .kernel import CondensedGraph
 from .mdp import MEMO_LIMIT, initial_state
 from .simulate import DpPolicy, Policy, simulate
@@ -26,7 +27,6 @@ from .valuenet import ValueNet, predict
 
 Plan = tuple[int, ...]
 FITNESS_BAND = 0.1
-ENUMERATION_BUDGET = 1_000_000
 
 
 class DefenseConfigError(Exception):
@@ -56,9 +56,15 @@ def best_member(pop: Population) -> Member:
     return min(pop, key=lambda m: (m.fitness, m.born))
 
 
-def random_plan(n_bits: int, k: int, rng: np.random.Generator) -> Plan:
+def _check_budget(n_bits: int, k: int) -> None:
     if not 0 <= k <= n_bits:
-        raise DefenseConfigError(f"budget {k} not in [0, {n_bits}]")
+        raise DefenseConfigError(
+            f"budget {k} not in [0, {n_bits}], the block-worthy edge count"
+        )
+
+
+def random_plan(n_bits: int, k: int, rng: np.random.Generator) -> Plan:
+    _check_budget(n_bits, k)
     bits = [0] * n_bits
     if k:
         for pos in rng.choice(n_bits, size=k, replace=False):
@@ -219,8 +225,7 @@ def _evolve(
     diversity: bool,
 ) -> Population:
     n_bits = len(cg.bw_edges)
-    if k > n_bits:
-        raise DefenseConfigError(f"budget {k} exceeds {n_bits} block-worthy edges")
+    _check_budget(n_bits, k)
     if mu < 1 or iterations < 0:
         raise DefenseConfigError("need a positive population and nonnegative iterations")
     cache: dict[Plan, float] = {}
@@ -298,8 +303,7 @@ def vec_run(
 def greedy_run(cg: CondensedGraph, ev: FitnessFn, k: int) -> Plan:
     """Block the single best remaining edge, k times; ties to smaller ids."""
     n_bits = len(cg.bw_edges)
-    if k > n_bits:
-        raise DefenseConfigError(f"budget {k} exceeds {n_bits} block-worthy edges")
+    _check_budget(n_bits, k)
     bits = [0] * n_bits
     for _ in range(k):
         best_pos = -1
@@ -324,8 +328,7 @@ def exhaustive_run(
 ) -> Plan:
     """Global argmin over all popcount-k plans; ties to the smallest bits."""
     n_bits = len(cg.bw_edges)
-    if k > n_bits:
-        raise DefenseConfigError(f"budget {k} exceeds {n_bits} block-worthy edges")
+    _check_budget(n_bits, k)
     total = comb(n_bits, k)
     if total > enumeration_budget:
         raise DefenseConfigError(

@@ -62,7 +62,6 @@ from .valuenet import (
     Adam,
     BackupTable,
     NetGreedyPolicy,
-    TrainingConfig,
     ValueNet,
     save_checkpoint,
     train_round,
@@ -351,11 +350,6 @@ def run_nndp_edo(
         seed=_child_seed(seed, _S_NET),
     )
     optimizer = Adam(net, learning_rate=config.learning_rate)
-    tconf = TrainingConfig(
-        batch_size=config.batch_size,
-        epochs_per_round=config.epochs_per_round,
-        explore_prob=config.explore_prob,
-    )
     evaluator = NetFitness(net, cg)
     table = BackupTable(cg)
     round_best: list[float] = []
@@ -380,7 +374,7 @@ def run_nndp_edo(
                 round_best.append(best_member(pop).fitness)
             with _phase(phases, "train_s"):
                 stats = train_round(
-                    net, cg, [m.bits for m in pop], tconf,
+                    net, cg, [m.bits for m in pop], config,
                     rng=_rng(seed, _S_TRAIN, r), optimizer=optimizer,
                     table=table,
                 )

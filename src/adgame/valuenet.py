@@ -37,6 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import LEARNING_RATE, ExperimentConfig
 from .kernel import CondensedGraph
 from .mdp import (
     State,
@@ -50,14 +51,6 @@ from .mdp import (
 
 CHECKPOINT_MAGIC = b"ADVN"
 CHECKPOINT_VERSION = 1
-
-# net and training defaults, named after the ExperimentConfig fields that use them
-DEPTH = 4
-WIDTH = 256
-LEARNING_RATE = 0.001
-BATCH_SIZE = 16
-EPOCHS_PER_ROUND = 500
-EXPLORE_PROB = 0.5
 
 # a backup table's memory budget, and the charges for what an entry holds
 # beside its arrays (measured with tracemalloc, rounded up)
@@ -93,7 +86,7 @@ def encode_states(states: Sequence[State], width: int) -> np.ndarray:
 class ValueNet:
     """Rectifier MLP with a logistic output, so predictions stay in (0,1)."""
 
-    def __init__(self, n_inputs: int, depth: int = DEPTH, width: int = WIDTH, seed: int = 0):
+    def __init__(self, n_inputs: int, depth: int, width: int, seed: int = 0):
         sizes = [n_inputs] + [width] * depth + [1]
         self._init(sizes, seed)
 
@@ -372,19 +365,8 @@ def rollout(
     return states
 
 
-@dataclass(frozen=True)
-class TrainingConfig:
-    batch_size: int = BATCH_SIZE
-    epochs_per_round: int = EPOCHS_PER_ROUND
-    explore_prob: float = EXPLORE_PROB
-
-    def validate(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.epochs_per_round < 0:
-            raise ValueError("epochs_per_round must be nonnegative")
-        if not 0.0 <= self.explore_prob <= 1.0:
-            raise ValueError("explore_prob must lie in [0, 1]")
+# read only by perfbench's self-test, which builds its settings by this name
+TrainingConfig = ExperimentConfig
 
 
 @dataclass(frozen=True)
@@ -397,19 +379,21 @@ def train_round(
     net: ValueNet,
     cg: CondensedGraph,
     plans: Sequence[Sequence[int]],
-    config: TrainingConfig,
+    config: ExperimentConfig,
     rng: np.random.Generator,
     optimizer: Adam,
     table: BackupTable | None = None,
 ) -> TrainStats:
     """One training round: per epoch, roll out a random plan and regress.
 
-    Each epoch picks one plan and repeats rollouts from its initial state
-    until a full batch of visited states is collected.  Targets are
-    recomputed from the current parameters before each batch update.  A
-    non-finite mean loss aborts the round with the diverged flag set so
-    callers can record the failure and move on.  Backups go through
-    ``table``, which must be ``cg``'s (one for this round when None).
+    ``config`` supplies ``batch_size``, ``epochs_per_round`` and
+    ``explore_prob``, and is validated first.  Each epoch picks one plan
+    and repeats rollouts from its initial state until a full batch of
+    visited states is collected.  Targets are recomputed from the current
+    parameters before each batch update.  A non-finite mean loss aborts the
+    round with the diverged flag set so callers can record the failure and
+    move on.  Backups go through ``table``, which must be ``cg``'s (one for
+    this round when None).
     """
     config.validate()
     if not plans:

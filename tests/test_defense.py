@@ -300,11 +300,12 @@ def test_greedy_is_trapped_on_adversarial_instance():
 def test_budget_larger_than_edges_raises():
     cg = condense(textbook_kernel_graph())
     ev = ExactFitness(cg)
-    for run in (greedy_run, exhaustive_run):
+    for k in (3, -1):
+        for run in (greedy_run, exhaustive_run):
+            with pytest.raises(DefenseConfigError):
+                run(cg, ev, k)
         with pytest.raises(DefenseConfigError):
-            run(cg, ev, 3)
-    with pytest.raises(DefenseConfigError):
-        edo_run(cg, ev, 3, mu=4, iterations=1, rng=np.random.default_rng(0))
+            edo_run(cg, ev, k, mu=4, iterations=1, rng=np.random.default_rng(0))
 
 
 def test_edo_reaches_exhaustive_optimum():

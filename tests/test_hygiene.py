@@ -16,6 +16,8 @@ A public module-level name of the package must be read by a file under
 ``src/adgame``, ``scripts`` or ``perfbench``: loaded as a name or an
 attribute, or imported by name, so a re-export in the package's
 ``__init__.py`` counts.  A name only tests read is not part of the program.
+``config`` is the settings leaf: of the package it imports only ``graph``
+and ``mdp``, so the algorithm modules can import their defaults from it.
 """
 from __future__ import annotations
 
@@ -237,3 +239,41 @@ def program_reads():
 )
 def test_no_unread_public_names(path, program_reads):
     assert unread_publics(path.read_text(encoding="utf-8"), program_reads) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a module imports, relatively or as ``adgame.x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level:
+                found.update(a.name for a in node.names)
+            elif node.module and node.module.split(".")[0] == "adgame":
+                parts = node.module.split(".")
+                found.update(parts[1:2] or [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(
+                a.name.split(".")[1]
+                for a in node.names
+                if a.name.startswith("adgame.")
+            )
+    return found
+
+
+def test_scan_finds_every_form_of_package_import():
+    source = (
+        "import numpy\n"
+        "import adgame.kernel\n"
+        "from . import pipeline\n"
+        "from .mdp import MEMO_LIMIT\n"
+        "from adgame import simulate\n"
+        "from adgame.graph import Edge\n"
+    )
+    assert package_imports(source) == {"kernel", "pipeline", "mdp", "simulate", "graph"}
+
+
+def test_config_imports_only_graph_and_mdp():
+    source = (ROOT / "src/adgame/config.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"graph", "mdp"}

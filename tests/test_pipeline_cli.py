@@ -526,6 +526,10 @@ def test_cli_error_lines_are_machine_readable(tmp_path, capsys, graph_file):
     assert main(["defend", "edo", "--set", "no_such=1", "--out", out]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
+    # report reads persisted runs only, so it takes no config flag
+    assert main(["report", "--set", "x=1", out]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "CommandLineError"
+
     assert main(["defend", "edo", "--config", "/missing.cfg", "--out", out]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 

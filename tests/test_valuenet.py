@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from adgame import valuenet
+from adgame.config import ConfigError, ExperimentConfig
 from adgame.kernel import condense
 from adgame.mdp import admissible_actions, initial_state, terminal_value, transition
 from adgame.valuenet import (
@@ -15,7 +16,6 @@ from adgame.valuenet import (
     BackupTable,
     CheckpointFormatError,
     NetGreedyPolicy,
-    TrainingConfig,
     ValueNet,
     bellman_targets,
     encode_states,
@@ -304,7 +304,7 @@ def test_backup_table_recomputes_once_the_weights_change():
 
 def test_backup_table_eviction_changes_no_result(monkeypatch):
     cg = random_instance(76, max_nsps=12, max_mid=9)
-    config = TrainingConfig(batch_size=8, epochs_per_round=30)
+    config = ExperimentConfig(batch_size=8, epochs_per_round=30)
     plans = [tuple(int(i == j) for i in range(len(cg.bw_edges))) for j in range(3)]
 
     def train(table):
@@ -328,7 +328,7 @@ def test_train_round_without_a_table_is_the_shared_table_round():
     # perfbench's self-test calls train_round without a table
     cg = random_instance(76, max_nsps=12, max_mid=9)
     plans = [(0,) * len(cg.bw_edges)]
-    config = TrainingConfig(batch_size=4, epochs_per_round=20)
+    config = ExperimentConfig(batch_size=4, epochs_per_round=20)
     runs = []
     for table in (None, BackupTable(cg)):
         net = ValueNet(cg.n_nsps, depth=2, width=8, seed=0)
@@ -349,7 +349,7 @@ def test_train_round_refuses_another_instances_table():
     other = BackupTable(condense(two_parallel_graph()))
     with pytest.raises(ValueError, match="another instance"):
         train_round(
-            net, cg, [()], TrainingConfig(batch_size=2, epochs_per_round=1),
+            net, cg, [()], ExperimentConfig(batch_size=2, epochs_per_round=1),
             np.random.default_rng(0), Adam(net), table=other,
         )
     assert np.array_equal(net.flat_params(), before)
@@ -400,7 +400,7 @@ def test_rollout_states_are_reachable_and_end_terminal():
 def test_train_round_learns_single_path_value():
     cg = condense(chain_graph([(0.1, 0.2)], blockable_last=False))
     net = ValueNet(cg.n_nsps, depth=4, width=256, seed=0)
-    config = TrainingConfig(epochs_per_round=500, explore_prob=0.5)
+    config = ExperimentConfig(epochs_per_round=500, explore_prob=0.5)
     stats = train_round(net, cg, [()], config, np.random.default_rng(0), Adam(net))
     assert not stats.diverged
     assert stats.epoch_losses[-1] < 1e-3
@@ -413,7 +413,7 @@ def test_train_round_zero_epochs_changes_nothing():
     net = ValueNet(cg.n_nsps, depth=2, width=8, seed=4)
     before = net.flat_params()
     stats = train_round(
-        net, cg, [()], TrainingConfig(epochs_per_round=0), np.random.default_rng(0),
+        net, cg, [()], ExperimentConfig(epochs_per_round=0), np.random.default_rng(0),
         Adam(net),
     )
     assert stats.epoch_losses == ()
@@ -430,7 +430,7 @@ def test_train_round_is_deterministic_under_seeds():
             net,
             cg,
             [(0,), (1,)],
-            TrainingConfig(epochs_per_round=40),
+            ExperimentConfig(epochs_per_round=40),
             np.random.default_rng(7),
             Adam(net),
         )
@@ -443,11 +443,10 @@ def test_train_round_rejects_empty_plans_and_bad_config():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     with pytest.raises(ValueError):
-        train_round(net, cg, [], TrainingConfig(), np.random.default_rng(0), Adam(net))
-    with pytest.raises(ValueError):
-        TrainingConfig(batch_size=0).validate()
-    with pytest.raises(ValueError):
-        TrainingConfig(explore_prob=1.5).validate()
+        train_round(net, cg, [], ExperimentConfig(), np.random.default_rng(0), Adam(net))
+    for bad in (ExperimentConfig(batch_size=0), ExperimentConfig(explore_prob=1.5)):
+        with pytest.raises(ConfigError):
+            train_round(net, cg, [()], bad, np.random.default_rng(0), Adam(net))
 
 
 def test_adam_descends_on_fixed_batch():
