@@ -11,9 +11,10 @@ config and seed: wall-clock measurements live in ``timings.json`` only.
 It holds ``total_s`` and one ``<phase>_s`` per phase of the run; the
 phases are disjoint, so they sum to at most ``total_s``.  Every run also
 writes ``counters.json``.  Search-and-train runs record the work their
-backup table did or saved, and the keys their exact attempt stored and
-whether ``mdp.key_floor_log2`` skipped it.  Greedy and exhaustive runs
-record the keys and edge walks of their exact solver.
+backup table did or saved, the rollouts and batch updates of their
+training rounds, and the keys their exact attempt stored and whether
+``mdp.key_floor_log2`` skipped it.  Greedy and exhaustive runs record the
+keys and edge walks of their exact solver.
 """
 from __future__ import annotations
 
@@ -355,6 +356,7 @@ def run_nndp_edo(
     round_best: list[float] = []
     curves: list[tuple[float, ...]] = []
     diverged = False
+    rollouts = 0
     if config.rounds == 0:
         with _phase(phases, "search_s"):
             pop = search(
@@ -380,6 +382,7 @@ def run_nndp_edo(
                 )
             curves.append(stats.epoch_losses)
             diverged = diverged or stats.diverged
+            rollouts += stats.rollouts
     plateaued = bool(
         curves and curves[-1] and float(np.mean(curves[-1])) > 0.1
     )
@@ -394,6 +397,7 @@ def run_nndp_edo(
         m = key_floor_log2(cg, initial_state(cg, best.bits))
     counters = {
         "backup_table": table.counts,
+        "training": {"rollouts": rollouts, "batches": optimizer.t},
         "exact_attempt": {
             "key_floor_log2": m, "keys": keys,
             "skipped_by_bound": 1 << m > config.memo_limit,

@@ -50,7 +50,7 @@ from .mdp import (
 )
 
 CHECKPOINT_MAGIC = b"ADVN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # a backup table's memory budget, and the charges for what an entry holds
 # beside its arrays (measured with tracemalloc, rounded up)
@@ -67,7 +67,7 @@ class CheckpointFormatError(Exception):
 def encode_states(states: Sequence[State], width: int) -> np.ndarray:
     """One ``int8`` row per state over its ``width`` NSPs: success +1, live
     0, failed -1, that is ``2 S + U - 1`` from the successful and live
-    masks.  The net converts rows to float64, exactly."""
+    masks.  The net converts rows to its dtype, exactly."""
     n_bytes = (width + 7) // 8
 
     def bits(masks) -> np.ndarray:
@@ -84,21 +84,37 @@ def encode_states(states: Sequence[State], width: int) -> np.ndarray:
 
 
 class ValueNet:
-    """Rectifier MLP with a logistic output, so predictions stay in (0,1)."""
+    """Rectifier MLP with a logistic output, so predictions stay in (0,1).
 
-    def __init__(self, n_inputs: int, depth: int, width: int, seed: int = 0):
+    Parameters, inputs, targets and Adam's moments are held in ``dtype``:
+    float32 by default, which halves the cost of a row against float64.
+    The float64 build serves the finite-difference gradient checks, where
+    float32 rounding would swamp the central differences.  Initial
+    parameters are drawn in float64 and then cast, so a float64 net of a
+    seed keeps the parameters it always had.
+    """
+
+    def __init__(
+        self, n_inputs: int, depth: int, width: int, seed: int = 0,
+        dtype: type = np.float32,
+    ):
         sizes = [n_inputs] + [width] * depth + [1]
-        self._init(sizes, seed)
+        self._init(sizes, seed, dtype)
 
     @classmethod
-    def from_sizes(cls, sizes: Sequence[int], seed: int = 0) -> "ValueNet":
+    def from_sizes(
+        cls, sizes: Sequence[int], seed: int = 0, dtype: type = np.float32
+    ) -> "ValueNet":
         net = cls.__new__(cls)
-        net._init(list(sizes), seed)
+        net._init(list(sizes), seed, dtype)
         return net
 
-    def _init(self, sizes: list[int], seed: int) -> None:
+    def _init(self, sizes: list[int], seed: int, dtype: type) -> None:
         if len(sizes) < 2 or any(n < 1 for n in sizes) or sizes[-1] != 1:
             raise ValueError(f"bad layer sizes {sizes}")
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError(f"a net is float32 or float64, not {self.dtype}")
         self.sizes = tuple(int(n) for n in sizes)
         self.seed = seed
         self.version = 0  # bumped by every write of the parameters
@@ -107,8 +123,9 @@ class ValueNet:
         self.params: list[np.ndarray] = []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             bound = 1.0 / sqrt(fan_in)
-            self.params.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
-            self.params.append(rng.uniform(-bound, bound, fan_out))
+            w = rng.uniform(-bound, bound, (fan_in, fan_out))
+            b = rng.uniform(-bound, bound, fan_out)
+            self.params += [w.astype(self.dtype), b.astype(self.dtype)]
 
     @property
     def n_inputs(self) -> int:
@@ -121,7 +138,7 @@ class ValueNet:
         return np.concatenate([p.ravel() for p in self.params])
 
     def set_flat_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
+        flat = np.asarray(flat, dtype=self.dtype)
         if flat.shape != (self.n_params(),):
             raise ValueError(f"expected {self.n_params()} parameters, got {flat.shape}")
         at = 0
@@ -147,7 +164,7 @@ class ValueNet:
         return acts, pres
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = np.atleast_2d(np.asarray(x, dtype=self.dtype))
         acts, _ = self._forward_trace(x)
         return acts[-1][:, 0]
 
@@ -156,8 +173,8 @@ class ValueNet:
     ) -> tuple[float, list[np.ndarray]]:
         """Mean squared error against fixed targets, with analytic gradients
         aligned with ``params``."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+        x = np.atleast_2d(np.asarray(x, dtype=self.dtype))
+        y = np.asarray(y, dtype=self.dtype).reshape(-1, 1)
         n = x.shape[0]
         if y.shape[0] != n:
             raise ValueError("inputs and targets disagree in length")
@@ -373,6 +390,7 @@ TrainingConfig = ExperimentConfig
 class TrainStats:
     epoch_losses: tuple[float, ...]
     diverged: bool
+    rollouts: int  # attacks rolled out to fill the round's batches
 
 
 def train_round(
@@ -403,12 +421,14 @@ def train_round(
     elif table.cg is not cg:
         raise ValueError("the backup table belongs to another instance")
     losses: list[float] = []
+    rollouts = 0
     for _ in range(config.epochs_per_round):
         plan = plans[int(rng.integers(len(plans)))]
         s0 = initial_state(cg, plan)
         states: list[State] = []
         while len(states) < config.batch_size:
             states.extend(rollout(net, table, s0, config.explore_prob, rng))
+            rollouts += 1
         batch_losses = []
         for at in range(0, len(states), config.batch_size):
             batch = states[at : at + config.batch_size]
@@ -419,12 +439,16 @@ def train_round(
         mean_loss = float(np.mean(batch_losses))
         losses.append(mean_loss)
         if not np.isfinite(mean_loss):
-            return TrainStats(tuple(losses), True)
-    return TrainStats(tuple(losses), False)
+            return TrainStats(tuple(losses), True, rollouts)
+    return TrainStats(tuple(losses), False, rollouts)
 
 
 def save_checkpoint(path: str, net: ValueNet, round_index: int = 0) -> None:
-    """Binary checkpoint: sizes and seed header plus the flat parameters."""
+    """Binary checkpoint: sizes and seed header plus the flat parameters as
+    little-endian float32.  A net of another dtype is refused rather than
+    rounded."""
+    if net.dtype != np.float32:
+        raise ValueError(f"a checkpoint holds a float32 net, not {net.dtype}")
     depth = len(net.sizes) - 2
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -432,11 +456,12 @@ def save_checkpoint(path: str, net: ValueNet, round_index: int = 0) -> None:
         fh.write(struct.pack("<I", len(net.sizes)))
         fh.write(struct.pack(f"<{len(net.sizes)}I", *net.sizes))
         fh.write(struct.pack("<qI", net.seed, round_index))
-        fh.write(net.flat_params().astype("<f8").tobytes())
+        fh.write(net.flat_params().astype("<f4").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[ValueNet, int]:
-    """Restore a net with bit-identical parameters, plus its round index."""
+    """Restore a float32 net with bit-identical parameters, plus its round
+    index."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -458,11 +483,11 @@ def load_checkpoint(path: str) -> tuple[ValueNet, int]:
         raise CheckpointFormatError(f"bad layer sizes {list(sizes)}")
     # checked before the net is built, so a forged header allocates nothing
     n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-    if len(blob) - at != 8 * n_params:
+    if len(blob) - at != 4 * n_params:
         raise CheckpointFormatError(
-            f"expected {n_params} parameters ({8 * n_params} bytes), "
+            f"expected {n_params} parameters ({4 * n_params} bytes), "
             f"found {len(blob) - at} bytes"
         )
     net = ValueNet.from_sizes(sizes, seed=int(seed))
-    net.set_flat_params(np.frombuffer(blob, dtype="<f8", offset=at))
+    net.set_flat_params(np.frombuffer(blob, dtype="<f4", offset=at))
     return net, int(round_index)

@@ -215,13 +215,14 @@ def saved_instance(directory: str, fields: dict, seed: int) -> CondensedGraph:
 
 
 def write_forged_checkpoint(
-    path: str, sizes: tuple[int, ...], n_params: int = 4
+    path: str, sizes: tuple[int, ...], n_params: int = 4, version: int = 2
 ) -> None:
     """A well-formed checkpoint header claiming layer ``sizes`` over a
-    payload of ``n_params`` zero parameters."""
+    payload of ``n_params`` zero parameters, 4 bytes each in format
+    ``version`` 2 and 8 bytes each in the retired version 1."""
     with open(path, "wb") as fh:
         fh.write(b"ADVN")
-        fh.write(struct.pack("<III", 1, len(sizes) - 2, len(sizes)))
+        fh.write(struct.pack("<III", version, len(sizes) - 2, len(sizes)))
         fh.write(struct.pack(f"<{len(sizes)}I", *sizes))
         fh.write(struct.pack("<qI", 0, 0))
-        fh.write(bytes(8 * n_params))
+        fh.write(bytes((8 if version == 1 else 4) * n_params))

@@ -170,7 +170,8 @@ def test_c04_original_graph_simulation_matches_kernel_value(verdict):
 
 
 def test_c05_analytic_gradients_match_finite_differences(verdict):
-    net = ValueNet(6, depth=2, width=8, seed=3)
+    # float64: in float32, central differences measure rounding, not slope
+    net = ValueNet(6, depth=2, width=8, seed=3, dtype=np.float64)
     rng = np.random.default_rng(11)
     x = rng.choice([-1.0, 0.0, 1.0], size=(12, 6))
     y = rng.uniform(0.0, 1.0, size=12)
@@ -195,7 +196,7 @@ def test_c05_analytic_gradients_match_finite_differences(verdict):
     ok = rel <= 1e-4
     verdict(
         5, ok,
-        f"backprop matches central differences on a width-8 net "
+        f"backprop matches central differences on a width-8 float64 net "
         f"(relative error {rel:.2e} <= 1e-4)",
     )
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
+from adgame import valuenet
 from adgame.cli import main
 from adgame.config import ExperimentConfig
 from adgame.defense import ExactFitness, greedy_run, load_population
@@ -250,11 +253,55 @@ def test_run_nndp_edo_persists_and_reruns_bit_identical(tmp_path, graph_file):
     )
 
 
-def test_counters_record_the_backup_table_and_the_exact_attempt(tmp_path, graph_file):
+def test_run_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 400-row batches: at this size a float64 net's gradient sums came out
+    # differently with 1 and 2 OpenBLAS threads, and so did its net.ckpt
+    sets = []
+    for key_value in (
+        "n_computers=30", "entry_pool_size=6", "entry_count=3", "budget=1",
+        "rounds=1", "mu=8", "iterations=5", "epochs_per_round=1",
+        "batch_size=400", "mc_runs=10",
+    ):
+        sets += ["--set", key_value]
+    src = os.path.dirname(os.path.dirname(valuenet.__file__))
+    code = "import sys; from adgame.cli import main; sys.exit(main(sys.argv[1:]))"
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code, "defend", "edo", "--seed", "0",
+             "--out", str(tmp_path), *sets],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(_artifact_bytes(str(tmp_path / "nndp-edo-seed0")))
+    assert "net.ckpt" in runs[0]
+    assert runs[0] == runs[1]
+
+
+def test_counters_record_the_backup_table_and_the_exact_attempt(
+    tmp_path, graph_file, monkeypatch
+):
     cfg = tiny_config(str(tmp_path), graph_file=graph_file, budget=1)
+    # count the rollouts and optimizer steps as they happen; the run keeps
+    # its own tallies
+    calls = {"rollouts": 0, "batches": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(valuenet, "rollout", counted(valuenet.rollout, "rollouts"))
+    monkeypatch.setattr(valuenet.Adam, "step", counted(valuenet.Adam.step, "batches"))
     rec = run_nndp_edo(cfg, 0)
     with open(os.path.join(run_dir_for(cfg, "nndp-edo", 0), "counters.json")) as fh:
         counters = json.load(fh)
+    assert counters["training"] == calls
+    epochs = sum(len(curve) for curve in rec.loss_curves)
+    assert epochs == (cfg.rounds + 1) * cfg.epochs_per_round
+    assert calls["rollouts"] >= epochs and calls["batches"] >= epochs
     table = counters["backup_table"]
     assert set(table) == {"entries_built", "entry_reuses", "q_list_reuses", "net_rows"}
     assert table["entries_built"] > 0 and table["net_rows"] > 0

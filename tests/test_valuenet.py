@@ -1,6 +1,7 @@
 """Value network: gradients, terminal handling, rollouts, training."""
 from __future__ import annotations
 
+import os
 import tracemalloc
 from types import SimpleNamespace
 
@@ -124,7 +125,8 @@ def _numeric_grads(net, x, y, h=1e-6):
 @pytest.mark.parametrize("sizes_seed", [((5, 8, 1), 0), ((3, 4, 4, 1), 7), ((2, 8, 8, 1), 13)])
 def test_gradient_check_matches_central_differences(sizes_seed):
     sizes, seed = sizes_seed
-    net = ValueNet.from_sizes(sizes, seed=seed)
+    # float64: in float32, central differences measure rounding, not slope
+    net = ValueNet.from_sizes(sizes, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 100)
     x = rng.uniform(-1, 1, (12, sizes[0]))
     y = rng.uniform(0, 1, 12)
@@ -136,8 +138,9 @@ def test_gradient_check_matches_central_differences(sizes_seed):
     assert np.linalg.norm(analytic - numeric) / denom <= 1e-4
 
 
-# ValueNet.from_sizes((3, 4, 1), seed=0): its parameters in flat order, then
-# after two Adam steps on _fixed_like gradients scaled 0.25 and -0.125
+# ValueNet.from_sizes((3, 4, 1), seed=0, dtype=np.float64): its parameters
+# in flat order, then after two Adam steps on _fixed_like gradients scaled
+# 0.25 and -0.125
 PINNED_INIT = (
     "0x1.43e401fe365a8p-3", "-0x1.10350f350637ap-2", "-0x1.0f612805d4a72p-1",
     "-0x1.1dd503cf0e84cp-1", "0x1.726a37c3a829ap-2", "0x1.e80c366bbf5eap-2",
@@ -156,28 +159,60 @@ PINNED_AFTER_TWO_STEPS = (
     "-0x1.7f8255fdb32b6p-2", "0x1.7531235012493p-2", "0x1.5e062e3a8ab3dp-5",
     "-0x1.9798ba53ced4fp-3", "-0x1.3cac53084d930p-4", "-0x1.e1b434a2ac3a3p-2",
 )
+# the default float32 net after the same two steps; it starts at PINNED_INIT
+# rounded to float32
+PINNED_AFTER_TWO_STEPS_F32 = (
+    "0x1.467bf00000000p-3", "-0x1.0ee91a0000000p-2", "-0x1.0ebb2e0000000p-1",
+    "-0x1.1dd5040000000p-1", "0x1.711e420000000p-2", "0x1.e6c0400000000p-2",
+    "0x1.f329d00000000p-4", "0x1.10a8120000000p-2", "0x1.a709360000000p-5",
+    "0x1.01ddb60000000p-1", "0x1.75782e0000000p-2", "-0x1.26a1f60000000p-1",
+    "0x1.a7e5740000000p-2", "-0x1.1319560000000p-1", "0x1.10d82a0000000p-2",
+    "-0x1.7f82560000000p-2", "0x1.7531220000000p-2", "0x1.5e062e0000000p-5",
+    "-0x1.9798b80000000p-3", "-0x1.3cac540000000p-4", "-0x1.e1b4360000000p-2",
+)
 
 
 def _fixed_like(template, scale):
     """Hand-made gradients nested and shaped like ``template``: the
     fractions (k mod 7 - 3) * scale, k counting entries within each array."""
     if isinstance(template, np.ndarray):
-        k = np.arange(template.size, dtype=np.float64)
+        k = np.arange(template.size, dtype=template.dtype)
         return ((k % 7 - 3) * scale).reshape(template.shape)
     return type(template)(_fixed_like(t, scale) for t in template)
 
 
-def test_parameter_layout_and_adam_update_are_pinned():
+def _pinned_run(dtype) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The pinned net's parameters as ``float.hex``, at initialisation and
+    after the two Adam steps; every array stays in ``dtype``."""
     # only elementwise numpy touches the pinned values: initialisation and
     # the Adam update, not the matrix products of loss_and_grads, whose
     # gradients serve only as the shape of the hand-made ones
-    net = ValueNet.from_sizes((3, 4, 1), seed=0)
-    assert tuple(v.hex() for v in net.flat_params()) == PINNED_INIT
+    net = ValueNet.from_sizes((3, 4, 1), seed=0, dtype=dtype)
+    init = tuple(float(v).hex() for v in net.flat_params())
     _, template = net.loss_and_grads(np.zeros((1, 3)), np.zeros(1))
     opt = Adam(net)
     for scale in (0.25, -0.125):
         opt.step(_fixed_like(template, scale))
-    assert tuple(v.hex() for v in net.flat_params()) == PINNED_AFTER_TWO_STEPS
+    assert all(a.dtype == dtype for a in net.params + opt._m + opt._v)
+    return init, tuple(float(v).hex() for v in net.flat_params())
+
+
+def test_parameter_layout_and_adam_update_are_pinned():
+    assert _pinned_run(np.float64) == (PINNED_INIT, PINNED_AFTER_TWO_STEPS)
+
+
+def test_float32_parameter_layout_and_adam_update_are_pinned():
+    init, after = _pinned_run(np.float32)
+    # drawn in float64 and cast: a float32 net starts at the float64 values
+    assert init == tuple(float(np.float32(float.fromhex(v))).hex() for v in PINNED_INIT)
+    assert after == PINNED_AFTER_TWO_STEPS_F32
+
+
+def test_a_net_is_float32_or_float64():
+    assert ValueNet(3, depth=1, width=4).forward(np.zeros(3)).dtype == np.float32
+    for dtype in (np.float16, np.int32):
+        with pytest.raises(ValueError, match="float32 or float64"):
+            ValueNet(3, depth=1, width=4, dtype=dtype)
 
 
 def test_flat_params_round_trip():
@@ -471,9 +506,24 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     loaded, round_index = load_checkpoint(path)
     assert round_index == 17
     assert loaded.sizes == net.sizes
-    assert np.array_equal(loaded.flat_params(), net.flat_params())
+    assert loaded.dtype == net.dtype == np.float32
+    assert loaded.flat_params().tobytes() == net.flat_params().tobytes()
     x = np.random.default_rng(2).uniform(-1, 1, (9, cg.n_nsps))
     assert np.array_equal(loaded.forward(x), net.forward(x))
+    # a 48-byte header for a depth-3 net, then 4 bytes per parameter
+    assert os.path.getsize(path) == 48 + 4 * net.n_params()
+
+
+def test_checkpoint_refuses_a_float64_net_and_a_version_1_file(tmp_path):
+    path = str(tmp_path / "net.ckpt")
+    wide = ValueNet(3, depth=1, width=4, seed=0, dtype=np.float64)
+    with pytest.raises(ValueError, match="float32"):
+        save_checkpoint(path, wide)
+    assert not os.path.exists(path)
+    # version 1 held float64 parameters: well formed, but no longer read
+    write_forged_checkpoint(path, wide.sizes, wide.n_params(), version=1)
+    with pytest.raises(CheckpointFormatError, match="version 1"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
@@ -491,7 +541,7 @@ def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
 
 
 def test_checkpoint_checks_the_payload_before_allocating(tmp_path):
-    # the header claims a 2048-wide net, about 34 MB of parameters
+    # the header claims a 2048-wide net, about 17 MB of parameters
     path = str(tmp_path / "forged.ckpt")
     write_forged_checkpoint(path, (2048, 2048, 1))
     tracemalloc.start()
