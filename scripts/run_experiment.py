@@ -63,7 +63,6 @@ def main(argv=None) -> int:
         config = DESK if args.preset == "desk" else PAPER
     if args.out:
         config = replace(config, out_dir=args.out)
-    config.validate()
 
     run_dirs = []
     for seed in config.seeds:

@@ -2,6 +2,7 @@
 
 from .graph import (
     AttackGraph,
+    DeadEntryError,
     Edge,
     EmptyGameError,
     GraphFormatError,
@@ -37,6 +38,7 @@ from .valuenet import (
     BackupTable,
     CheckpointFormatError,
     NetGreedyPolicy,
+    TrainingDivergedError,
     ValueNet,
     load_checkpoint,
     save_checkpoint,

@@ -3,11 +3,11 @@
 Every subcommand but `report` accepts `--config FILE`, repeated `--set
 key=value` overrides, `--seed N` and `--out DIR` (replacing the output
 directory).  It plays the config's first seed, or `N` when `--seed` is
-given.  `report` reads no config: it takes the run directories and an
-optional `--out DIR` for `report.csv`.  Success exits 0; any failure
-prints a single JSON line `{"error": ..., "message": ...}` on stderr and
-exits nonzero (2 for command line or config mistakes, 1 for everything
-else).
+given; `simulate` plays `mc_runs` runs.  `report` reads no config: it
+takes the run directories and an optional `--out DIR` for `report.csv`.
+Success exits 0; any failure prints a single JSON line `{"error": ...,
+"message": ...}` on stderr and exits nonzero (2 for command line or
+config mistakes, 1 for everything else).
 """
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
         config = replace(config, seeds=(args.seed,))
     if args.out is not None:
         config = replace(config, out_dir=args.out)
-    config.validate()
     return config
 
 
@@ -133,8 +132,6 @@ def _cmd_defend(args: argparse.Namespace) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     config = _config_from(args)
-    if args.runs is not None and args.runs < 1:
-        raise CommandLineError(f"--runs must be at least 1, got {args.runs}")
     seed = _seed_of(config)
     inst = pipeline.prepare_instance(config, seed)
     plan = _parse_plan(args.plan, len(inst.cg.bw_edges))
@@ -145,9 +142,8 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     else:
         policy = DpPolicy(inst.cg, memo_limit=config.memo_limit)
         evaluator = "exact-dp"
-    runs = args.runs if args.runs is not None else config.mc_runs
     runner = simulate_on_original if args.original else simulate
-    report = runner(inst.cg, plan, policy, runs, seed=seed)
+    report = runner(inst.cg, plan, policy, config.mc_runs, seed=seed)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "simulation.csv")
     pipeline.write_simulation_csv(path, report, plan, evaluator)
@@ -199,7 +195,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="Monte Carlo evaluation of a plan")
     _add_common(p)
     p.add_argument("--plan", help="bit string over block-worthy edges")
-    p.add_argument("--runs", type=int, help="number of runs; overrides mc_runs")
     p.add_argument(
         "--checkpoint", help="value net checkpoint to drive the attacker"
     )

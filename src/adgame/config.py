@@ -3,12 +3,14 @@
 Defaults reproduce the reference setup (budget 5, population 100 over 10000
 iterations, 100 alternating rounds, Monte Carlo over 100000 runs, seeds 0-9).
 Configs load from a plain ``key = value`` file and accept command-line
-overrides, so sweeps never require code changes.
+overrides, so sweeps never require code changes.  A config checks itself
+when it is built, ``dataclasses.replace`` included, so no invalid config
+exists and no reader checks one again.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .graph import DISTRIBUTION_KINDS
@@ -53,7 +55,7 @@ class ExperimentConfig:
     memo_limit: int = MEMO_LIMIT
     enumeration_budget: int = ENUMERATION_BUDGET
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.graph_file and self.n_computers < 1:
             raise ConfigError("n_computers must be positive")
         if self.distribution not in DISTRIBUTION_KINDS:
@@ -144,7 +146,5 @@ def load_config(
                 raise ConfigError(f"{path}:{at}: expected key = value, got {raw!r}")
             settings[key.strip()] = _parse_value(key.strip(), value)
     settings.update(parse_overrides(overrides))
-    config = replace(ExperimentConfig(), **settings)
-    config.validate()
-    return config
+    return ExperimentConfig(**settings)
 

@@ -59,6 +59,15 @@ class GraphValidationError(GraphError):
     """A graph violates a structural invariant."""
 
 
+class DeadEntryError(GraphValidationError):
+    """Entry nodes, named in sorted ``entries``, cannot reach DA once every
+    entry's in-edges are dropped."""
+
+    def __init__(self, entries: tuple[str, ...]):
+        super().__init__(f"entry nodes cannot reach DA: {', '.join(entries)}")
+        self.entries = entries
+
+
 class GraphFormatError(GraphError):
     """A graph file cannot be parsed."""
 
@@ -228,21 +237,16 @@ def prune(g: AttackGraph) -> AttackGraph:
         edges.append(replace(e, src=src, dst=dst))
 
     # after the merge da_id is the one DA node: keep what can reach it
-    keep = set(AttackGraph(tuple(nodes), tuple(edges)).hop_distances_to_da())
+    merged = AttackGraph(tuple(nodes), tuple(edges))
+    keep = set(merged.hop_distances_to_da())
     if g.entry_nodes:
-        missing = [v for v in sorted(g.entry_nodes) if v not in keep]
+        missing = tuple(v for v in sorted(g.entry_nodes) if v not in keep)
         if missing:
-            exc = GraphValidationError(
-                f"entry nodes cannot reach DA: {', '.join(missing)}"
-            )
-            exc.missing_entries = tuple(missing)
-            raise exc
-        trimmed = AttackGraph(
-            nodes=tuple(n for n in nodes if n.id in keep),
-            edges=tuple(e for e in edges if e.src in keep and e.dst in keep),
-            entry_nodes=g.entry_nodes,
-        )
-        keep &= _reachable_from(trimmed, g.entry_nodes)
+            raise DeadEntryError(missing)
+        # no edge leads from a node that cannot reach DA into one that can,
+        # so the entries reach the same kept nodes through the merged graph
+        # as through its kept part alone
+        keep &= _reachable_from(merged, g.entry_nodes)
     elif keep == {da_id}:
         raise EmptyGameError("no node can reach DA")
 

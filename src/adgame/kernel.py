@@ -38,7 +38,6 @@ class Nsp:
     terminal: str
     nodes: tuple[str, ...]
     edges: tuple[int, ...]
-    blockable: bool
     block_worthy_edge: int | None
 
 
@@ -186,7 +185,6 @@ def condense(g: AttackGraph) -> CondensedGraph:
                     terminal=current,
                     nodes=tuple(path_nodes),
                     edges=tuple(path_edges),
-                    blockable=bool(blockable),
                     block_worthy_edge=blockable[-1] if blockable else None,
                 )
             )

@@ -12,9 +12,9 @@ It holds ``total_s`` and one ``<phase>_s`` per phase of the run; the
 phases are disjoint, so they sum to at most ``total_s``.  Every run also
 writes ``counters.json``.  Search-and-train runs record the work their
 backup table did or saved, the rollouts and batch updates of their
-training rounds, and the keys their exact attempt stored and whether
-``mdp.key_floor_log2`` skipped it.  Greedy and exhaustive runs record the
-keys and edge walks of their exact solver.
+training rounds, and the keys their exact attempt stored: none exactly
+when ``mdp.key_floor_log2`` skipped it.  Greedy and exhaustive runs record
+the keys and edge walks of their exact solver.
 """
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ from .defense import (
 )
 from .graph import (
     AttackGraph,
+    DeadEntryError,
     EmptyGameError,
-    GraphValidationError,
     assign_blockable,
     graph_to_text,
     load_graph,
@@ -106,8 +106,7 @@ def _rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PreparedInstance:
-    graph: AttackGraph
-    cg: CondensedGraph
+    cg: CondensedGraph  # ``cg.graph`` is the pruned graph
     dropped_entries: tuple[str, ...]
     instance_key: str
 
@@ -144,37 +143,35 @@ def _prune_dropping_dead_entries(g: AttackGraph) -> tuple[AttackGraph, tuple[str
 
     Removing entry in-edges can strand an entry node; attacks from such an
     entry could only re-enter territory the attacker already owns, so
-    dropping it does not change the game's value.
+    dropping it does not change the game's value.  One retry is enough: a
+    dropped entry cannot reach DA without entering another entry, whose
+    in-edges the retry still drops, so restoring the dropped entry's
+    in-edges gives nobody a new route, and every kept entry keeps the
+    route it had.
     """
-    entries = set(g.entry_nodes)
-    dropped: list[str] = []
-    while True:
-        try:
-            return prune(g.with_entries(frozenset(entries))), tuple(sorted(dropped))
-        except GraphValidationError as exc:
-            dead = getattr(exc, "missing_entries", ())
-            if not dead:
-                raise
-            warnings.warn(
-                f"dropping entry nodes with no route of their own to DA: "
-                f"{', '.join(dead)}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            dropped.extend(dead)
-            entries -= set(dead)
-            if not entries:
-                raise EmptyGameError(
-                    "every selected entry depends on another entry's edges"
-                ) from exc
+    try:
+        return prune(g), ()
+    except DeadEntryError as exc:
+        dead = exc.entries
+        warnings.warn(
+            f"dropping entry nodes with no route of their own to DA: "
+            f"{', '.join(dead)}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        entries = g.entry_nodes - set(dead)
+        if not entries:
+            raise EmptyGameError(
+                "every selected entry depends on another entry's edges"
+            ) from exc
+    return prune(g.with_entries(entries)), dead
 
 
 def prepare_instance(config: ExperimentConfig, seed: int) -> PreparedInstance:
     g = build_source_graph(config, seed)
     pruned, dropped = _prune_dropping_dead_entries(g)
-    cg = condense(pruned)
     key = hashlib.sha256(graph_to_text(pruned).encode("utf-8")).hexdigest()[:16]
-    return PreparedInstance(pruned, cg, dropped, key)
+    return PreparedInstance(condense(pruned), dropped, key)
 
 
 @dataclass(frozen=True)
@@ -265,7 +262,7 @@ def _persist(
     os.makedirs(run_dir, exist_ok=True)
     with open(os.path.join(run_dir, "record.json"), "w", encoding="utf-8") as fh:
         fh.write(record.to_json() + "\n")
-    save_graph(inst.graph, os.path.join(run_dir, "graph.txt"))
+    save_graph(inst.cg.graph, os.path.join(run_dir, "graph.txt"))
     save_population(os.path.join(run_dir, "population.txt"), pop)
     write_simulation_csv(
         os.path.join(run_dir, "simulation.csv"),
@@ -334,8 +331,9 @@ def run_nndp_edo(
     final plan is re-scored by Monte Carlo under the net's greedy policy,
     and exactly when the state space allows it.  Training and the final
     policy share one backup table, which is dropped when the run returns.
+    Training that drives the net to nan ends the run with
+    ``TrainingDivergedError``.
     """
-    config.validate()
     if strategy not in _SEARCH_AND_TRAIN:
         raise PipelineError(f"unknown search-and-train strategy {strategy!r}")
     started = time.perf_counter()
@@ -355,7 +353,6 @@ def run_nndp_edo(
     table = BackupTable(cg)
     round_best: list[float] = []
     curves: list[tuple[float, ...]] = []
-    diverged = False
     rollouts = 0
     if config.rounds == 0:
         with _phase(phases, "search_s"):
@@ -381,7 +378,6 @@ def run_nndp_edo(
                     table=table,
                 )
             curves.append(stats.epoch_losses)
-            diverged = diverged or stats.diverged
             rollouts += stats.rollouts
     plateaued = bool(
         curves and curves[-1] and float(np.mean(curves[-1])) > 0.1
@@ -399,8 +395,7 @@ def run_nndp_edo(
         "backup_table": table.counts,
         "training": {"rollouts": rollouts, "batches": optimizer.t},
         "exact_attempt": {
-            "key_floor_log2": m, "keys": keys,
-            "skipped_by_bound": 1 << m > config.memo_limit,
+            "key_floor_log2": m, "keys": keys, "skipped_by_bound": keys == 0,
         },
     }
     return _finish_run(
@@ -409,7 +404,7 @@ def run_nndp_edo(
         strategy=name,
         round_best_fitness=tuple(round_best),
         loss_curves=tuple(curves),
-        training_flag=diverged or plateaued,
+        training_flag=plateaued,
         best_plan=best.bits,
         best_fitness=best_fitness,
         exact_value=exact_value,
@@ -424,7 +419,6 @@ def run_baseline(config: ExperimentConfig, strategy: str, seed: int) -> RunRecor
     diversity and worst-drop survivor selection.  Greedy and exhaustive are
     exact-evaluator searches, so they need a solvable state space.
     """
-    config.validate()
     if strategy not in STRATEGIES:
         raise PipelineError(f"unknown strategy {strategy!r}")
     if strategy in _SEARCH_AND_TRAIN:
@@ -466,14 +460,15 @@ def write_kernel_artifacts(config: ExperimentConfig, seed: int, out_dir: str) ->
     """Prune and condense an instance, persisting the pruned graph and a
     human-readable kernel summary; returns the headline counts."""
     inst = prepare_instance(config, seed)
+    g = inst.cg.graph
     os.makedirs(out_dir, exist_ok=True)
-    save_graph(inst.graph, os.path.join(out_dir, "pruned.txt"))
+    save_graph(g, os.path.join(out_dir, "pruned.txt"))
     with open(os.path.join(out_dir, "kernel.txt"), "w", encoding="utf-8") as fh:
         fh.write(kernel_report(inst.cg))
     return {
         "instance_key": inst.instance_key,
-        "nodes": len(inst.graph.nodes),
-        "edges": len(inst.graph.edges),
+        "nodes": len(g.nodes),
+        "edges": len(g.edges),
         "nsps": inst.cg.n_nsps,
         "bw_edges": len(inst.cg.bw_edges),
         "dropped_entries": list(inst.dropped_entries),

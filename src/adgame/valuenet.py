@@ -32,7 +32,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import sqrt
+from math import isnan, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +62,11 @@ _ACTION_BYTES = 256
 class CheckpointFormatError(Exception):
     """The checkpoint file is malformed, from an unknown format version, or
     holds a net whose input width is not the instance's NSP count."""
+
+
+class TrainingDivergedError(Exception):
+    """Training drove the net to nan: an epoch's mean loss is not finite,
+    or the net values a state, or every action of one, as nan."""
 
 
 def encode_states(states: Sequence[State], width: int) -> np.ndarray:
@@ -99,18 +104,7 @@ class ValueNet:
         dtype: type = np.float32,
     ):
         sizes = [n_inputs] + [width] * depth + [1]
-        self._init(sizes, seed, dtype)
-
-    @classmethod
-    def from_sizes(
-        cls, sizes: Sequence[int], seed: int = 0, dtype: type = np.float32
-    ) -> "ValueNet":
-        net = cls.__new__(cls)
-        net._init(list(sizes), seed, dtype)
-        return net
-
-    def _init(self, sizes: list[int], seed: int, dtype: type) -> None:
-        if len(sizes) < 2 or any(n < 1 for n in sizes) or sizes[-1] != 1:
+        if min(sizes) < 1:
             raise ValueError(f"bad layer sizes {sizes}")
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.float32, np.float64):
@@ -225,7 +219,10 @@ def predict(net: ValueNet, cg: CondensedGraph, s: State) -> float:
     tv = terminal_value(cg, s)
     if tv is not None:
         return tv
-    return float(net.forward(encode_states([s], cg.n_nsps))[0])
+    value = float(net.forward(encode_states([s], cg.n_nsps))[0])
+    if isnan(value):
+        raise TrainingDivergedError(f"the net values state {s} as nan")
+    return value
 
 
 class _Backup:
@@ -312,9 +309,15 @@ class BackupTable:
 
 
 def greedy_action(net: ValueNet, table: BackupTable, s: State) -> int:
-    """Best action under the net's backup; ties go to the smallest path id."""
-    best_a, _ = argmax(table.action_values(net, s))
+    """Best action under the net's backup; ties go to the smallest path id.
+    A net that values every action as nan has diverged."""
+    q = table.action_values(net, s)
+    best_a, _ = argmax(q)
     if best_a is None:
+        if q:
+            raise TrainingDivergedError(
+                f"the net values every action of state {s} as nan"
+            )
         raise ValueError(f"state {s} has no admissible action")
     return best_a
 
@@ -389,7 +392,6 @@ TrainingConfig = ExperimentConfig
 @dataclass(frozen=True)
 class TrainStats:
     epoch_losses: tuple[float, ...]
-    diverged: bool
     rollouts: int  # attacks rolled out to fill the round's batches
 
 
@@ -405,15 +407,13 @@ def train_round(
     """One training round: per epoch, roll out a random plan and regress.
 
     ``config`` supplies ``batch_size``, ``epochs_per_round`` and
-    ``explore_prob``, and is validated first.  Each epoch picks one plan
-    and repeats rollouts from its initial state until a full batch of
-    visited states is collected.  Targets are recomputed from the current
-    parameters before each batch update.  A non-finite mean loss aborts the
-    round with the diverged flag set so callers can record the failure and
-    move on.  Backups go through ``table``, which must be ``cg``'s (one for
-    this round when None).
+    ``explore_prob``.  Each epoch picks one plan and repeats rollouts from
+    its initial state until a full batch of visited states is collected.
+    Targets are recomputed from the current parameters before each batch
+    update.  An epoch whose mean loss is not finite raises
+    ``TrainingDivergedError``.  Backups go through ``table``, which must be
+    ``cg``'s (one for this round when None).
     """
-    config.validate()
     if not plans:
         raise ValueError("plans must be non-empty")
     if table is None:
@@ -437,10 +437,12 @@ def train_round(
             optimizer.step(grads)
             batch_losses.append(loss)
         mean_loss = float(np.mean(batch_losses))
-        losses.append(mean_loss)
         if not np.isfinite(mean_loss):
-            return TrainStats(tuple(losses), True, rollouts)
-    return TrainStats(tuple(losses), False, rollouts)
+            raise TrainingDivergedError(
+                f"epoch {len(losses)} mean loss {mean_loss}"
+            )
+        losses.append(mean_loss)
+    return TrainStats(tuple(losses), rollouts)
 
 
 def save_checkpoint(path: str, net: ValueNet, round_index: int = 0) -> None:
@@ -479,7 +481,8 @@ def load_checkpoint(path: str) -> tuple[ValueNet, int]:
         raise CheckpointFormatError(f"truncated checkpoint: {exc}") from exc
     if len(sizes) != depth + 2:
         raise CheckpointFormatError("depth disagrees with the layer list")
-    if min(sizes) < 1 or sizes[-1] != 1:
+    # what ValueNet(n, depth, width) builds: (n, width, ..., width, 1)
+    if min(sizes) < 1 or sizes[-1] != 1 or len(set(sizes[1:-1])) > 1:
         raise CheckpointFormatError(f"bad layer sizes {list(sizes)}")
     # checked before the net is built, so a forged header allocates nothing
     n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
@@ -488,6 +491,6 @@ def load_checkpoint(path: str) -> tuple[ValueNet, int]:
             f"expected {n_params} parameters ({4 * n_params} bytes), "
             f"found {len(blob) - at} bytes"
         )
-    net = ValueNet.from_sizes(sizes, seed=int(seed))
+    net = ValueNet(sizes[0], depth, sizes[1], seed=int(seed))
     net.set_flat_params(np.frombuffer(blob, dtype="<f4", offset=at))
     return net, int(round_index)

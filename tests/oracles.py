@@ -9,7 +9,8 @@ owned nodes; ``ReferenceSolver`` is the exact solver that runs it for every
 admissible action of every key it expands.
 ``reference_simulate_on_original`` is the raw-edge Monte Carlo with the
 full-width step: every run of a group reads its whole stretch of the path
-at once.
+at once.  ``reference_prune`` finds what ``prune`` keeps by one search per
+node.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from itertools import accumulate
 
 import numpy as np
 
+from adgame.graph import DOMAIN_ADMIN, AttackGraph
 from adgame.kernel import CondensedGraph
 from adgame.mdp import (
     MEMO_LIMIT,
@@ -293,3 +295,35 @@ def reference_simulate_on_original(cg, plan, policy, runs, seed, first_run=0):
 
     draws_per_run = sum(len(p.edges) for p in cg.nsps)
     return sim._play(cg, plan, policy, runs, seed, first_run, draws_per_run, step)
+
+
+def reference_prune(g: AttackGraph) -> tuple[set[str], tuple[str, ...]]:
+    """What ``prune`` keeps of a graph with entries, by brute force: the
+    non-DA nodes on some walk from an entry to a DA candidate that enters no
+    entry and leaves no DA candidate, and, sorted, the entries on no such
+    walk."""
+    da = {n.id for n in g.nodes if n.kind == DOMAIN_ADMIN}
+
+    def reaches(src: str, goal: set[str]) -> bool:
+        seen, todo = {src}, [src]
+        while todo:
+            v = todo.pop()
+            if v in goal:
+                return True
+            if v in da:
+                continue
+            for e in g.edges:
+                if e.src == v and e.dst not in seen and e.dst not in g.entry_nodes:
+                    seen.add(e.dst)
+                    todo.append(e.dst)
+        return False
+
+    kept = {
+        n.id
+        for n in g.nodes
+        if n.id not in da
+        and reaches(n.id, da)
+        and any(reaches(v, {n.id}) for v in g.entry_nodes)
+    }
+    dead = tuple(sorted(v for v in g.entry_nodes if not reaches(v, da)))
+    return kept, dead

@@ -1,6 +1,8 @@
 """Config files: parsing, overrides, validation."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from adgame.config import (
@@ -12,7 +14,7 @@ from adgame.config import (
 
 
 def test_defaults_validate():
-    ExperimentConfig().validate()
+    ExperimentConfig()
 
 
 def test_load_file_with_comments_and_blanks(tmp_path):
@@ -62,9 +64,17 @@ def test_validate_rejects_bad_values():
         {"seeds": ()},
         {"entry_count": 0},
         {"entry_pool_size": 2, "entry_count": 5},
+        {"batch_size": 0},
     ):
         with pytest.raises(ConfigError):
-            ExperimentConfig(**bad).validate()
+            ExperimentConfig(**bad)
+
+
+def test_replace_checks_the_new_config():
+    # the CLI's --seed and --out, and callers that set out_dir, build their
+    # config this way
+    with pytest.raises(ConfigError, match="entry_count"):
+        replace(ExperimentConfig(), entry_count=0)
 
 
 @pytest.mark.parametrize(

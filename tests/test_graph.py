@@ -10,6 +10,7 @@ from adgame.graph import (
     AttackGraph,
     COMPUTER,
     DOMAIN_ADMIN,
+    DeadEntryError,
     Edge,
     EmptyGameError,
     GraphFormatError,
@@ -25,6 +26,7 @@ from adgame.graph import (
 from adgame.generator import generate_synthetic
 
 from instances import build_game, chain_graph
+from oracles import reference_prune
 
 
 def test_save_load_roundtrip_is_bit_exact(tmp_path):
@@ -141,6 +143,54 @@ def test_prune_raises_when_entry_cannot_reach_da():
     )
     with pytest.raises(GraphValidationError):
         prune(g)
+
+
+def _random_raw_graph(seed: int) -> AttackGraph:
+    """Entries, middles and one or two DA candidates joined by random edges:
+    dead ends, cycles, DA out-edges and edges between entries all occur."""
+    rng = np.random.default_rng(seed)
+    entries = [f"e{i}" for i in range(int(rng.integers(1, 4)))]
+    mids = [f"m{i}" for i in range(int(rng.integers(2, 8)))]
+    das = [f"d{i}" for i in range(int(rng.integers(1, 3)))]
+    nodes = tuple(Node(v, COMPUTER) for v in entries + mids)
+    nodes += tuple(Node(v, DOMAIN_ADMIN) for v in das)
+    density = rng.uniform(0.1, 0.35)
+    edges = tuple(
+        Edge(u.id, v.id)
+        for u in nodes
+        for v in nodes
+        if u != v and rng.random() < density
+    )
+    return AttackGraph(nodes, edges, frozenset(entries))
+
+
+def test_prune_keeps_exactly_the_entry_to_da_walks():
+    cases = {"dead entries": 0, "dead ends": 0}
+    for seed in range(300):
+        g = _random_raw_graph(seed)
+        kept, dead = reference_prune(g)
+        if dead:
+            with pytest.raises(DeadEntryError) as caught:
+                prune(g)
+            assert caught.value.entries == dead
+            cases["dead entries"] += 1
+            if len(dead) == len(g.entry_nodes):
+                continue
+            g = g.with_entries(g.entry_nodes - set(dead))
+            kept, dead = reference_prune(g)
+            assert dead == ()
+        p = prune(g)
+        assert p.node_ids == kept | {p.da}
+        das = set(g.da_candidates)
+        want = sorted(
+            (e.src, p.da if e.dst in das else e.dst)
+            for e in g.edges
+            if e.src in kept and (e.dst in kept or e.dst in das)
+            and e.dst not in g.entry_nodes
+        )
+        assert sorted((e.src, e.dst) for e in p.edges) == want
+        cases["dead ends"] += len(g.nodes) > len(p.nodes) + len(das) - 1
+    assert min(cases.values()) >= 20, cases
 
 
 def test_prune_raises_on_empty_game():

@@ -64,7 +64,7 @@ def test_every_edge_own_nsp_when_all_nodes_split():
 
 def test_unblockable_nsp_has_no_block_worthy_edge():
     cg = condense(chain_graph([(0.1, 0.1)] * 3, blockable_last=False))
-    assert cg.nsps[0].blockable is False
+    assert not any(cg.graph.edges[e].blockable for e in cg.nsps[0].edges)
     assert cg.nsps[0].block_worthy_edge is None
     assert cg.bw_edges == ()
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from adgame import valuenet
+from adgame import TrainingDivergedError, valuenet
 from adgame.cli import main
 from adgame.config import ExperimentConfig
 from adgame.defense import ExactFitness, greedy_run, load_population
@@ -78,7 +78,7 @@ def test_prepare_instance_is_deterministic(tmp_path):
     b = prepare_instance(cfg, 0)
     c = prepare_instance(cfg, 1)
     assert a.instance_key == b.instance_key
-    assert a.graph.edges == b.graph.edges
+    assert a.cg.graph.edges == b.cg.graph.edges
     assert a.instance_key != c.instance_key
 
 
@@ -125,7 +125,32 @@ def test_prepare_instance_drops_stranded_entry(tmp_path):
     with pytest.warns(RuntimeWarning, match="e1"):
         inst = prepare_instance(cfg, 0)
     assert inst.dropped_entries == ("e1",)
-    assert inst.graph.entry_nodes == frozenset({"e0"})
+    assert inst.cg.graph.entry_nodes == frozenset({"e0"})
+
+
+def test_prepare_instance_drops_chained_dead_entries_in_one_retry(tmp_path):
+    # e1 and e2 reach DA only through e0: one retry drops both
+    g = build_game(
+        [
+            ("e2", "e1", 0.1, 0.2, False),
+            ("e1", "e0", 0.1, 0.2, False),
+            ("e0", "m", 0.1, 0.2, True),
+            ("m", "da", 0.1, 0.2, False),
+        ],
+        entries={"e0", "e1", "e2"},
+        prepare=False,
+    )
+    path = tmp_path / "g.txt"
+    save_graph(g, str(path))
+    cfg = tiny_config(str(tmp_path), graph_file=str(path))
+    with pytest.warns(RuntimeWarning) as caught:
+        inst = prepare_instance(cfg, 0)
+    assert [str(w.message) for w in caught] == [
+        "dropping entry nodes with no route of their own to DA: e1, e2"
+    ]
+    assert inst.dropped_entries == ("e1", "e2")
+    assert inst.cg.graph.entry_nodes == frozenset({"e0"})
+    assert inst.cg.graph.node_ids == {"e0", "m", "da"}
 
 
 def test_prepare_instance_with_no_live_entry_raises(tmp_path):
@@ -345,6 +370,36 @@ def test_exact_attempt_counts_the_keys_it_stored_before_giving_up(
     assert attempt == {"key_floor_log2": 2, "keys": keys, "skipped_by_bound": skipped}
 
 
+# the config accepts this learning rate; round 0 drives the net to nan
+DIVERGING = dict(
+    n_computers=16, entry_pool_size=4, entry_count=2, budget=2, rounds=3, mu=8,
+    iterations=30, depth=2, width=16, epochs_per_round=5, learning_rate=1e30,
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("strategy", ["edo", "vec"])
+def test_a_diverged_training_round_ends_the_run(tmp_path, strategy):
+    cfg = ExperimentConfig(**DIVERGING, out_dir=str(tmp_path / "runs"))
+    with pytest.raises(TrainingDivergedError):
+        run_nndp_edo(cfg, 1, strategy)
+    assert not os.path.exists(cfg.out_dir)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_reports_a_diverged_training_round(tmp_path, capsys):
+    out = tmp_path / "runs"
+    args = ["defend", "edo", "--seed", "1", "--out", str(out)]
+    for key, value in DIVERGING.items():
+        args += ["--set", f"{key}={value}"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    assert json.loads(lines[0])["error"] == "TrainingDivergedError"
+    assert not out.exists()
+
+
 def test_rounds_zero_is_an_untrained_baseline(tmp_path, graph_file):
     cfg = tiny_config(str(tmp_path), graph_file=graph_file, rounds=0)
     rec = run_nndp_edo(cfg, 0)
@@ -519,10 +574,11 @@ def test_cli_defend_simulate_report(tmp_path, capsys, graph_file):
     assert greedy["exact_value"] == greedy["best_fitness"]
 
     ckpt = os.path.join(edo["run_dir"], "net.ckpt")
+    # the run count comes last: a later --set wins
     assert (
         main(
-            ["simulate", "--plan", edo["best_plan"], "--runs", "500",
-             "--checkpoint", ckpt] + common
+            ["simulate", "--plan", edo["best_plan"], "--checkpoint", ckpt]
+            + common + ["--set", "mc_runs=500"]
         )
         == 0
     )
@@ -549,8 +605,8 @@ def test_cli_simulate_original_agrees_with_solve_exact_and_the_library(
     assert main(["solve-exact", "--plan", plan] + args) == 0
     value = json.loads(capsys.readouterr().out)["value"]
 
-    cmd = ["simulate", "--original", "--plan", plan, "--runs", "20000"]
-    assert main(cmd + args) == 0
+    cmd = ["simulate", "--original", "--plan", plan]
+    assert main(cmd + args + ["--set", "mc_runs=20000"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     out = json.loads(lines[0])
@@ -624,7 +680,7 @@ def test_cli_simulate_refuses_a_net_of_the_wrong_width(tmp_path, capsys, graph_f
     ckpt = str(tmp_path / "narrow.ckpt")
     save_checkpoint(ckpt, ValueNet(3, depth=1, width=4))
     args = ["--set", f"graph_file={graph_file}", "--seed", "0", "--out", str(tmp_path)]
-    assert main(["simulate", "--runs", "10", "--checkpoint", ckpt] + args) == 1
+    assert main(["simulate", "--set", "mc_runs=10", "--checkpoint", ckpt] + args) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CheckpointFormatError"
     assert "3 inputs" in err["message"] and "15 NSPs" in err["message"]
@@ -635,7 +691,7 @@ def test_cli_simulate_refuses_a_forged_checkpoint_header(tmp_path, capsys, graph
     ckpt = str(tmp_path / "forged.ckpt")
     write_forged_checkpoint(ckpt, (2048, 2048, 1))
     args = ["--set", f"graph_file={graph_file}", "--seed", "0", "--out", str(tmp_path)]
-    assert main(["simulate", "--runs", "10", "--checkpoint", ckpt] + args) == 1
+    assert main(["simulate", "--set", "mc_runs=10", "--checkpoint", ckpt] + args) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and captured.out == ""
@@ -646,7 +702,7 @@ def test_cli_simulate_refuses_bad_checkpoint_layer_sizes(tmp_path, capsys, graph
     ckpt = str(tmp_path / "sizes.ckpt")
     write_forged_checkpoint(ckpt, (0, 1), n_params=1)
     args = ["--set", f"graph_file={graph_file}", "--seed", "0", "--out", str(tmp_path)]
-    assert main(["simulate", "--runs", "10", "--checkpoint", ckpt] + args) == 1
+    assert main(["simulate", "--set", "mc_runs=10", "--checkpoint", ckpt] + args) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and captured.out == ""
@@ -657,9 +713,10 @@ def test_cli_simulate_refuses_bad_checkpoint_layer_sizes(tmp_path, capsys, graph
 
 @pytest.mark.parametrize("runs", ["0", "-5"])
 def test_cli_simulate_refuses_fewer_than_one_run(tmp_path, capsys, runs):
-    # no graph file is needed: the count is refused before any instance is built
+    # no graph file is needed: the config refuses the count before any
+    # instance is built
     args = ["--set", "graph_file=/missing/graph.txt", "--out", str(tmp_path)]
-    assert main(["simulate", "--runs", runs] + args) == 2
+    assert main(["simulate", "--set", f"mc_runs={runs}"] + args) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "CommandLineError"
-    assert "--runs" in err["message"]
+    assert err["error"] == "ConfigError"
+    assert "mc_runs must be positive" in err["message"]

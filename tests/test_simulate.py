@@ -60,7 +60,7 @@ def test_two_parallel_rate():
 
 def test_partially_blocked_plan_value():
     cg = condense(two_parallel_graph())
-    plan = [1, 0] if cg.nsps[0].blockable else [0, 1]
+    plan = [0, 1] if cg.nsps[0].block_worthy_edge is None else [1, 0]
     report = simulate(cg, plan, DpPolicy(cg), runs=50_000, seed=5)
     assert _close(report, 0.7)
 
