@@ -9,7 +9,6 @@ full-size campaign (hours).
 import argparse
 import sys
 import time
-import warnings
 from dataclasses import replace
 
 from adgame.config import ConfigError, ExperimentConfig, load_config
@@ -69,9 +68,7 @@ def main(argv=None) -> int:
         for strategy in strategies:
             started = time.perf_counter()
             try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    record = run_baseline(config, strategy, seed)
+                record = run_baseline(config, strategy, seed)
             except (StateSpaceLimitError, DefenseConfigError) as exc:
                 # the exact baselines only exist where the DP fits and the
                 # exhaustive search where its plans can be enumerated

@@ -2,7 +2,6 @@
 
 from .graph import (
     AttackGraph,
-    DeadEntryError,
     Edge,
     EmptyGameError,
     GraphFormatError,

@@ -7,7 +7,8 @@ given; `simulate` plays `mc_runs` runs.  `report` reads no config: it
 takes the run directories and an optional `--out DIR` for `report.csv`.
 Success exits 0; any failure prints a single JSON line `{"error": ...,
 "message": ...}` on stderr and exits nonzero (2 for command line or
-config mistakes, 1 for everything else).
+config mistakes, 1 for everything else).  Warnings raised before a
+failure go into that line as a `"warnings"` list of their messages.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from . import pipeline
@@ -213,15 +215,19 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        args.handler(args)
-    except Exception as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2 if isinstance(exc, (CommandLineError, ConfigError)) else 1
+    # recorded under the filters in force, so ``-W error`` still raises
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = build_parser().parse_args(argv)
+            args.handler(args)
+        except Exception as exc:
+            error = {"error": type(exc).__name__, "message": str(exc)}
+            if caught:
+                error["warnings"] = [str(w.message) for w in caught]
+            print(json.dumps(error), file=sys.stderr)
+            return 2 if isinstance(exc, (CommandLineError, ConfigError)) else 1
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
     return 0
 
 

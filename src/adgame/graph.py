@@ -59,15 +59,6 @@ class GraphValidationError(GraphError):
     """A graph violates a structural invariant."""
 
 
-class DeadEntryError(GraphValidationError):
-    """Entry nodes, named in sorted ``entries``, cannot reach DA once every
-    entry's in-edges are dropped."""
-
-    def __init__(self, entries: tuple[str, ...]):
-        super().__init__(f"entry nodes cannot reach DA: {', '.join(entries)}")
-        self.entries = entries
-
-
 class GraphFormatError(GraphError):
     """A graph file cannot be parsed."""
 
@@ -195,6 +186,16 @@ def prune(g: AttackGraph) -> AttackGraph:
     nodes are set, their incoming edges are dropped and only nodes on some
     entry-to-DA path are kept, so every surviving node can both be reached
     by the attacker and still progress toward DA.  Idempotent.
+
+    A dead entry, which reaches DA only through another entry, is dropped
+    from the returned graph's entries: its attacks could only re-enter
+    territory the attacker already owns, so the game's value does not
+    change.  ``EmptyGameError`` is raised when no entry is live.  Pruning
+    again with only the live entries set keeps the same nodes and edges.
+    Restoring a dead entry's in-edges adds no node that can reach DA: on
+    any path to DA, the part after the last dead node lies in the merged
+    graph, so that dead node would reach DA.  And a dead entry reaches no
+    kept node, so it adds none to the entries' reach.
     """
     cands = g.da_candidates
     if not cands:
@@ -239,21 +240,21 @@ def prune(g: AttackGraph) -> AttackGraph:
     # after the merge da_id is the one DA node: keep what can reach it
     merged = AttackGraph(tuple(nodes), tuple(edges))
     keep = set(merged.hop_distances_to_da())
+    entries = g.entry_nodes & keep
     if g.entry_nodes:
-        missing = tuple(v for v in sorted(g.entry_nodes) if v not in keep)
-        if missing:
-            raise DeadEntryError(missing)
+        if not entries:
+            raise EmptyGameError("no entry node has a route of its own to DA")
         # no edge leads from a node that cannot reach DA into one that can,
         # so the entries reach the same kept nodes through the merged graph
         # as through its kept part alone
-        keep &= _reachable_from(merged, g.entry_nodes)
+        keep &= _reachable_from(merged, entries)
     elif keep == {da_id}:
         raise EmptyGameError("no node can reach DA")
 
     return AttackGraph(
         nodes=tuple(n for n in nodes if n.id in keep),
         edges=tuple(e for e in edges if e.src in keep and e.dst in keep),
-        entry_nodes=g.entry_nodes,
+        entry_nodes=entries,
     )
 
 

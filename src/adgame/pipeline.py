@@ -22,7 +22,6 @@ import hashlib
 import json
 import os
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from typing import Sequence
@@ -45,8 +44,6 @@ from .defense import (
 )
 from .graph import (
     AttackGraph,
-    DeadEntryError,
-    EmptyGameError,
     assign_blockable,
     graph_to_text,
     load_graph,
@@ -138,38 +135,10 @@ def build_source_graph(config: ExperimentConfig, seed: int) -> AttackGraph:
     return base.with_entries(entries)
 
 
-def _prune_dropping_dead_entries(g: AttackGraph) -> tuple[AttackGraph, tuple[str, ...]]:
-    """Prune, discarding entries whose only routes run through other entries.
-
-    Removing entry in-edges can strand an entry node; attacks from such an
-    entry could only re-enter territory the attacker already owns, so
-    dropping it does not change the game's value.  One retry is enough: a
-    dropped entry cannot reach DA without entering another entry, whose
-    in-edges the retry still drops, so restoring the dropped entry's
-    in-edges gives nobody a new route, and every kept entry keeps the
-    route it had.
-    """
-    try:
-        return prune(g), ()
-    except DeadEntryError as exc:
-        dead = exc.entries
-        warnings.warn(
-            f"dropping entry nodes with no route of their own to DA: "
-            f"{', '.join(dead)}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        entries = g.entry_nodes - set(dead)
-        if not entries:
-            raise EmptyGameError(
-                "every selected entry depends on another entry's edges"
-            ) from exc
-    return prune(g.with_entries(entries)), dead
-
-
 def prepare_instance(config: ExperimentConfig, seed: int) -> PreparedInstance:
     g = build_source_graph(config, seed)
-    pruned, dropped = _prune_dropping_dead_entries(g)
+    pruned = prune(g)
+    dropped = tuple(sorted(g.entry_nodes - pruned.entry_nodes))
     key = hashlib.sha256(graph_to_text(pruned).encode("utf-8")).hexdigest()[:16]
     return PreparedInstance(condense(pruned), dropped, key)
 

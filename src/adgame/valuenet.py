@@ -103,6 +103,8 @@ class ValueNet:
         self, n_inputs: int, depth: int, width: int, seed: int = 0,
         dtype: type = np.float32,
     ):
+        if depth < 0:
+            raise ValueError(f"depth must be at least 0, got {depth}")
         sizes = [n_inputs] + [width] * depth + [1]
         if min(sizes) < 1:
             raise ValueError(f"bad layer sizes {sizes}")

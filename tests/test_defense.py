@@ -192,7 +192,6 @@ EDO_PIN_D = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore:dropping entry nodes")
 @pytest.mark.parametrize(
     "graph,pin", [(GRAPH_B, EDO_PIN_B), (GRAPH_D, EDO_PIN_D)], ids=["graph-B", "graph-D"]
 )

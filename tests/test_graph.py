@@ -10,7 +10,6 @@ from adgame.graph import (
     AttackGraph,
     COMPUTER,
     DOMAIN_ADMIN,
-    DeadEntryError,
     Edge,
     EmptyGameError,
     GraphFormatError,
@@ -141,7 +140,7 @@ def test_prune_raises_when_entry_cannot_reach_da():
         entries={"s"},
         prepare=False,
     )
-    with pytest.raises(GraphValidationError):
+    with pytest.raises(EmptyGameError):
         prune(g)
 
 
@@ -165,22 +164,23 @@ def _random_raw_graph(seed: int) -> AttackGraph:
 
 
 def test_prune_keeps_exactly_the_entry_to_da_walks():
-    cases = {"dead entries": 0, "dead ends": 0}
+    cases = {"dead entries": 0, "no live entry": 0, "dead ends": 0}
     for seed in range(300):
         g = _random_raw_graph(seed)
         kept, dead = reference_prune(g)
-        if dead:
-            with pytest.raises(DeadEntryError) as caught:
+        live = g.entry_nodes - set(dead)
+        if not live:
+            with pytest.raises(EmptyGameError):
                 prune(g)
-            assert caught.value.entries == dead
-            cases["dead entries"] += 1
-            if len(dead) == len(g.entry_nodes):
-                continue
-            g = g.with_entries(g.entry_nodes - set(dead))
-            kept, dead = reference_prune(g)
-            assert dead == ()
+            cases["no live entry"] += 1
+            continue
         p = prune(g)
         assert p.node_ids == kept | {p.da}
+        assert p.entry_nodes == live
+        if dead:
+            # the dead entries' in-edges, restored, give no one a new route
+            assert p == prune(g.with_entries(live))
+            cases["dead entries"] += 1
         das = set(g.da_candidates)
         want = sorted(
             (e.src, p.da if e.dst in das else e.dst)

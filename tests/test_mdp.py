@@ -325,7 +325,6 @@ def test_solver_on_owned_and_live_masks_is_bit_identical_to_a_trit_memo():
     assert checked > 1000
 
 
-@pytest.mark.filterwarnings("ignore:dropping entry nodes")
 @pytest.mark.parametrize(
     "graph,n_plans,n_states",
     [(GRAPH_D, 46, 6_256), (GRAPH_B, 67, 62_176)],
@@ -356,7 +355,6 @@ def _roots(cg, budget):
     ]
 
 
-@pytest.mark.filterwarnings("ignore:dropping entry nodes")
 def test_key_floor_bounds_the_keys_a_fresh_solve_stores(tmp_path):
     # blocked plans included: blocking can kill an NSP counted at the
     # unblocked root, or leave a failing edge with one live sharer
@@ -470,7 +468,6 @@ def _memo_items(solver):
     ]
 
 
-@pytest.mark.filterwarnings("ignore:dropping entry nodes")
 def test_solver_memo_equals_the_walk_per_expansion_reference(tmp_path):
     # keys, values, actions and insertion order, on the benchmark's graphs
     # (every plan of budget <= 2) and on small random instances
@@ -502,7 +499,6 @@ def _first_overflow(solver, roots):
     return None
 
 
-@pytest.mark.filterwarnings("ignore:dropping entry nodes")
 def test_solver_overflows_where_the_reference_does(tmp_path):
     # the same root overflows, after the same keys were stored in the same
     # order, for several memo limits below the key count

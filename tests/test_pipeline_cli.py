@@ -97,6 +97,22 @@ def test_paper_scale_instance_key_is_pinned(distribution, key):
     assert prepare_instance(config, 0).instance_key == key
 
 
+@pytest.mark.parametrize(
+    "extra,seed,key,dropped",
+    [
+        ({}, 2, "71bf00607a69d472", ("c205", "c265", "c385", "c455")),
+        (TINY, 0, "4de8c4cc9ee7c0ee", ("c17",)),
+    ],
+    ids=["paper-seed2", "tiny-seed0"],
+)
+def test_instances_that_drop_entries_are_pinned(extra, seed, key, dropped):
+    # recorded from an earlier version: instances that drop entries must
+    # keep their graphs across code changes
+    inst = prepare_instance(ExperimentConfig(**extra), seed)
+    assert inst.instance_key == key
+    assert inst.dropped_entries == dropped
+
+
 def test_paper_scale_exact_attempt_fails_fast():
     # 2**20 keys are provably needed, so the solver raises at once instead
     # of filling its memo to the limit first
@@ -122,14 +138,13 @@ def test_prepare_instance_drops_stranded_entry(tmp_path):
     path = tmp_path / "g.txt"
     save_graph(g, str(path))
     cfg = tiny_config(str(tmp_path), graph_file=str(path))
-    with pytest.warns(RuntimeWarning, match="e1"):
-        inst = prepare_instance(cfg, 0)
+    inst = prepare_instance(cfg, 0)
     assert inst.dropped_entries == ("e1",)
     assert inst.cg.graph.entry_nodes == frozenset({"e0"})
 
 
-def test_prepare_instance_drops_chained_dead_entries_in_one_retry(tmp_path):
-    # e1 and e2 reach DA only through e0: one retry drops both
+def test_prepare_instance_drops_chained_dead_entries_in_one_pass(tmp_path):
+    # e1 and e2 reach DA only through e0: one pass drops both
     g = build_game(
         [
             ("e2", "e1", 0.1, 0.2, False),
@@ -143,11 +158,7 @@ def test_prepare_instance_drops_chained_dead_entries_in_one_retry(tmp_path):
     path = tmp_path / "g.txt"
     save_graph(g, str(path))
     cfg = tiny_config(str(tmp_path), graph_file=str(path))
-    with pytest.warns(RuntimeWarning) as caught:
-        inst = prepare_instance(cfg, 0)
-    assert [str(w.message) for w in caught] == [
-        "dropping entry nodes with no route of their own to DA: e1, e2"
-    ]
+    inst = prepare_instance(cfg, 0)
     assert inst.dropped_entries == ("e1", "e2")
     assert inst.cg.graph.entry_nodes == frozenset({"e0"})
     assert inst.cg.graph.node_ids == {"e0", "m", "da"}
@@ -166,9 +177,8 @@ def test_prepare_instance_with_no_live_entry_raises(tmp_path):
     path = tmp_path / "g.txt"
     save_graph(g, str(path))
     cfg = tiny_config(str(tmp_path), graph_file=str(path))
-    with pytest.warns(RuntimeWarning):
-        with pytest.raises(EmptyGameError):
-            prepare_instance(cfg, 0)
+    with pytest.raises(EmptyGameError):
+        prepare_instance(cfg, 0)
 
 
 def test_graph_file_without_entries_is_refused(tmp_path):
@@ -278,6 +288,18 @@ def test_run_nndp_edo_persists_and_reruns_bit_identical(tmp_path, graph_file):
     )
 
 
+def _run_cli(args: list[str], **env: str) -> subprocess.CompletedProcess:
+    """Run ``adgame`` in a child process with ``env`` added to its
+    environment."""
+    src = os.path.dirname(os.path.dirname(valuenet.__file__))
+    code = "import sys; from adgame.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True, text=True, timeout=300,
+    )
+
+
 def test_run_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 400-row batches: at this size a float64 net's gradient sums came out
     # differently with 1 and 2 OpenBLAS threads, and so did its net.ckpt
@@ -288,15 +310,11 @@ def test_run_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         "batch_size=400", "mc_runs=10",
     ):
         sets += ["--set", key_value]
-    src = os.path.dirname(os.path.dirname(valuenet.__file__))
-    code = "import sys; from adgame.cli import main; sys.exit(main(sys.argv[1:]))"
     runs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-        done = subprocess.run(
-            [sys.executable, "-c", code, "defend", "edo", "--seed", "0",
-             "--out", str(tmp_path), *sets],
-            env=env, capture_output=True, text=True, timeout=300,
+        done = _run_cli(
+            ["defend", "edo", "--seed", "0", "--out", str(tmp_path), *sets],
+            OPENBLAS_NUM_THREADS=threads,
         )
         assert done.returncode == 0, done.stderr
         runs.append(_artifact_bytes(str(tmp_path / "nndp-edo-seed0")))
@@ -398,6 +416,35 @@ def test_cli_reports_a_diverged_training_round(tmp_path, capsys):
     assert len(lines) == 1 and captured.out == ""
     assert json.loads(lines[0])["error"] == "TrainingDivergedError"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args,error,warning",
+    [
+        (
+            ["kernelize", "--set", "n_computers=16", "--set", "entry_pool_size=50",
+             "--set", "entry_count=40"],
+            "GraphValidationError", "shrinking entry pool",
+        ),
+        (
+            ["defend", "edo", "--seed", "1",
+             *(f"--set={key}={value}" for key, value in DIVERGING.items())],
+            "TrainingDivergedError", "encountered in matmul",
+        ),
+    ],
+    ids=["pool-shrink", "diverged"],
+)
+def test_a_failing_cli_carries_its_warnings_in_the_one_error_line(
+    tmp_path, args, error, warning
+):
+    # a child process: pytest's own warning capture would hide stray lines
+    done = _run_cli([*args, "--out", str(tmp_path / "out")])
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    payload = json.loads(lines[0])
+    assert payload["error"] == error
+    assert any(warning in w for w in payload["warnings"]), payload
 
 
 def test_rounds_zero_is_an_untrained_baseline(tmp_path, graph_file):
@@ -595,7 +642,6 @@ def test_cli_defend_simulate_report(tmp_path, capsys, graph_file):
     assert "nndp-edo" in table and "greedy" in table
 
 
-@pytest.mark.filterwarnings("ignore:dropping entry nodes")
 def test_cli_simulate_original_agrees_with_solve_exact_and_the_library(
     tmp_path, capsys, graph_file
 ):

@@ -161,7 +161,6 @@ def test_random_instances_agree_with_exact_value():
     assert checked == 6
 
 
-@pytest.mark.filterwarnings("ignore:dropping entry nodes")
 def test_one_uniform_tape_is_alive_at_a_time(tmp_path):
     # two full chunks: the second tape is drawn after the first one is let
     # go, so the traced peak stays well below two tapes
@@ -204,7 +203,6 @@ def _raw_and_reference(cg, plan, runs, seed):
     return got
 
 
-@pytest.mark.filterwarnings("ignore:dropping entry nodes")
 def test_raw_walk_matches_the_full_width_reference_on_graph_d(tmp_path, monkeypatch):
     # the benchmark's mc-eval plans; 70,001 runs leave a ragged last chunk
     cg = saved_instance(tmp_path, *GRAPH_D)

@@ -592,6 +592,8 @@ def test_a_depth_zero_checkpoint_round_trips(tmp_path):
     assert round_index == 3
     assert loaded.sizes == (4, 1)
     assert loaded.flat_params().tobytes() == net.flat_params().tobytes()
+    with pytest.raises(ValueError, match="depth"):
+        ValueNet(4, depth=-2, width=16)
 
 
 def test_net_greedy_policy_is_admissible_in_simulation():
