@@ -32,7 +32,7 @@ DESK = ExperimentConfig(
     out_dir="runs/desk",
 )
 
-PAPER = ExperimentConfig(seeds=tuple(range(10)), out_dir="runs/paper")
+PAPER = ExperimentConfig(out_dir="runs/paper")
 
 
 def main(argv=None) -> int:

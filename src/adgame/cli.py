@@ -3,8 +3,9 @@
 Every subcommand but `report` accepts `--config FILE`, repeated `--set
 key=value` overrides, `--seed N` and `--out DIR` (replacing the output
 directory).  It plays the config's first seed, or `N` when `--seed` is
-given; `simulate` plays `mc_runs` runs.  `report` reads no config: it
-takes the run directories and an optional `--out DIR` for `report.csv`.
+given; `simulate` plays `mc_runs` runs under a run's Monte Carlo seed
+(`pipeline.simulation_seed`).  `report` reads no config: it takes the
+run directories and an optional `--out DIR` for `report.csv`.
 Success exits 0; any failure prints a single JSON line `{"error": ...,
 "message": ...}` on stderr and exits nonzero (2 for command line or
 config mistakes, 1 for everything else).  Warnings raised before a
@@ -145,7 +146,9 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         policy = DpPolicy(inst.cg, memo_limit=config.memo_limit)
         evaluator = "exact-dp"
     runner = simulate_on_original if args.original else simulate
-    report = runner(inst.cg, plan, policy, config.mc_runs, seed=seed)
+    report = runner(
+        inst.cg, plan, policy, config.mc_runs, seed=pipeline.simulation_seed(seed)
+    )
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "simulation.csv")
     pipeline.write_simulation_csv(path, report, plan, evaluator)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 from .graph import AttackGraph
 
@@ -59,6 +58,9 @@ class StepMasks:
     # per NSP, its edges in walk order as (p_d, p_f, p_s, NSPs sharing the edge)
     edges: tuple[tuple[tuple[float, float, float, int], ...], ...]
     span: tuple[int, ...]  # per NSP, the NSPs that share one of its edges
+    # per plan coordinate (``bw_edges`` order), the NSPs whose block-worthy
+    # edge it is: the NSPs a plan setting that coordinate fails
+    blocks: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,7 @@ class CondensedGraph:
 
     graph: AttackGraph
     nsps: tuple[Nsp, ...]
-    entry_nodes: frozenset[str]
     split_nodes: frozenset[str]
-    da: str
     feedback_edges: int
 
     @property
@@ -77,39 +77,31 @@ class CondensedGraph:
         return len(self.nsps)
 
     @cached_property
-    def condensed_node_count(self) -> int:
-        return len(self.entry_nodes) + len(self.split_nodes) + 1
-
-    @cached_property
-    def edge_to_nsps(self) -> Mapping[int, tuple[int, ...]]:
-        table: dict[int, list[int]] = {}
-        for p in self.nsps:
-            for e in p.edges:
-                table.setdefault(e, []).append(p.id)
-        return {e: tuple(ids) for e, ids in table.items()}
-
-    @cached_property
     def step_masks(self) -> StepMasks:
-        nodes = sorted(self.entry_nodes | self.split_nodes | {self.da})
+        g, da = self.graph, self.graph.da
+        nodes = sorted(g.entry_nodes | self.split_nodes | {da})
         at = {v: i for i, v in enumerate(nodes)}
         out = [0] * len(nodes)
+        sharers: dict[int, int] = {}
+        blocks = dict.fromkeys(self.bw_edges, 0)
         for p in self.nsps:
-            out[at[p.source]] |= 1 << p.id
-        sharers = {
-            e: sum(1 << i for i in ids) for e, ids in self.edge_to_nsps.items()
-        }
-        g = self.graph
+            bit = 1 << p.id
+            out[at[p.source]] |= bit
+            for e in p.edges:
+                sharers[e] = sharers.get(e, 0) | bit
+            if p.block_worthy_edge is not None:
+                blocks[p.block_worthy_edge] |= bit
         span = [0] * len(self.nsps)
         for p in self.nsps:
             for e in p.edges:
                 span[p.id] |= sharers[e]
         return StepMasks(
-            entry=sum(1 << at[v] for v in self.entry_nodes),
-            da=1 << at[self.da],
-            da_nsps=sum(1 << p.id for p in self.nsps if p.terminal == self.da),
+            entry=sum(1 << at[v] for v in g.entry_nodes),
+            da=1 << at[da],
+            da_nsps=sum(1 << p.id for p in self.nsps if p.terminal == da),
             terminal=tuple(1 << at[p.terminal] for p in self.nsps),
             out=tuple(out),
-            entry_out=sum(out[at[v]] for v in self.entry_nodes),
+            entry_out=sum(out[at[v]] for v in g.entry_nodes),
             edges=tuple(
                 tuple(
                     (g.edges[e].p_d, g.edges[e].p_f, g.edges[e].p_s, sharers[e])
@@ -118,6 +110,7 @@ class CondensedGraph:
                 for p in self.nsps
             ),
             span=tuple(span),
+            blocks=tuple(blocks.values()),
         )
 
     @cached_property
@@ -125,14 +118,6 @@ class CondensedGraph:
         return tuple(
             sorted({p.block_worthy_edge for p in self.nsps if p.block_worthy_edge is not None})
         )
-
-    @cached_property
-    def bw_edge_to_nsps(self) -> Mapping[int, tuple[int, ...]]:
-        table: dict[int, list[int]] = {e: [] for e in self.bw_edges}
-        for p in self.nsps:
-            if p.block_worthy_edge is not None:
-                table[p.block_worthy_edge].append(p.id)
-        return {e: tuple(ids) for e, ids in table.items()}
 
 
 def condense(g: AttackGraph) -> CondensedGraph:
@@ -196,12 +181,10 @@ def condense(g: AttackGraph) -> CondensedGraph:
     cg = CondensedGraph(
         graph=g,
         nsps=tuple(nsps),
-        entry_nodes=g.entry_nodes,
         split_nodes=split_nodes,
-        da=da,
         feedback_edges=h,
     )
-    s = len(cg.entry_nodes)
+    s = len(g.entry_nodes)
     t = len(split_nodes)
     n_bw = len(cg.bw_edges)
     if n_bw > s + t + h or n_bw > s + 2 * h:
@@ -232,24 +215,25 @@ def kernel_report(cg: CondensedGraph) -> str:
     g = cg.graph
     lines = [
         f"nodes {len(g.nodes)} edges {len(g.edges)} "
-        f"entries {len(cg.entry_nodes)} splits {len(cg.split_nodes)} "
+        f"entries {len(g.entry_nodes)} splits {len(cg.split_nodes)} "
         f"feedback {cg.feedback_edges}",
-        f"condensed-nodes {cg.condensed_node_count} nsps {cg.n_nsps} "
-        f"bw-edges {len(cg.bw_edges)}",
+        f"condensed-nodes {len(g.entry_nodes) + len(cg.split_nodes) + 1} "
+        f"nsps {cg.n_nsps} bw-edges {len(cg.bw_edges)}",
         "nsp  source->terminal  path  block-worthy",
     ]
+    blocked: dict[int, list[str]] = {e: [] for e in cg.bw_edges}
     for p in cg.nsps:
         if p.block_worthy_edge is None:
             bw = "-"
         else:
             e = g.edges[p.block_worthy_edge]
             bw = f"{e.src}->{e.dst}(#{p.block_worthy_edge})"
+            blocked[p.block_worthy_edge].append(str(p.id))
         lines.append(
             f"{p.id:>3}  {p.source}->{p.terminal}  {'/'.join(p.nodes)}  {bw}"
         )
     lines.append("bw-edge  nsps")
-    for e in cg.bw_edges:
+    for e, ids in blocked.items():
         ed = g.edges[e]
-        ids = ",".join(str(i) for i in cg.bw_edge_to_nsps[e])
-        lines.append(f"{ed.src}->{ed.dst}(#{e})  {ids}")
+        lines.append(f"{ed.src}->{ed.dst}(#{e})  {','.join(ids)}")
     return "\n".join(lines) + "\n"

@@ -88,20 +88,21 @@ class StateSpaceLimitError(Exception):
 def initial_state(cg: CondensedGraph, plan: Sequence[int] | None = None) -> State:
     """State before the attack starts, under an optional blocking plan.
 
-    ``plan`` is a 0/1 vector over ``cg.bw_edges``; every NSP whose
-    block-worthy edge is blocked starts out failed.
+    ``plan`` has one 0/1 coordinate per block-worthy edge; each set
+    coordinate fails the NSPs of its ``step_masks.blocks`` mask, those
+    whose block-worthy edge it blocks.
     """
+    t = cg.step_masks
     live = (1 << cg.n_nsps) - 1
     if plan is not None:
-        if len(plan) != len(cg.bw_edges):
+        if len(plan) != len(t.blocks):
             raise ValueError(
-                f"plan has {len(plan)} coordinates, expected {len(cg.bw_edges)}"
+                f"plan has {len(plan)} coordinates, expected {len(t.blocks)}"
             )
-        for i, bit in enumerate(plan):
+        for bit, blocked in zip(plan, t.blocks):
             if bit:
-                for nsp_id in cg.bw_edge_to_nsps[cg.bw_edges[i]]:
-                    live &= ~(1 << nsp_id)
-    return cg.step_masks.entry, live, 0
+                live &= ~blocked
+    return t.entry, live, 0
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,12 @@ def _child_seed(seed: int, stream: int, index: int = 0) -> int:
     return int(ss.generate_state(1, np.uint32)[0])
 
 
+def simulation_seed(seed: int) -> int:
+    """The Monte Carlo seed of a run with instance seed ``seed``; ``adgame
+    simulate`` uses it too, so it replays a run's simulation."""
+    return _child_seed(seed, _S_SIM)
+
+
 def _rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream, index)))
 
@@ -262,7 +268,7 @@ def _finish_run(
     plan = outcome["best_plan"]
     with _phase(phases, "simulate_s"):
         report = simulate(
-            inst.cg, plan, policy, config.mc_runs, seed=_child_seed(seed, _S_SIM)
+            inst.cg, plan, policy, config.mc_runs, seed=simulation_seed(seed)
         )
     record = RunRecord(
         seed=seed,

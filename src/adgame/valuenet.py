@@ -373,8 +373,8 @@ def rollout(
     states = [s0]
     s = s0
     while terminal_value(cg, s) is None:
-        acts = admissible_actions(cg, s)
         if rng.random() < explore_prob:
+            acts = admissible_actions(cg, s)
             a = acts[int(rng.integers(len(acts)))]
         else:
             a = greedy_action(net, table, s)

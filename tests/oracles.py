@@ -124,6 +124,10 @@ def trit_transition(
     """Outcomes, detection mass and running sums of attempting ``action``,
     walked on trit states: a failure fails every unattempted NSP sharing the
     edge, failures that fail the same NSPs merge, and success comes last."""
+    sharers: dict[int, list[int]] = {}
+    for p in cg.nsps:
+        for edge_id in p.edges:
+            sharers.setdefault(edge_id, []).append(p.id)
     acc: dict[Trits, float] = {}
     detect = 0.0
     prefix = 1.0
@@ -132,7 +136,7 @@ def trit_transition(
         detect += prefix * e.p_d
         if e.p_f > 0.0:
             failed = list(s)
-            for nsp_id in cg.edge_to_nsps[edge_id]:
+            for nsp_id in sharers[edge_id]:
                 if failed[nsp_id] == UNATTEMPTED:
                     failed[nsp_id] = FAILED
             key = tuple(failed)

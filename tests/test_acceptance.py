@@ -109,7 +109,7 @@ def test_c02_kernelization_matches_textbook_graph(verdict):
         (cg.graph.edges[e].src, cg.graph.edges[e].dst) for e in cg.bw_edges
     }
     want_bw = {("c", "d"), ("a", "e")}
-    s = len(cg.entry_nodes)
+    s = len(cg.graph.entry_nodes)
     h = cg.feedback_edges
     bound = len(cg.bw_edges) <= s + 2 * h
     ok = named == want_nsps and bw_pairs == want_bw and bound

@@ -23,16 +23,15 @@ def edge_pair(cg, edge_id):
 def test_textbook_kernel_example():
     cg = condense(textbook_kernel_graph())
     assert cg.split_nodes == {"a", "d", "f"}
-    assert cg.entry_nodes == {"s"}
+    assert cg.graph.entry_nodes == {"s"}
     named = {p.nodes for p in cg.nsps if p.source in {"s", "a"}}
     assert named == {("s", "a"), ("a", "b", "c", "d"), ("a", "e", "f")}
     bw_pairs = {edge_pair(cg, e) for e in cg.bw_edges}
     assert bw_pairs == {("c", "d"), ("a", "e")}
-    s = len(cg.entry_nodes)
+    s = len(cg.graph.entry_nodes)
     h = cg.feedback_edges
     assert h == len(cg.graph.edges) - (len(cg.graph.nodes) - 1)
     assert len(cg.bw_edges) <= s + 2 * h
-    assert cg.condensed_node_count == 1 + 3 + 1
     assert cg.n_nsps == 7  # the three named ones plus the single-edge runs
 
 
@@ -88,8 +87,10 @@ def test_shared_block_worthy_edge_counted_once():
     assert len(cg.bw_edges) == 1
     shared = cg.bw_edges[0]
     assert edge_pair(cg, shared) == ("C", "da")
-    assert cg.bw_edge_to_nsps[shared] == (0, 1)
-    assert cg.edge_to_nsps[shared] == (0, 1)
+    t = cg.step_masks
+    assert t.blocks == (0b11,)
+    # the shared edge ends both paths, and each sees the other as a sharer
+    assert [t.edges[i][-1][3] for i in (0, 1)] == [0b11, 0b11]
 
 
 def test_nsp_ids_follow_source_successor_order():
@@ -112,19 +113,23 @@ def test_kernel_counts_and_bounds_on_random_instances():
             continue
         checked += 1
         g = cg.graph
-        s, t, h = len(cg.entry_nodes), len(cg.split_nodes), cg.feedback_edges
+        s, t, h = len(g.entry_nodes), len(cg.split_nodes), cg.feedback_edges
         out_total = sum(
-            len(g.out_edge_ids[v]) for v in cg.entry_nodes | cg.split_nodes
+            len(g.out_edge_ids[v]) for v in g.entry_nodes | cg.split_nodes
         )
         assert cg.n_nsps == out_total
-        assert cg.condensed_node_count == s + t + 1
+        # the condensed nodes are the NSPs' ends: the entries, the splitting
+        # nodes and DA
+        ends = {p.source for p in cg.nsps} | {p.terminal for p in cg.nsps}
+        assert len(ends) == s + t + 1
+        assert f"condensed-nodes {s + t + 1} " in kernel_report(cg)
         assert len(cg.bw_edges) <= s + t + h
         assert len(cg.bw_edges) <= s + 2 * h
         for p in cg.nsps:
-            assert p.terminal == cg.da or p.terminal in cg.split_nodes
+            assert p.terminal == g.da or p.terminal in cg.split_nodes
             for e in p.edges[:-1]:
                 head = g.edges[e].dst
-                assert head != cg.da and head not in cg.split_nodes
+                assert head != g.da and head not in cg.split_nodes
     assert checked >= 30
 
 
@@ -134,12 +139,11 @@ def test_terminal_edge_membership_is_shared_suffix():
         cg = random_instance(seed, max_nsps=40)
         if cg is None:
             continue
-        for edge_id, nsp_ids in cg.edge_to_nsps.items():
-            suffixes = set()
-            for i in nsp_ids:
-                edges = cg.nsps[i].edges
-                suffixes.add(edges[edges.index(edge_id):])
-            assert len(suffixes) == 1
+        suffixes: dict[int, set] = {}
+        for p in cg.nsps:
+            for i, edge_id in enumerate(p.edges):
+                suffixes.setdefault(edge_id, set()).add(p.edges[i:])
+        assert all(len(ends) == 1 for ends in suffixes.values())
 
 
 def test_kernelizer_rejects_unpruned_interior_sink():
@@ -163,3 +167,42 @@ def test_kernel_report_mentions_every_nsp():
     for p in cg.nsps:
         assert "/".join(p.nodes) in report
     assert f"nsps {cg.n_nsps}" in report
+
+
+TEXTBOOK_REPORT = """\
+nodes 8 edges 10 entries 1 splits 3 feedback 3
+condensed-nodes 5 nsps 7 bw-edges 2
+nsp  source->terminal  path  block-worthy
+  0  a->d  a/b/c/d  c->d(#3)
+  1  a->f  a/e/f  a->e(#4)
+  2  d->da  d/da  -
+  3  d->f  d/f  -
+  4  f->d  f/d  -
+  5  f->da  f/da  -
+  6  s->a  s/a  -
+bw-edge  nsps
+c->d(#3)  0
+a->e(#4)  1
+"""
+
+SHARED_SUFFIX_REPORT = """\
+nodes 5 edges 4 entries 2 splits 0 feedback 0
+condensed-nodes 3 nsps 2 bw-edges 1
+nsp  source->terminal  path  block-worthy
+  0  A->da  A/B/C/da  C->da(#2)
+  1  E->da  E/C/da  C->da(#2)
+bw-edge  nsps
+C->da(#2)  0,1
+"""
+
+
+@pytest.mark.parametrize(
+    "graph, expected",
+    [
+        (textbook_kernel_graph, TEXTBOOK_REPORT),
+        (shared_suffix_graph, SHARED_SUFFIX_REPORT),
+    ],
+    ids=["textbook", "shared-suffix"],
+)
+def test_kernel_report_text_is_frozen(graph, expected):
+    assert kernel_report(condense(graph())) == expected

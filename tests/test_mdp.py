@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -121,6 +122,27 @@ def test_initial_state_rejects_wrong_length():
     cg = condense(shared_suffix_graph())
     with pytest.raises(ValueError):
         initial_state(cg, [1, 0])
+
+
+def test_initial_state_fails_exactly_the_nsps_a_plan_blocks():
+    # the expected trits come from the NSPs' block-worthy edges alone
+    rng = np.random.default_rng(0)
+    checked = 0
+    for seed in range(40):
+        cg = random_instance(seed, max_nsps=40)
+        if cg is None or not cg.bw_edges:
+            continue
+        checked += 1
+        n = len(cg.bw_edges)
+        plans = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        plans += [tuple(int(b) for b in rng.integers(0, 2, n)) for _ in range(4)]
+        for plan in plans:
+            blocked = {e for e, bit in zip(cg.bw_edges, plan) if bit}
+            expected = tuple(
+                F if p.block_worthy_edge in blocked else U for p in cg.nsps
+            )
+            assert trits_of(cg, initial_state(cg, plan)) == expected
+    assert checked >= 20
 
 
 def test_admissible_actions_track_checkpoints():

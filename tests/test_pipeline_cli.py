@@ -26,6 +26,7 @@ from adgame.pipeline import (
     run_baseline,
     run_dir_for,
     run_nndp_edo,
+    simulation_seed,
     write_simulation_csv,
 )
 from adgame.simulate import DpPolicy, SimulationReport, simulate_on_original
@@ -642,6 +643,26 @@ def test_cli_defend_simulate_report(tmp_path, capsys, graph_file):
     assert "nndp-edo" in table and "greedy" in table
 
 
+@pytest.mark.parametrize("strategy", ["greedy", "edo"])
+def test_cli_simulate_replays_a_runs_simulation(tmp_path, capsys, strategy):
+    # seed 2's instance: both strategies' plans leave a success rate near 0.29
+    out = str(tmp_path)
+    common = _sets(tiny_config(out)) + ["--seed", "2", "--out", out]
+    assert main(["defend", strategy] + common) == 0
+    run = json.loads(capsys.readouterr().out)
+    assert run["success_rate"] > 0.0
+    ckpt = ["--checkpoint", os.path.join(run["run_dir"], "net.ckpt")]
+    policy = ckpt if strategy == "edo" else []
+    assert main(["simulate", "--plan", run["best_plan"]] + policy + common) == 0
+    sim = json.loads(capsys.readouterr().out)
+    assert sim["success_rate"] == run["success_rate"]
+    replay, row = (
+        [line.rsplit(",", 1)[0] for line in open(path).read().splitlines()]
+        for path in (sim["csv"], os.path.join(run["run_dir"], "simulation.csv"))
+    )
+    assert replay == row and len(row) == 2  # all but the wall-time column
+
+
 def test_cli_simulate_original_agrees_with_solve_exact_and_the_library(
     tmp_path, capsys, graph_file
 ):
@@ -659,7 +680,9 @@ def test_cli_simulate_original_agrees_with_solve_exact_and_the_library(
     assert out["runs"] == 20_000
     assert abs(out["success_rate"] - value) <= 4 * out["std_error"]
     bits = tuple(int(c) for c in plan)
-    lib = simulate_on_original(cg, bits, DpPolicy(cg), 20_000, seed=0)
+    lib = simulate_on_original(
+        cg, bits, DpPolicy(cg), 20_000, seed=simulation_seed(0)
+    )
     assert round(out["success_rate"] * out["runs"]) == lib.successes
     assert out["success_rate"] == lib.success_rate
 
