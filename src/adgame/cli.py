@@ -140,7 +140,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     plan = _parse_plan(args.plan, len(inst.cg.bw_edges))
     if args.checkpoint:
         net, _ = load_checkpoint(args.checkpoint)
-        policy = NetGreedyPolicy(net, BackupTable(inst.cg))
+        policy = NetGreedyPolicy(BackupTable(inst.cg, net))
         evaluator = "net-greedy"
     else:
         policy = DpPolicy(inst.cg, memo_limit=config.memo_limit)

@@ -172,11 +172,10 @@ class ExactFitness:
     """
 
     def __init__(self, cg: CondensedGraph, memo_limit: int = MEMO_LIMIT):
-        self.cg = cg
         self.policy = DpPolicy(cg, memo_limit=memo_limit)
 
     def __call__(self, plan: Sequence[int]) -> float:
-        return self.policy.value(initial_state(self.cg, plan))
+        return self.policy.value(initial_state(self.policy.cg, plan))
 
 
 class NetFitness:

@@ -6,15 +6,15 @@ strategy, evaluate its best plan, and persist everything needed to re-verify
 the numbers: the instance graph, the final population, the value-net
 checkpoint, the simulation row, and a JSON record.
 
-All artifacts except the timing sidecar are bit-reproducible for a given
-config and seed: wall-clock measurements live in ``timings.json`` only.
-It holds ``total_s`` and one ``<phase>_s`` per phase of the run; the
-phases are disjoint, so they sum to at most ``total_s``.  Every run also
-writes ``counters.json``.  Search-and-train runs record the work their
-backup table did or saved, the rollouts and batch updates of their
-training rounds, and the keys their exact attempt stored: none exactly
-when ``mdp.key_floor_log2`` skipped it.  Greedy and exhaustive runs record
-the keys and edge walks of their exact solver.
+Every artifact is bit-reproducible for a given config and seed but the wall
+times in ``timings.json`` and ``simulation.csv``'s ``wall_time_s``.
+``timings.json`` holds ``total_s`` and one ``<phase>_s`` per phase of the
+run; the phases are disjoint, so they sum to at most ``total_s``.  Every run
+also writes ``counters.json``.  Search-and-train runs record the work their
+backup table did or saved, the rollouts and batch updates of their training
+rounds, and the keys their exact attempt stored: none exactly when
+``mdp.key_floor_log2`` skipped it.  Greedy and exhaustive runs record the
+keys and edge walks of their exact solver.
 """
 from __future__ import annotations
 
@@ -92,8 +92,8 @@ def _phase(phases: dict[str, float], name: str):
     phases[name] = phases.get(name, 0.0) + time.perf_counter() - t
 
 
-def _child_seed(seed: int, stream: int, index: int = 0) -> int:
-    ss = np.random.SeedSequence((seed, stream, index))
+def _child_seed(seed: int, stream: int) -> int:
+    ss = np.random.SeedSequence((seed, stream, 0))
     return int(ss.generate_state(1, np.uint32)[0])
 
 
@@ -103,7 +103,7 @@ def simulation_seed(seed: int) -> int:
     return _child_seed(seed, _S_SIM)
 
 
-def _rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
+def _rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, stream, index)))
 
 
@@ -325,7 +325,7 @@ def run_nndp_edo(
     )
     optimizer = Adam(net, learning_rate=config.learning_rate)
     evaluator = NetFitness(net, cg)
-    table = BackupTable(cg)
+    table = BackupTable(cg, net)
     round_best: list[float] = []
     curves: list[tuple[float, ...]] = []
     rollouts = 0
@@ -374,7 +374,7 @@ def run_nndp_edo(
         },
     }
     return _finish_run(
-        config, seed, inst, started, pop, net, NetGreedyPolicy(net, table),
+        config, seed, inst, started, pop, net, NetGreedyPolicy(table),
         "net-greedy", phases, counters,
         strategy=name,
         round_best_fitness=tuple(round_best),

@@ -19,6 +19,17 @@ the step that moves one group across one attempted path.  Runs in the same
 group advance in lockstep, so no Python loop runs over runs: the kernel step
 is one ``searchsorted``, the raw step one column compare per edge of the
 path over the runs still walking.
+
+Pending groups sit on a stack and are never merged: no key pushed equals a
+pending one.  A step's groups differ from each other in state or offset,
+and each lies further along the tape than the group popped.  In the kernel
+game a step pushes all its groups at one offset, so no pending group lies
+beyond the one popped, and the pushed keys lie beyond them all.  In the raw
+game the only pending group beyond the popped one is the success of an
+action that failed on its history: it holds that action in S, and no later
+state of the popped group can.  A collision would not change the successes
+(each run reads only its own tape row), only the policy's call sequence,
+which fills ``NetGreedyPolicy``'s table and ``counters.json``.
 """
 from __future__ import annotations
 
@@ -84,22 +95,14 @@ def _uniform_tape(
     return rng.random((n_runs, draws_per_run))
 
 
-def _settle(
-    cg: CondensedGraph,
-    groups: dict,
-    key: tuple,
-    rows: np.ndarray,
-) -> int:
-    """File rows under a state key, or absorb them if the state is terminal.
+def _settle(cg: CondensedGraph, groups: list, key: tuple, rows: np.ndarray) -> int:
+    """Push rows under a state key, or absorb them if the state is terminal.
 
     Returns the number of rows absorbed as successes.
     """
     value = terminal_value(cg, key[0])
     if value is None:
-        if key in groups:
-            groups[key] = np.concatenate([groups[key], rows])
-        else:
-            groups[key] = rows
+        groups.append((key, rows))
         return 0
     return len(rows) if value == 1.0 else 0
 
@@ -133,10 +136,10 @@ def _play(
     while done < runs:
         n = min(CHUNK_SIZE, runs - done)
         tape = _uniform_tape(seed, first_run + done, n, draws_per_run)
-        groups: dict[tuple[State, int], np.ndarray] = {}
+        groups: list[tuple[tuple[State, int], np.ndarray]] = []
         successes += _settle(cg, groups, (start, 0), np.arange(n))
         while groups:
-            (state, offset), rows = groups.popitem()
+            (state, offset), rows = groups.pop()
             action = policy(state)
             if not is_admissible(cg, state, action):
                 raise PolicyContractError(

@@ -12,16 +12,16 @@ prediction and target computation.
 
 A state's backup has a part that does not depend on the net: its admissible
 actions, their outcome masses, the exact values of the terminal successors
-and the encoded rows of the others.  A ``BackupTable`` builds that part once
-per state and keeps it, with the last action values computed from it, the
-net that computed them and that net's weights version.  ``Adam.step`` and
-``set_flat_params`` are the only writers of a net's parameters, and each
-bumps its version, so a backup asked again of the same net at the same
+and the encoded rows of the others.  A ``BackupTable`` serves one net on
+one instance: it builds that part once per state and keeps it, with the
+last action values computed from it and the net's weights version then.
+``Adam.step`` and ``set_flat_params`` are the only writers of a net's
+parameters, and each bumps its version, so a backup asked again at the same
 version is the same computation, and the table returns its stored result.
 Otherwise it hands ``forward`` the same matrix in the same row order as a
 fresh backup, so its values are bit-identical.  The table is the one memo
 of the net's decisions: ``greedy_action``, ``bellman_targets``, ``rollout``
-and ``NetGreedyPolicy`` take it and read the instance from ``table.cg``.  A
+and ``NetGreedyPolicy`` take it and read ``table.cg`` and ``table.net``.  A
 pipeline run's training rounds and final policy share one table, and a
 ``train_round`` given none makes one for the round.  A table holds at most
 ``BACKUP_TABLE_BYTES``, or one entry when a single entry is larger, and
@@ -230,7 +230,7 @@ def predict(net: ValueNet, cg: CondensedGraph, s: State) -> float:
 class _Backup:
     """The net-free part of one state's backup, and its last action values."""
 
-    __slots__ = ("spans", "weights", "values", "ask", "rows", "q", "net", "version")
+    __slots__ = ("spans", "weights", "values", "ask", "rows", "q", "version")
 
     def __init__(self, cg: CondensedGraph, s: State):
         spans: list[tuple[int, int, int]] = []
@@ -256,8 +256,7 @@ class _Backup:
         self.ask = np.asarray(ask, dtype=np.intp)  # the other successors
         self.rows = encode_states([succ[i] for i in ask], cg.n_nsps)
         self.q: list[tuple[int, float]] = []
-        self.net: ValueNet | None = None  # the net that gave ``q``
-        self.version = 0  # and its weights version then
+        self.version = -1  # the net's weights version that gave ``q``
 
     def nbytes(self) -> int:
         arrays = (self.weights, self.values, self.ask, self.rows)
@@ -267,22 +266,29 @@ class _Backup:
 
 
 class BackupTable:
-    """Backups of one instance's states keyed on the state, built once; their
-    action values are served again while the same net keeps its weights.
+    """Backups of one instance's states under one net with an input per NSP,
+    built once per state; their action values are served again while the
+    net keeps its weights.
 
     ``counts`` tallies entries built, lookups that found an entry, action
     values served without the net, and rows the net evaluated.
     """
 
-    def __init__(self, cg: CondensedGraph):
+    def __init__(self, cg: CondensedGraph, net: ValueNet):
+        if net.n_inputs != cg.n_nsps:
+            raise CheckpointFormatError(
+                f"the net takes {net.n_inputs} inputs but the instance has "
+                f"{cg.n_nsps} NSPs"
+            )
         self.cg = cg
+        self.net = net
         self._entries: dict[State, _Backup] = {}
         self._bytes = 0
         self.counts = dict.fromkeys(
             ("entries_built", "entry_reuses", "q_list_reuses", "net_rows"), 0
         )
 
-    def action_values(self, net: ValueNet, s: State) -> list[tuple[int, float]]:
+    def action_values(self, s: State) -> list[tuple[int, float]]:
         """One-step Bellman backup of every admissible action under the net;
         detection carries zero value, so only explicit outcomes contribute."""
         b = self._entries.get(s)
@@ -297,23 +303,23 @@ class BackupTable:
             self._bytes += size
         else:
             self.counts["entry_reuses"] += 1
-            if b.net is net and b.version == net.version:
+            if b.version == self.net.version:
                 self.counts["q_list_reuses"] += 1
                 return list(b.q)
         vals = b.values.copy()
         if len(b.ask):
-            vals[b.ask] = net.forward(b.rows)
+            vals[b.ask] = self.net.forward(b.rows)
             self.counts["net_rows"] += len(b.ask)
         w = b.weights
         b.q = [(a, float(np.dot(w[lo:hi], vals[lo:hi]))) for a, lo, hi in b.spans]
-        b.net, b.version = net, net.version
+        b.version = self.net.version
         return list(b.q)
 
 
-def greedy_action(net: ValueNet, table: BackupTable, s: State) -> int:
-    """Best action under the net's backup; ties go to the smallest path id.
+def greedy_action(table: BackupTable, s: State) -> int:
+    """Best action under the table's net; ties go to the smallest path id.
     A net that values every action as nan has diverged."""
-    q = table.action_values(net, s)
+    q = table.action_values(s)
     best_a, _ = argmax(q)
     if best_a is None:
         if q:
@@ -324,9 +330,7 @@ def greedy_action(net: ValueNet, table: BackupTable, s: State) -> int:
     return best_a
 
 
-def bellman_targets(
-    net: ValueNet, table: BackupTable, states: Sequence[State]
-) -> np.ndarray:
+def bellman_targets(table: BackupTable, states: Sequence[State]) -> np.ndarray:
     """Regression targets: exact terminal values, best backups elsewhere."""
     out = np.empty(len(states))
     for i, s in enumerate(states):
@@ -334,29 +338,22 @@ def bellman_targets(
         if tv is not None:
             out[i] = tv
         else:
-            out[i] = max(q for _, q in table.action_values(net, s))
+            out[i] = max(q for _, q in table.action_values(s))
     return out
 
 
 class NetGreedyPolicy:
-    """Deterministic policy playing the net's greedy action under the current
-    weights; ``table`` is its only memo."""
+    """Deterministic policy playing the greedy action of ``table``'s net
+    under its current weights; ``table`` is its only memo."""
 
-    def __init__(self, net: ValueNet, table: BackupTable):
-        if net.n_inputs != table.cg.n_nsps:
-            raise CheckpointFormatError(
-                f"the net takes {net.n_inputs} inputs but the instance has "
-                f"{table.cg.n_nsps} NSPs"
-            )
-        self.net = net
+    def __init__(self, table: BackupTable):
         self.table = table
 
     def __call__(self, s: State) -> int:
-        return greedy_action(self.net, self.table, s)
+        return greedy_action(self.table, s)
 
 
 def rollout(
-    net: ValueNet,
     table: BackupTable,
     s0: State,
     explore_prob: float,
@@ -377,7 +374,7 @@ def rollout(
             acts = admissible_actions(cg, s)
             a = acts[int(rng.integers(len(acts)))]
         else:
-            a = greedy_action(net, table, s)
+            a = greedy_action(table, s)
         dist = transition(cg, s, a)
         pick = bisect_right(dist.cumulative, rng.random())
         if pick == len(dist.outcomes):
@@ -414,14 +411,14 @@ def train_round(
     Targets are recomputed from the current parameters before each batch
     update.  An epoch whose mean loss is not finite raises
     ``TrainingDivergedError``.  Backups go through ``table``, which must be
-    ``cg``'s (one for this round when None).
+    built for ``cg`` and ``net`` (one for this round when None).
     """
     if not plans:
         raise ValueError("plans must be non-empty")
     if table is None:
-        table = BackupTable(cg)
-    elif table.cg is not cg:
-        raise ValueError("the backup table belongs to another instance")
+        table = BackupTable(cg, net)
+    elif table.cg is not cg or table.net is not net:
+        raise ValueError("the backup table belongs to another instance or net")
     losses: list[float] = []
     rollouts = 0
     for _ in range(config.epochs_per_round):
@@ -429,12 +426,12 @@ def train_round(
         s0 = initial_state(cg, plan)
         states: list[State] = []
         while len(states) < config.batch_size:
-            states.extend(rollout(net, table, s0, config.explore_prob, rng))
+            states.extend(rollout(table, s0, config.explore_prob, rng))
             rollouts += 1
         batch_losses = []
         for at in range(0, len(states), config.batch_size):
             batch = states[at : at + config.batch_size]
-            targets = bellman_targets(net, table, batch)
+            targets = bellman_targets(table, batch)
             loss, grads = net.loss_and_grads(encode_states(batch, cg.n_nsps), targets)
             optimizer.step(grads)
             batch_losses.append(loss)

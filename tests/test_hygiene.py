@@ -18,6 +18,11 @@ attribute, or imported by name, so a re-export in the package's
 ``__init__.py`` counts.  A name only tests read is not part of the program.
 ``config`` is the settings leaf: of the package it imports only ``graph``
 and ``mdp``, so the algorithm modules can import their defaults from it.
+A defaulted parameter of a private module-level function must be passed
+by some of the module's calls of it but not by all: a default no call
+overrides is a constant, and one every call overrides is dead.  A function
+the module also reads other than as a callee, or calls with ``*`` or
+``**`` arguments, is not judged.
 """
 from __future__ import annotations
 
@@ -181,6 +186,87 @@ def test_scan_finds_an_unloaded_private_and_passes_loaded_ones():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_privates(path):
     assert unused_privates(path.read_text(encoding="utf-8")) == []
+
+
+def idle_defaults(source: str) -> list[str]:
+    """Defaulted parameters of private module-level functions that no call
+    in the module passes, or that every call passes."""
+    tree = ast.parse(source)
+    funcs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and _private(node.name)
+    }
+    calls: dict[str, list[ast.Call]] = {name: [] for name in funcs}
+    callees = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in calls:
+                calls[node.func.id].append(node)
+                callees.add(node.func)
+    judged = set(funcs) - {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in funcs and node not in callees
+    }
+    found = []
+    for name in sorted(judged, key=lambda n: funcs[n].lineno):
+        args, sites = funcs[name].args, calls[name]
+        if not sites or any(
+            isinstance(x, ast.Starred) for c in sites for x in c.args
+        ) or any(k.arg is None for c in sites for k in c.keywords):
+            continue
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaulted = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+        defaulted += [
+            (p.arg, None)
+            for p, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None
+        ]
+        for arg, index in defaulted:
+            passed = [
+                (index is not None and len(c.args) > index)
+                or any(k.arg == arg for k in c.keywords)
+                for c in sites
+            ]
+            if not any(passed):
+                found.append(f"line {funcs[name].lineno}: {name}({arg}) never passed")
+            elif all(passed):
+                found.append(f"line {funcs[name].lineno}: {name}({arg}) always passed")
+    return found
+
+
+def test_scan_finds_idle_defaults_and_passes_used_ones():
+    source = (
+        "def _seed(seed, stream, index=0):\n"
+        "    return seed, stream, index\n"
+        "def _draw(n, scale=1.0, *, dtype=None):\n"
+        "    return n * scale, dtype\n"
+        "def _escaped(x, y=1):\n"
+        "    return x + y\n"
+        "def _starred(x, y=1):\n"
+        "    return x + y\n"
+        "def public(a=1):\n"
+        "    return a\n"
+        "def run(xs):\n"
+        "    hook = _escaped\n"
+        "    return (\n"
+        "        _seed(1, 2), _seed(3, stream=4), _draw(2, 3.0),\n"
+        "        _draw(1, scale=2.0, dtype=int), _escaped(1), _starred(*xs),\n"
+        "        public(), hook,\n"
+        "    )\n"
+    )
+    assert idle_defaults(source) == [
+        "line 1: _seed(index) never passed",
+        "line 3: _draw(scale) always passed",
+    ]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_idle_defaults(path):
+    assert idle_defaults(path.read_text(encoding="utf-8")) == []
 
 
 def test_scan_finds_foreign_privates_and_passes_own_ones():

@@ -16,6 +16,7 @@ from adgame.simulate import (
     simulate,
     simulate_on_original,
 )
+from adgame.valuenet import BackupTable, NetGreedyPolicy, ValueNet
 
 from instances import (
     GRAPH_D,
@@ -101,6 +102,39 @@ def test_chunk_and_split_invariance(monkeypatch):
             m.setattr(sim_module, "CHUNK_SIZE", 701)
             ragged = sim(cg, None, policy, runs=5000, seed=42)
         assert ragged.successes == whole.successes
+
+
+def test_no_filed_group_meets_a_pending_one(monkeypatch):
+    # the engine's stack never merges groups: a key filed while a group with
+    # that key is pending would need one
+    settle = sim_module._settle
+    filed = 0
+    beyond = dict.fromkeys((simulate, simulate_on_original), 0)
+
+    def record(cg_, groups, key, rows):
+        nonlocal filed
+        pending = [k for k, _ in groups]
+        assert key not in pending
+        filed += 1
+        beyond[runner] += any(offset > key[1] for _, offset in pending)
+        return settle(cg_, groups, key, rows)
+
+    monkeypatch.setattr(sim_module, "_settle", record)
+    for seed in range(60):
+        cg = random_instance(seed)
+        if cg is None:
+            continue
+        net = ValueNet(cg.n_nsps, depth=1, width=8, seed=seed)
+        policies = (DpPolicy(cg), NetGreedyPolicy(BackupTable(cg, net)))
+        n = len(cg.bw_edges)
+        for plan in [None] + [tuple(int(i == j) for i in range(n)) for j in range(n)]:
+            for policy in policies:
+                for runner in beyond:
+                    runner(cg, plan, policy, runs=300, seed=seed)
+    # a kernel step files beyond every pending group; the raw walk's pending
+    # successes lie beyond the groups filed after them
+    assert filed > 10_000
+    assert beyond[simulate] == 0 and beyond[simulate_on_original] > 100
 
 
 def test_same_seed_reproduces():

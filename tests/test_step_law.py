@@ -81,7 +81,7 @@ def test_rollout_picks_the_outcome_of_the_strict_rule_at_boundaries():
         net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
         index = admissible_actions(cg, s0).index(a)
         for u in draws:
-            states = rollout(net, BackupTable(cg), s0, 1.0, _ScriptedRng(index, u))
+            states = rollout(BackupTable(cg, net), s0, 1.0, _ScriptedRng(index, u))
             want = _strict_pick(dist.outcomes, u)
             if want == len(dist.outcomes):
                 assert states == [s0]
@@ -228,11 +228,11 @@ def test_pinned_values_successes_and_rollouts(seed):
         simulate(cg, plan, DpPolicy(cg), 3000, seed=seed).successes for plan in plans
     ) == successes
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
-    table = BackupTable(cg)
+    table = BackupTable(cg, net)
     rng = np.random.default_rng(seed)
     s0 = initial_state(cg)
     got = [
-        " ".join(_trits(cg, s) for s in rollout(net, table, s0, 1.0, rng))
+        " ".join(_trits(cg, s) for s in rollout(table, s0, 1.0, rng))
         for _ in walks
     ]
     assert got == walks

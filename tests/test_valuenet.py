@@ -107,7 +107,8 @@ def test_predict_short_circuits_terminals():
     assert 0.0 < mid < 1.0
 
 
-def _numeric_grads(net, x, y, h=1e-6):
+def _numeric_grads(net, x, y):
+    h = 1e-6  # the central differences' step
     flat = net.flat_params()
     grad = np.empty_like(flat)
     for i in range(flat.size):
@@ -239,7 +240,7 @@ def test_bellman_targets_bounded_and_terminal_exact():
             (FAILED, UNATTEMPTED),
         )
     ]
-    targets = bellman_targets(net, BackupTable(cg), states)
+    targets = bellman_targets(BackupTable(cg, net), states)
     assert np.all(targets >= 0.0) and np.all(targets <= 1.0)
     assert targets[1] == 1.0
     assert targets[2] == 0.0
@@ -249,7 +250,7 @@ def test_action_values_weight_outcomes_by_probability():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=2, width=8, seed=2)
     s = state_of(cg, (UNATTEMPTED, UNATTEMPTED))
-    got = dict(BackupTable(cg).action_values(net, s))
+    got = dict(BackupTable(cg, net).action_values(s))
     for a in (0, 1):
         expect = sum(
             p * predict(net, cg, s2) for s2, p in transition(cg, s, a).outcomes
@@ -297,16 +298,16 @@ def test_backup_table_serves_the_fresh_backup_bit_for_bit():
         if cg is None:
             continue
         net = ValueNet(cg.n_nsps, depth=2, width=16, seed=seed)
-        table = BackupTable(cg)
+        table = BackupTable(cg, net)
         states = _open_states(cg)
         for _ in range(2):  # the second pass is served from the stored lists
             for s in states:
-                got = _hex(table.action_values(net, s))
-                assert got == _hex(BackupTable(cg).action_values(net, s))
+                got = _hex(table.action_values(s))
+                assert got == _hex(BackupTable(cg, net).action_values(s))
                 assert got == _hex(_fresh_backup(net, cg, s))
                 checked += 1
-        assert [float.hex(t) for t in bellman_targets(net, table, states)] == [
-            float.hex(t) for t in bellman_targets(net, BackupTable(cg), states)
+        assert [float.hex(t) for t in bellman_targets(table, states)] == [
+            float.hex(t) for t in bellman_targets(BackupTable(cg, net), states)
         ]
         reused += table.counts["q_list_reuses"]
         assert table.counts["entries_built"] == len(states)
@@ -317,8 +318,8 @@ def test_backup_table_recomputes_once_the_weights_change():
     cg = random_instance(3, max_nsps=9)
     net = ValueNet(cg.n_nsps, depth=2, width=16, seed=0)
     states = _open_states(cg)
-    table = BackupTable(cg)
-    before = [table.action_values(net, s) for s in states]
+    table = BackupTable(cg, net)
+    before = [table.action_values(s) for s in states]
     x = encode_states(states, cg.n_nsps)
     _, grads = net.loss_and_grads(x, np.full(len(states), 0.9))
     updates = [
@@ -330,9 +331,9 @@ def test_backup_table_recomputes_once_the_weights_change():
         update()
         assert net.version != version
         served = table.counts["q_list_reuses"]
-        after = [table.action_values(net, s) for s in states]
+        after = [table.action_values(s) for s in states]
         assert table.counts["q_list_reuses"] == served
-        fresh = [BackupTable(cg).action_values(net, s) for s in states]
+        fresh = [BackupTable(cg, net).action_values(s) for s in states]
         assert [_hex(q) for q in after] == [_hex(q) for q in fresh]
         assert after != before
         before = after
@@ -343,19 +344,19 @@ def test_backup_table_eviction_changes_no_result(monkeypatch):
     config = ExperimentConfig(batch_size=8, epochs_per_round=30)
     plans = [tuple(int(i == j) for i in range(len(cg.bw_edges))) for j in range(3)]
 
-    def train(table):
+    def train():
         net = ValueNet(cg.n_nsps, depth=2, width=16, seed=1)
+        table = BackupTable(cg, net)
         stats = train_round(
             net, cg, plans, config, np.random.default_rng(2), Adam(net), table=table
         )
-        return stats.epoch_losses, net.flat_params().tobytes()
+        return (stats.epoch_losses, net.flat_params().tobytes()), table
 
-    roomy = BackupTable(cg)
-    want = train(roomy)
+    want, roomy = train()
     # room for about three entries: the table empties itself many times
     monkeypatch.setattr(valuenet, "BACKUP_TABLE_BYTES", 3 * valuenet._ENTRY_BYTES)
-    tight = BackupTable(cg)
-    assert train(tight) == want
+    got, tight = train()
+    assert got == want
     assert tight.counts["entries_built"] > 3 * roomy.counts["entries_built"]
     assert tight._bytes <= valuenet.BACKUP_TABLE_BYTES
 
@@ -366,10 +367,10 @@ def test_train_round_without_a_table_is_the_shared_table_round():
     plans = [(0,) * len(cg.bw_edges)]
     config = ExperimentConfig(batch_size=4, epochs_per_round=20)
     runs = []
-    for table in (None, BackupTable(cg)):
+    for shared in (False, True):
         net = ValueNet(cg.n_nsps, depth=2, width=8, seed=0)
         optimizer = Adam(net)
-        kwargs = {} if table is None else {"table": table}
+        kwargs = {"table": BackupTable(cg, net)} if shared else {}
         stats = train_round(
             net, cg, plans, config, rng=np.random.default_rng(0), optimizer=optimizer,
             **kwargs,
@@ -382,14 +383,26 @@ def test_train_round_refuses_another_instances_table():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     before = net.flat_params()
-    other = BackupTable(condense(two_parallel_graph()))
-    with pytest.raises(ValueError, match="another instance"):
-        train_round(
-            net, cg, [()], ExperimentConfig(batch_size=2, epochs_per_round=1),
-            np.random.default_rng(0), Adam(net), table=other,
-        )
-    assert np.array_equal(net.flat_params(), before)
-    assert other.counts["entries_built"] == 0
+    twin = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
+    for other in (
+        BackupTable(condense(two_parallel_graph()), net),
+        BackupTable(cg, twin),  # another net, though an equal one
+    ):
+        with pytest.raises(ValueError, match="another instance or net"):
+            train_round(
+                net, cg, [()], ExperimentConfig(batch_size=2, epochs_per_round=1),
+                np.random.default_rng(0), Adam(net), table=other,
+            )
+        assert np.array_equal(net.flat_params(), before)
+        assert other.counts["entries_built"] == 0
+
+
+def test_backup_table_refuses_a_net_of_another_width():
+    cg = condense(shared_suffix_graph())
+    for n_inputs in (cg.n_nsps - 1, cg.n_nsps + 1):
+        net = ValueNet(n_inputs, depth=1, width=4, seed=0)
+        with pytest.raises(CheckpointFormatError, match=f"takes {n_inputs} inputs"):
+            BackupTable(cg, net)
 
 
 def test_rollout_on_terminal_start_returns_it_alone():
@@ -397,18 +410,18 @@ def test_rollout_on_terminal_start_returns_it_alone():
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     rng = np.random.default_rng(0)
     dead = state_of(cg, (FAILED, FAILED))
-    assert rollout(net, BackupTable(cg), dead, 0.5, rng) == [dead]
+    assert rollout(BackupTable(cg, net), dead, 0.5, rng) == [dead]
 
 
 def test_rollout_visits_follow_transition_law():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     rng = np.random.default_rng(123)
-    table = BackupTable(cg)
+    table = BackupTable(cg, net)
     n = 10_000
     counts = {"detected": 0, "success": 0, "fail": 0}
     for _ in range(n):
-        states = rollout(net, table, state_of(cg, (UNATTEMPTED, UNATTEMPTED)), 1.0, rng)
+        states = rollout(table, state_of(cg, (UNATTEMPTED, UNATTEMPTED)), 1.0, rng)
         if len(states) == 1:
             counts["detected"] += 1
         elif SUCCESS in trits_of(cg, states[1]):
@@ -428,7 +441,7 @@ def test_rollout_states_are_reachable_and_end_terminal():
             continue
         net = ValueNet(cg.n_nsps, depth=2, width=8, seed=seed)
         rng = np.random.default_rng(seed)
-        states = rollout(net, BackupTable(cg), initial_state(cg), 0.5, rng)
+        states = rollout(BackupTable(cg, net), initial_state(cg), 0.5, rng)
         assert states[0] == initial_state(cg)
         assert all(state_of(cg, trits_of(cg, s)) == s for s in states)
 
@@ -481,10 +494,10 @@ def test_a_nan_net_raises_training_diverged():
     with pytest.raises(TrainingDivergedError, match="values state"):
         predict(net, cg, s)
     with pytest.raises(TrainingDivergedError, match="every action"):
-        greedy_action(net, BackupTable(cg), s)
+        greedy_action(BackupTable(cg, net), s)
     # a state without actions is a caller's mistake, whatever the net
     with pytest.raises(ValueError, match="no admissible action"):
-        greedy_action(net, BackupTable(cg), state_of(cg, (FAILED, FAILED)))
+        greedy_action(BackupTable(cg, net), state_of(cg, (FAILED, FAILED)))
 
 
 def test_train_round_rejects_empty_plans():
@@ -599,7 +612,7 @@ def test_a_depth_zero_checkpoint_round_trips(tmp_path):
 def test_net_greedy_policy_is_admissible_in_simulation():
     cg = condense(shared_suffix_graph())
     net = ValueNet(cg.n_nsps, depth=2, width=8, seed=9)
-    policy = NetGreedyPolicy(net, BackupTable(cg))
+    policy = NetGreedyPolicy(BackupTable(cg, net))
     report = simulate(cg, None, policy, runs=2000, seed=5)
     assert 0.0 <= report.success_rate <= 1.0
 
@@ -620,10 +633,10 @@ def test_net_greedy_policy_plays_the_fresh_action_after_the_weights_change():
 
     for update in (negate, adam_step):
         net = ValueNet(cg.n_nsps, depth=2, width=16, seed=14)
-        policy = NetGreedyPolicy(net, BackupTable(cg))
+        policy = NetGreedyPolicy(BackupTable(cg, net))
         assert policy(s0) == 1
         update(net)
-        assert policy(s0) == greedy_action(net, BackupTable(cg), s0) == 0
+        assert policy(s0) == greedy_action(BackupTable(cg, net), s0) == 0
 
 
 def test_greedy_action_breaks_ties_toward_smaller_id():
@@ -631,7 +644,7 @@ def test_greedy_action_breaks_ties_toward_smaller_id():
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
     # symmetric instance and symmetric state: both actions score equally
     s = state_of(cg, (UNATTEMPTED, UNATTEMPTED))
-    table = BackupTable(cg)
-    got = dict(table.action_values(net, s))
+    table = BackupTable(cg, net)
+    got = dict(table.action_values(s))
     if got[0] == got[1]:
-        assert greedy_action(net, table, s) == 0
+        assert greedy_action(table, s) == 0
