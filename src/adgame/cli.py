@@ -139,7 +139,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     inst = pipeline.prepare_instance(config, seed)
     plan = _parse_plan(args.plan, len(inst.cg.bw_edges))
     if args.checkpoint:
-        net, _ = load_checkpoint(args.checkpoint)
+        net, _ = load_checkpoint(args.checkpoint, inst.cg.n_nsps)
         policy = NetGreedyPolicy(BackupTable(inst.cg, net))
         evaluator = "net-greedy"
     else:

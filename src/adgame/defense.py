@@ -117,14 +117,8 @@ def crossover(
 
 
 def _worst_index(pop: Population) -> int:
-    worst = 0
-    for j in range(1, len(pop)):
-        m = pop[j]
-        if m.fitness > pop[worst].fitness or (
-            m.fitness == pop[worst].fitness and m.born < pop[worst].born
-        ):
-            worst = j
-    return worst
+    """The member of highest fitness (attacker value), the oldest on ties."""
+    return max(range(len(pop)), key=lambda j: (pop[j].fitness, -pop[j].born))
 
 
 def diversity_select_removal(pop: Population) -> int:

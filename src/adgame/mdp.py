@@ -54,7 +54,8 @@ every state with the same ``a`` and ``U & span(a)``.
 One edge walk gives the step law: ``expand`` pairs every admissible action
 with its outcome states and masses (for the net's backup), ``transition``
 checks one chosen action and returns its ``TransitionDistribution`` with
-the detection mass, and ``ExactSolver`` keeps each entry it walks.  A
+the detection mass, ``ExactSolver`` keeps each entry it walks, and
+``key_floor_log2`` looks in an entry for one failure remainder.  A
 distribution's ``cumulative`` table holds its outcome masses summed left to
 right; a uniform ``u`` picks the first outcome whose sum exceeds it, else
 detection.
@@ -261,37 +262,34 @@ def key_floor_log2(cg: CondensedGraph, s: State) -> int:
     """An ``m`` such that the memo holds at least ``2**m`` keys once ``s``
     is solved.
 
-    ``m`` counts the live NSPs out of an entry that have an edge ``e`` with
-    ``p_f > 0`` whose only live sharer is the NSP itself, and whose walk
-    reaches ``e`` with positive pass mass (the float products of
-    ``_walk``); a terminal ``s`` counts 0.  Call these NSPs ``E`` and let
-    ``(O, U)`` be the key of ``s``.  Every subset ``F`` of ``E`` can fail
-    while the rest of ``U`` stays live: the memo holds ``(O, U - F)``.
-    By induction on ``|F|``, pick ``a`` in ``F``, one ending in DA if every
-    live DA NSP is in ``F``.  The memo holds ``(O, U - (F - {a}))``, and
-    that key is not terminal: DA is not in ``O`` (``s`` is not terminal
-    and failures add no node), ``a`` is live and leaves an entry (always
-    owned), and a live DA NSP remains (``a`` itself or one outside ``F``).
-    The memo holds a non-terminal key only together with every outcome of
-    every admissible action.  The walk of ``a`` reaches ``e`` and fails
-    there; ``e``'s live sharers are a subset of ``{a}``, so that outcome
-    is ``(O, U - F)``, kept even when its mass underflows to 0.  The
-    ``2**|E|`` keys are distinct.
+    ``m`` counts the live NSPs ``a`` out of an entry whose step entry at
+    ``L = U & span(a)`` holds the failure remainder ``L - {a}``: the walk
+    reaches, with positive pass mass, an edge with ``p_f > 0`` whose only
+    live sharer is ``a``.  A terminal ``s`` counts 0.  Call these NSPs
+    ``E`` and let ``(O, U)`` be the key of ``s``.  Every subset ``F`` of
+    ``E`` can fail while the rest of ``U`` stays live: the memo holds
+    ``(O, U - F)``.  By induction on ``|F|``, pick ``a`` in ``F``, one
+    ending in DA if every live DA NSP is in ``F``.  The memo holds ``(O, U
+    - (F - {a}))``, and that key is not terminal: DA is not in ``O`` (``s``
+    is not terminal and failures add no node), ``a`` is live and leaves an
+    entry (always owned), and a live DA NSP remains (``a`` itself or one
+    outside ``F``).  The memo holds a non-terminal key only together with
+    every outcome of every admissible action.  Pass masses read no mask,
+    and that edge's live sharers shrink with ``U`` but keep ``a``, so the
+    entry of ``a`` at ``L' = (U - (F - {a})) & span(a)`` holds ``L' -
+    {a}``.  By the module docstring's rule that remainder rebuilds to ``(O,
+    U - F)``, kept even when its mass underflows to 0.  The ``2**|E|`` keys
+    are distinct.
     """
-    t = cg.step_masks
-    owned, live, _ = s
     if terminal_value(cg, s) is not None:
         return 0
+    t = cg.step_masks
+    live = s[1]
     m = 0
     for a in _ids(live & t.entry_out):
-        prefix = 1.0
-        for _, p_f, p_s, sharers in t.edges[a]:
-            if p_f > 0.0 and live & sharers == 1 << a:
-                m += 1
-                break
-            prefix *= p_s
-            if prefix <= 0.0:
-                break
+        live_span = live & t.span[a]
+        if live_span & ~(1 << a) in _walk(t, live_span, a)[0]:
+            m += 1
     return m
 
 
@@ -391,7 +389,7 @@ class ExactSolver:
         return self.value_and_action(s)[1]
 
     def _remember(self, key: tuple[int, int], value: float, action: int | None) -> None:
-        if key not in self._memo and len(self._memo) >= self.memo_limit:
+        if len(self._memo) >= self.memo_limit:
             raise StateSpaceLimitError(
                 f"more than {self.memo_limit} distinct (owned nodes, live NSPs) "
                 "states; use the neural approximate solver instead"

@@ -179,6 +179,9 @@ class RunRecord:
                 value = tuple(tuple(v) for v in value)
             elif f.type.startswith("tuple["):
                 value = tuple(value)
+            elif f.type.startswith("dict") and not isinstance(value, dict):
+                if value is not None or f.type == "dict":
+                    raise TypeError(f"{f.name} is {value!r}, not an object")
             values[f.name] = value
         return cls(**values)
 
@@ -457,7 +460,7 @@ def _load_record(run_dir: str) -> RunRecord:
             return RunRecord.from_json(fh.read())
     except OSError as exc:
         raise PipelineError(f"cannot read run record {path}: {exc}") from exc
-    except (KeyError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise PipelineError(f"malformed run record {path}: {exc}") from exc
 
 

@@ -61,7 +61,7 @@ _ACTION_BYTES = 256
 
 class CheckpointFormatError(Exception):
     """The checkpoint file is malformed, from an unknown format version, or
-    holds a net whose input width is not the instance's NSP count."""
+    holds a net whose input width is not the NSP count it is loaded for."""
 
 
 class TrainingDivergedError(Exception):
@@ -275,11 +275,6 @@ class BackupTable:
     """
 
     def __init__(self, cg: CondensedGraph, net: ValueNet):
-        if net.n_inputs != cg.n_nsps:
-            raise CheckpointFormatError(
-                f"the net takes {net.n_inputs} inputs but the instance has "
-                f"{cg.n_nsps} NSPs"
-            )
         self.cg = cg
         self.net = net
         self._entries: dict[State, _Backup] = {}
@@ -460,9 +455,10 @@ def save_checkpoint(path: str, net: ValueNet, round_index: int = 0) -> None:
         fh.write(net.flat_params().astype("<f4").tobytes())
 
 
-def load_checkpoint(path: str) -> tuple[ValueNet, int]:
+def load_checkpoint(path: str, n_inputs: int) -> tuple[ValueNet, int]:
     """Restore a float32 net with bit-identical parameters, plus its round
-    index."""
+    index; a net that does not take ``n_inputs`` inputs, one per NSP of the
+    instance it is loaded for, is refused."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
@@ -483,6 +479,10 @@ def load_checkpoint(path: str) -> tuple[ValueNet, int]:
     # what ValueNet(n, depth, width) builds: (n, width, ..., width, 1)
     if min(sizes) < 1 or sizes[-1] != 1 or len(set(sizes[1:-1])) > 1:
         raise CheckpointFormatError(f"bad layer sizes {list(sizes)}")
+    if sizes[0] != n_inputs:
+        raise CheckpointFormatError(
+            f"the net takes {sizes[0]} inputs but the instance has {n_inputs} NSPs"
+        )
     # checked before the net is built, so a forged header allocates nothing
     n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
     if len(blob) - at != 4 * n_params:

@@ -240,7 +240,7 @@ def test_c06_trained_net_tracks_exact_values(campaign, verdict):
     inst = prepare_instance(config, 0)
     assert inst.cg.n_nsps <= 12
     run_dir = run_dir_for(config, "nndp-edo", 0)
-    net, _ = load_checkpoint(os.path.join(run_dir, "net.ckpt"))
+    net, _ = load_checkpoint(os.path.join(run_dir, "net.ckpt"), inst.cg.n_nsps)
     pop = load_population(os.path.join(run_dir, "population.txt"))
     solver = ExactSolver(inst.cg)
     errs = [

@@ -18,6 +18,8 @@ attribute, or imported by name, so a re-export in the package's
 ``__init__.py`` counts.  A name only tests read is not part of the program.
 ``config`` is the settings leaf: of the package it imports only ``graph``
 and ``mdp``, so the algorithm modules can import their defaults from it.
+In ``mdp``, ``_walk`` is the only function that reads an attribute named
+``edges``: every other reader of an action's edges takes its step entry.
 A defaulted parameter of a private module-level function must be passed
 by some of the module's calls of it but not by all: a default no call
 overrides is a constant, and one every call overrides is dead.  A function
@@ -363,3 +365,40 @@ def test_scan_finds_every_form_of_package_import():
 def test_config_imports_only_graph_and_mdp():
     source = (ROOT / "src/adgame/config.py").read_text(encoding="utf-8")
     assert package_imports(source) == {"graph", "mdp"}
+
+
+def edge_readers(source: str) -> list[str]:
+    """The innermost function around each read of an attribute named
+    ``edges``, ``<module>`` outside any function."""
+    readers = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "edges":
+                readers.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return readers
+
+
+def test_scan_finds_every_reader_of_edges():
+    source = (
+        "n = len(g.edges)\n"
+        "def one(t):\n"
+        "    return t.edges[0]\n"
+        "class C:\n"
+        "    def two(self, t):\n"
+        "        return [e for e in t.step_masks.edges]\n"
+        "def three(t):\n"
+        "    return t.edge\n"
+    )
+    assert edge_readers(source) == ["<module>", "one", "two"]
+
+
+def test_only_walk_reads_edges_in_mdp():
+    source = (ROOT / "src/adgame/mdp.py").read_text(encoding="utf-8")
+    assert edge_readers(source) == ["_walk"]

@@ -413,6 +413,18 @@ def test_key_floor_counts_only_nsps_that_fail_alone():
         solver.value(root)
         assert solver.states_solved >= 1 << m
         assert own_p_f > 0.0 or solver.states_solved < 8
+    # one NSP A -> x -> da whose first edge cannot fail: its second edge
+    # counts while the walk reaches it, and not once the first edge
+    # detects surely
+    for first_p_d, m, keys in ((0.1, 1, 3), (1.0, 0, 1)):
+        specs = [("A", "x", first_p_d, 0.0, False), ("x", "da", 0.1, 0.2, True)]
+        cg = condense(build_game(specs, {"A"}))
+        assert cg.n_nsps == 1
+        root = initial_state(cg)
+        assert key_floor_log2(cg, root) == m
+        solver = ExactSolver(cg)
+        solver.value(root)
+        assert solver.states_solved == keys
 
 
 def test_a_root_past_its_key_floor_raises_before_storing_a_key():

@@ -282,13 +282,14 @@ def test_run_nndp_edo_persists_and_reruns_bit_identical(tmp_path, graph_file):
     pop = load_population(os.path.join(run_dir, "population.txt"))
     assert 1 <= len(pop) <= cfg.mu
     assert all(sum(m.bits) == cfg.budget for m in pop)
-    net, round_index = load_checkpoint(os.path.join(run_dir, "net.ckpt"))
+    inst = prepare_instance(cfg, 0)
+    net, round_index = load_checkpoint(
+        os.path.join(run_dir, "net.ckpt"), inst.cg.n_nsps
+    )
     assert round_index == cfg.rounds
     assert len(rec1.loss_curves) == cfg.rounds + 1
     assert len(rec1.round_best_fitness) == cfg.rounds
     assert rec1.simulation["runs"] == cfg.mc_runs
-    inst = prepare_instance(cfg, 0)
-    assert net.n_inputs == inst.cg.n_nsps
     assert rec1.exact_value == pytest.approx(
         ExactFitness(inst.cg)(rec1.best_plan), abs=1e-12
     )
@@ -570,6 +571,24 @@ def test_report_refuses_two_runs_of_one_seed(tmp_path):
         report([first, second])
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [lambda raw: [], lambda raw: {**raw, "config": None},
+     lambda raw: {**raw, "round_best_fitness": 5}],
+    ids=["a-list", "null-config", "scalar-fitness"],
+)
+def test_cli_report_refuses_a_record_of_the_wrong_shape(tmp_path, capsys, patch):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps(patch(json.loads(RECORD.to_json()))))
+    assert main(["report", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    err = json.loads(lines[0])
+    assert err["error"] == "PipelineError"
+    assert err["message"].startswith(f"malformed run record {path}: ")
+
+
 def test_cli_generate_is_deterministic(tmp_path, capsys):
     cfg = tiny_config(str(tmp_path / "a"))
     assert main(["generate", "--seed", "0", "--out", cfg.out_dir] + _sets(cfg)) == 0
@@ -762,14 +781,18 @@ def test_cli_simulate_refuses_a_net_of_the_wrong_width(tmp_path, capsys, graph_f
 
 
 def test_cli_simulate_refuses_a_forged_checkpoint_header(tmp_path, capsys, graph_file):
+    # the header matches the instance's 15 NSPs and claims about 17 MB of
+    # parameters over a 16-byte payload
     ckpt = str(tmp_path / "forged.ckpt")
-    write_forged_checkpoint(ckpt, (2048, 2048, 1))
+    write_forged_checkpoint(ckpt, (15, 2048, 2048, 1))
     args = ["--set", f"graph_file={graph_file}", "--seed", "0", "--out", str(tmp_path)]
     assert main(["simulate", "--set", "mc_runs=10", "--checkpoint", ckpt] + args) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and captured.out == ""
-    assert json.loads(lines[0])["error"] == "CheckpointFormatError"
+    err = json.loads(lines[0])
+    assert err["error"] == "CheckpointFormatError"
+    assert "parameters" in err["message"]
 
 
 def test_cli_simulate_refuses_bad_checkpoint_layer_sizes(tmp_path, capsys, graph_file):

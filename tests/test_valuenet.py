@@ -397,14 +397,6 @@ def test_train_round_refuses_another_instances_table():
         assert other.counts["entries_built"] == 0
 
 
-def test_backup_table_refuses_a_net_of_another_width():
-    cg = condense(shared_suffix_graph())
-    for n_inputs in (cg.n_nsps - 1, cg.n_nsps + 1):
-        net = ValueNet(n_inputs, depth=1, width=4, seed=0)
-        with pytest.raises(CheckpointFormatError, match=f"takes {n_inputs} inputs"):
-            BackupTable(cg, net)
-
-
 def test_rollout_on_terminal_start_returns_it_alone():
     cg = condense(two_parallel_graph())
     net = ValueNet(cg.n_nsps, depth=1, width=4, seed=0)
@@ -526,7 +518,7 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path):
     net = ValueNet(cg.n_nsps, depth=3, width=32, seed=21)
     path = str(tmp_path / "net.ckpt")
     save_checkpoint(path, net, round_index=17)
-    loaded, round_index = load_checkpoint(path)
+    loaded, round_index = load_checkpoint(path, cg.n_nsps)
     assert round_index == 17
     assert loaded.sizes == net.sizes
     assert loaded.dtype == net.dtype == np.float32
@@ -546,21 +538,21 @@ def test_checkpoint_refuses_a_float64_net_and_a_version_1_file(tmp_path):
     # version 1 held float64 parameters: well formed, but no longer read
     write_forged_checkpoint(path, wide.sizes, wide.n_params(), version=1)
     with pytest.raises(CheckpointFormatError, match="version 1"):
-        load_checkpoint(path)
+        load_checkpoint(path, 3)
 
 
 def test_checkpoint_rejects_foreign_and_truncated_files(tmp_path):
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"not a checkpoint at all")
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(str(bad))
+    with pytest.raises(CheckpointFormatError, match="not a value-net"):
+        load_checkpoint(str(bad), 3)
     net = ValueNet(3, depth=1, width=4, seed=0)
     path = tmp_path / "net.ckpt"
     save_checkpoint(str(path), net)
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
-    with pytest.raises(CheckpointFormatError):
-        load_checkpoint(str(path))
+    with pytest.raises(CheckpointFormatError, match="expected 21 parameters"):
+        load_checkpoint(str(path), 3)
 
 
 def test_checkpoint_checks_the_payload_before_allocating(tmp_path):
@@ -569,8 +561,8 @@ def test_checkpoint_checks_the_payload_before_allocating(tmp_path):
     write_forged_checkpoint(path, (2048, 2048, 1))
     tracemalloc.start()
     try:
-        with pytest.raises(CheckpointFormatError):
-            load_checkpoint(path)
+        with pytest.raises(CheckpointFormatError, match="parameters"):
+            load_checkpoint(path, 2048)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -593,7 +585,25 @@ def test_checkpoint_refuses_bad_layer_sizes(tmp_path, monkeypatch, sizes, n_para
 
     monkeypatch.setattr(valuenet, "ValueNet", no_net)
     with pytest.raises(CheckpointFormatError, match="bad layer sizes"):
-        load_checkpoint(path)
+        load_checkpoint(path, sizes[0])
+
+
+def test_checkpoint_refuses_a_net_of_another_width(tmp_path, monkeypatch):
+    cg = condense(shared_suffix_graph())
+    path = str(tmp_path / "net.ckpt")
+
+    def no_net(*args, **kwargs):
+        raise AssertionError("a net was built")
+
+    # the test's own ValueNet name still builds nets to save
+    monkeypatch.setattr(valuenet, "ValueNet", no_net)
+    for n_inputs in (cg.n_nsps - 1, cg.n_nsps + 1):
+        save_checkpoint(path, ValueNet(n_inputs, depth=1, width=4, seed=0))
+        with pytest.raises(
+            CheckpointFormatError,
+            match=f"takes {n_inputs} inputs but the instance has {cg.n_nsps} NSPs",
+        ):
+            load_checkpoint(path, cg.n_nsps)
 
 
 def test_a_depth_zero_checkpoint_round_trips(tmp_path):
@@ -601,7 +611,7 @@ def test_a_depth_zero_checkpoint_round_trips(tmp_path):
     assert net.sizes == (4, 1)
     path = str(tmp_path / "net.ckpt")
     save_checkpoint(path, net, round_index=3)
-    loaded, round_index = load_checkpoint(path)
+    loaded, round_index = load_checkpoint(path, 4)
     assert round_index == 3
     assert loaded.sizes == (4, 1)
     assert loaded.flat_params().tobytes() == net.flat_params().tobytes()
