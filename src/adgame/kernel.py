@@ -55,6 +55,8 @@ class StepMasks:
     terminal: tuple[int, ...]  # per NSP, its terminal's bit
     out: tuple[int, ...]  # per node, the NSPs that leave it
     entry_out: int  # the NSPs that leave an entry node
+    into: tuple[int, ...]  # per node, the NSPs that end there
+    sources: tuple[int, ...]  # per NSP, its source's bit
     # per NSP, its edges in walk order as (p_d, p_f, p_s, NSPs sharing the edge)
     edges: tuple[tuple[tuple[float, float, float, int], ...], ...]
     span: tuple[int, ...]  # per NSP, the NSPs that share one of its edges
@@ -82,11 +84,15 @@ class CondensedGraph:
         nodes = sorted(g.entry_nodes | self.split_nodes | {da})
         at = {v: i for i, v in enumerate(nodes)}
         out = [0] * len(nodes)
+        into = [0] * len(nodes)
+        sources = []
         sharers: dict[int, int] = {}
         blocks = dict.fromkeys(self.bw_edges, 0)
         for p in self.nsps:
             bit = 1 << p.id
             out[at[p.source]] |= bit
+            into[at[p.terminal]] |= bit
+            sources.append(1 << at[p.source])
             for e in p.edges:
                 sharers[e] = sharers.get(e, 0) | bit
             if p.block_worthy_edge is not None:
@@ -102,6 +108,8 @@ class CondensedGraph:
             terminal=tuple(1 << at[p.terminal] for p in self.nsps),
             out=tuple(out),
             entry_out=sum(out[at[v]] for v in g.entry_nodes),
+            into=tuple(into),
+            sources=tuple(sources),
             edges=tuple(
                 tuple(
                     (g.edges[e].p_d, g.edges[e].p_f, g.edges[e].p_s, sharers[e])

@@ -51,14 +51,56 @@ span(a))`` is one-to-one, so nothing merges anew), and the success to
 of ``U``, with the same floats in the same order, so one entry serves
 every state with the same ``a`` and ``U & span(a)``.
 
-One edge walk gives the step law: ``expand`` pairs every admissible action
-with its outcome states and masses (for the net's backup), ``transition``
-checks one chosen action and returns its ``TransitionDistribution`` with
-the detection mass, ``ExactSolver`` keeps each entry it walks, and
-``key_floor_log2`` looks in an entry for one failure remainder.  A
-distribution's ``cumulative`` table holds its outcome masses summed left to
-right; a uniform ``u`` picks the first outcome whose sum exceeds it, else
-detection.
+One edge walk gives the step law: ``expand`` pairs every route action
+(below) with its outcome states and masses (for the net's backup),
+``transition`` checks one chosen action and returns its
+``TransitionDistribution`` with the detection mass, ``ExactSolver`` keeps
+each entry it walks, and ``key_floor_log2`` looks in an entry for one
+failure remainder.  A distribution's ``cumulative`` table holds its
+outcome masses summed left to right; a uniform ``u`` picks the first
+outcome whose sum exceeds it, else detection.
+
+A route of ``(O, U)`` is a chain of live NSPs, each leaving the node the
+one before it ends at, whose terminals are all unowned and the last of
+which ends at DA.  Let ``R(O, U)`` hold DA, while unowned, and every
+unowned node a route leaves; ``R`` only shrinks as ``O`` grows or ``U``
+shrinks.  A route action is an admissible NSP whose terminal is in ``R``.
+``route_actions`` finds them by a walk back from DA that visits each NSP
+at most once: ``step_masks.into`` gives the NSPs ending at a node and
+``step_masks.sources`` an NSP's source.  The optimal attacker needs no
+other action, by induction on ``|U|``:
+
+- The value is monotone: ``V(O, U') <= V(O, U)`` for ``U'`` in ``U``,
+  and ``V`` never drops as ``O`` grows.  Each action of the smaller state
+  is one of the larger; edge by edge its outcomes there have a smaller
+  ``U`` or ``O`` at the same masses.
+- Owning nodes off every route adds nothing: for a node set ``X`` outside
+  ``R(O, U)``, ``V(O | X, U) = V(O, U)``.  Take an action of ``(O | X,
+  U)``.  If it leaves ``O``, each outcome is its outcome at ``(O, U)``
+  with ``X`` added, and ``X`` stays outside that outcome's ``R``.  If it
+  leaves a node of ``X``, it ends at an owned node or outside ``R`` (else
+  its source would be in ``R``), and each outcome is some ``(O, U')``,
+  ``U'`` in ``U``, with ``X`` or ``X`` and that terminal added.  By
+  induction the added nodes change no outcome's value, so no q exceeds
+  ``V(O, U)``.
+- So an off-route action's q is at most ``(1 - detection mass)·V(O, U)``:
+  a failure leads to ``(O, U - sharers(e))`` and the success to ``(O |
+  terminal, U - {a})`` with the terminal owned or outside ``R``; each is
+  worth at most ``V(O, U)``.
+- A non-terminal key without a route action has value 0.  DA is in
+  ``R``, so no action wins at once, and no outcome has a route action: an
+  admissible NSP of the outcome ending in its ``R`` either was a route
+  action already or leaves the new terminal, which would then lie in
+  ``R(O, U)``.  So a state with ``V > 0`` has a route action.
+- The best route action's q is ``V``.  If an off-route action reaches
+  ``V > 0``, it has no detection mass and each outcome is worth ``V``.
+  Pick one of positive mass; a route action ``b`` is optimal there, is a
+  route action of ``(O, U)`` too, and by the two facts above its q at
+  ``(O, U)`` is at least its q there, ``V``.
+
+In floats an off-route action may tie the best route action up to
+rounding, so the exact solver, which scores every admissible action, keeps
+its keys and bits; the net's backup scores route actions only.
 """
 from __future__ import annotations
 
@@ -224,14 +266,43 @@ def transition(cg: CondensedGraph, s: State, action: int) -> TransitionDistribut
     )
 
 
+def route_actions(cg: CondensedGraph, s: State) -> int:
+    """The route actions of ``s`` as an NSP mask: the admissible NSPs whose
+    terminal is in ``R``, the unowned nodes that reach DA over live NSPs
+    with unowned terminals (see the module docstring).  0 once DA is owned
+    or no live NSP ends there.
+
+    The walk starts at DA and steps back over the live NSPs ending at a
+    node of ``R``; the source of one that is not admissible is unowned, so
+    it joins ``R``.  Each node joins once, so each NSP is seen once.
+    """
+    t = cg.step_masks
+    owned, live = s[0], s[1]
+    moves = _moves(t, owned, live)
+    routes = 0
+    frontier = reached = t.da & ~owned
+    while frontier and routes != moves:
+        ending = 0
+        for node in _ids(frontier):
+            ending |= t.into[node]
+        ending &= live
+        routes |= ending & moves
+        frontier = 0
+        for a in _ids(ending & ~moves):
+            frontier |= t.sources[a]
+        frontier &= ~reached
+        reached |= frontier
+    return routes
+
+
 def expand(
     cg: CondensedGraph, s: State
 ) -> list[tuple[int, list[tuple[State, float]]]]:
-    """Every admissible action of ``s``, in id order, with the outcomes of
-    its ``transition``: one edge walk each, without the admissibility check,
+    """Every route action of ``s``, in id order, with the outcomes of its
+    ``transition``: one edge walk each, without the admissibility check,
     the detection mass or the running sums."""
     t = cg.step_masks
-    return [(a, _tagged(t, s, a)[0]) for a in _ids(_moves(t, s[0], s[1]))]
+    return [(a, _tagged(t, s, a)[0]) for a in _ids(route_actions(cg, s))]
 
 
 def argmax(pairs: Iterable[tuple[int, float]]) -> tuple[int | None, float]:
@@ -301,6 +372,9 @@ class ExactSolver:
     whose ``key_floor_log2`` proves it needs more keys than the cap raises
     before any key is stored.
 
+    ``root_floor_log2`` holds the floor of the last new root, or None
+    before the first.
+
     Two tables, which live and die with the solver, spare a key the work
     another key already did.  ``_reach(O)``, the NSPs leaving an owned
     node, is cached per owned set.  The step table keeps each ``_walk``
@@ -322,6 +396,7 @@ class ExactSolver:
         # per action: U & span(a) -> its ``_walk`` entry
         self._steps: tuple[dict, ...] = tuple({} for _ in range(cg.n_nsps))
         self._reach: dict[int, int] = {}
+        self.root_floor_log2: int | None = None
 
     def value_and_action(self, s: State) -> tuple[float, int | None]:
         """The state's value and the smallest-id optimal action."""
@@ -329,7 +404,7 @@ class ExactSolver:
         memo = self._memo
         if root in memo:
             return memo[root]
-        m = key_floor_log2(self.cg, s)
+        m = self.root_floor_log2 = key_floor_log2(self.cg, s)
         if 1 << m > self.memo_limit:
             raise StateSpaceLimitError(
                 f"the state needs at least 2**{m} distinct (owned nodes, live "

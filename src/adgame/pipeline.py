@@ -54,7 +54,7 @@ from .graph import (
 )
 from .generator import generate_synthetic
 from .kernel import CondensedGraph, condense, kernel_report
-from .mdp import StateSpaceLimitError, initial_state, key_floor_log2
+from .mdp import StateSpaceLimitError
 from .simulate import Policy, SimulationReport, simulate
 from .valuenet import (
     Adam,
@@ -149,6 +149,15 @@ def prepare_instance(config: ExperimentConfig, seed: int) -> PreparedInstance:
     return PreparedInstance(condense(pruned), dropped, key)
 
 
+# the record's scalar field types, by their annotation
+_SCALARS = {"int": int, "str": str, "bool": bool}
+
+# the keys of a record's ``simulation``, as ``_finish_run`` writes them
+_SIMULATION_KEYS = (
+    "plan_id", "evaluator", "runs", "successes", "success_rate", "std_error"
+)
+
+
 @dataclass(frozen=True)
 class RunRecord:
     strategy: str
@@ -182,7 +191,13 @@ class RunRecord:
             elif f.type.startswith("dict") and not isinstance(value, dict):
                 if value is not None or f.type == "dict":
                     raise TypeError(f"{f.name} is {value!r}, not an object")
+            elif f.type in _SCALARS and type(value) is not _SCALARS[f.type]:
+                raise TypeError(f"{f.name} is {value!r}, not {f.type}")
             values[f.name] = value
+        if values["simulation"] is not None:
+            missing = [k for k in _SIMULATION_KEYS if k not in values["simulation"]]
+            if missing:
+                raise KeyError(f"simulation lacks {', '.join(missing)}")
         return cls(**values)
 
 
@@ -194,16 +209,17 @@ def _config_snapshot(config: ExperimentConfig) -> dict:
 
 def _exact_value_or_none(
     cg: CondensedGraph, plan: tuple[int, ...], memo_limit: int
-) -> tuple[float | None, int]:
-    """The plan's exact value, or None past ``memo_limit``, and the keys the
+) -> tuple[float | None, int, int]:
+    """The plan's exact value, or None past ``memo_limit``; the keys the
     attempt stored: 0 when ``key_floor_log2`` refused the root, and
-    ``memo_limit`` when the memo overflowed."""
+    ``memo_limit`` when the memo overflowed; and that root's floor, as the
+    solver computed it."""
     ev = ExactFitness(cg, memo_limit=memo_limit)
     try:
         value = ev(plan)
     except StateSpaceLimitError:
         value = None
-    return value, ev.policy.states_solved
+    return value, ev.policy.states_solved, ev.policy.root_floor_log2
 
 
 def run_dir_for(config: ExperimentConfig, strategy: str, seed: int) -> str:
@@ -367,8 +383,9 @@ def run_nndp_edo(
             (evaluator(m.bits), m.born, m) for m in pop
         )
     with _phase(phases, "exact_s"):
-        exact_value, keys = _exact_value_or_none(cg, best.bits, config.memo_limit)
-        m = key_floor_log2(cg, initial_state(cg, best.bits))
+        exact_value, keys, m = _exact_value_or_none(
+            cg, best.bits, config.memo_limit
+        )
     counters = {
         "backup_table": table.counts,
         "training": {"rollouts": rollouts, "batches": optimizer.t},
@@ -468,7 +485,7 @@ def _wall_time(run_dir: str) -> float | None:
     try:
         with open(os.path.join(run_dir, "timings.json"), "r", encoding="utf-8") as fh:
             return float(json.load(fh)["total_s"])
-    except (OSError, KeyError, ValueError, json.JSONDecodeError):
+    except (OSError, KeyError, TypeError, ValueError):
         return None
 
 

@@ -10,9 +10,18 @@ Terminal states are never asked of the network; their exact values (one for
 a reached target, zero for a dead or exhausted game) short-circuit both
 prediction and target computation.
 
-A state's backup has a part that does not depend on the net: its admissible
-actions, their outcome masses, the exact values of the terminal successors
-and the encoded rows of the others.  A ``BackupTable`` serves one net on
+A state's backup ranges over its route actions (``mdp.route_actions``):
+the admissible NSPs that can still bring the attacker closer to DA.  By
+``mdp``'s dominance argument the exact value is the best route action's q,
+and 0 where there is none, so an exact net would lose nothing by the
+restriction and an approximate one only loses choices that cannot win.
+The backup of a state without a route action is its first admissible
+action at q 0.0, with no row for the net.  Exploration still draws from
+every admissible action.
+
+The backup has a part that does not depend on the net: its route actions,
+their outcome masses, the exact values of the terminal successors and the
+encoded rows of the others.  A ``BackupTable`` serves one net on
 one instance: it builds that part once per state and keeps it, with the
 last action values computed from it and the net's weights version then.
 ``Adam.step`` and ``set_flat_params`` are the only writers of a net's
@@ -230,7 +239,9 @@ def predict(net: ValueNet, cg: CondensedGraph, s: State) -> float:
 class _Backup:
     """The net-free part of one state's backup, and its last action values."""
 
-    __slots__ = ("spans", "weights", "values", "ask", "rows", "q", "version")
+    __slots__ = (
+        "spans", "weights", "values", "ask", "rows", "q", "version", "off_route"
+    )
 
     def __init__(self, cg: CondensedGraph, s: State):
         spans: list[tuple[int, int, int]] = []
@@ -242,6 +253,11 @@ class _Backup:
                 succ.append(s2)
                 probs.append(p)
             spans.append((a, start, len(succ)))
+        moves = admissible_actions(cg, s)
+        self.off_route = len(moves) - len(spans)  # admissible actions skipped
+        if moves and not spans:
+            # no route action: the exact value is 0, played by the first move
+            spans.append((moves[0], 0, 0))
         values = np.zeros(len(succ))
         ask: list[int] = []
         for i, s2 in enumerate(succ):
@@ -271,7 +287,8 @@ class BackupTable:
     net keeps its weights.
 
     ``counts`` tallies entries built, lookups that found an entry, action
-    values served without the net, and rows the net evaluated.
+    values served without the net, rows the net evaluated, and the
+    admissible actions off every route that the entries built left out.
     """
 
     def __init__(self, cg: CondensedGraph, net: ValueNet):
@@ -280,16 +297,24 @@ class BackupTable:
         self._entries: dict[State, _Backup] = {}
         self._bytes = 0
         self.counts = dict.fromkeys(
-            ("entries_built", "entry_reuses", "q_list_reuses", "net_rows"), 0
+            (
+                "entries_built", "entry_reuses", "q_list_reuses", "net_rows",
+                "off_route_actions",
+            ),
+            0,
         )
 
     def action_values(self, s: State) -> list[tuple[int, float]]:
-        """One-step Bellman backup of every admissible action under the net;
-        detection carries zero value, so only explicit outcomes contribute."""
+        """One-step Bellman backup of every route action under the net;
+        detection carries zero value, so only explicit outcomes contribute.
+        A state with admissible actions but no route action gets its first
+        admissible action at q 0.0, its exact value, and asks the net
+        nothing."""
         b = self._entries.get(s)
         if b is None:
             b = _Backup(self.cg, s)
             self.counts["entries_built"] += 1
+            self.counts["off_route_actions"] += b.off_route
             size = b.nbytes()
             if self._bytes + size > BACKUP_TABLE_BYTES:
                 self._entries.clear()
@@ -312,8 +337,9 @@ class BackupTable:
 
 
 def greedy_action(table: BackupTable, s: State) -> int:
-    """Best action under the table's net; ties go to the smallest path id.
-    A net that values every action as nan has diverged."""
+    """Best route action under the table's net (the first admissible one
+    where no route action exists); ties go to the smallest path id.  A net
+    that values every route action as nan has diverged."""
     q = table.action_values(s)
     best_a, _ = argmax(q)
     if best_a is None:
@@ -357,9 +383,9 @@ def rollout(
     """States visited by one attack under the net's policy with exploration.
 
     Each step plays the greedy action with probability 1 - explore_prob and
-    a uniform admissible action otherwise, then samples the successor from
-    the true outcome distribution.  Detection ends the walk with no extra
-    state to record.
+    a uniform admissible action, on a route or not, otherwise, then samples
+    the successor from the true outcome distribution.  Detection ends the
+    walk with no extra state to record.
     """
     cg = table.cg
     states = [s0]

@@ -201,6 +201,28 @@ def random_instance(
     return cg
 
 
+def random_instances(n_seeds: int, max_nsps: int) -> list[CondensedGraph]:
+    """``random_instance`` of seeds ``0 .. n_seeds - 1`` within ``max_nsps``,
+    each followed by two variants of the same graph: about half its edges
+    never fail (``p_f = 0``) in one, and never pass (``p_s = 0``) in the
+    other."""
+    out = []
+    for seed in range(n_seeds):
+        cg = random_instance(seed, max_nsps=max_nsps)
+        if cg is None:
+            continue
+        rng = np.random.default_rng((seed, 1))
+        flip = [bool(rng.random() < 0.5) for _ in cg.graph.edges]
+        out.append(cg)
+        for zero in (
+            lambda e: replace(e, p_f=0.0),
+            lambda e: replace(e, p_f=1.0 - e.p_d),
+        ):
+            edges = tuple(zero(e) if f else e for e, f in zip(cg.graph.edges, flip))
+            out.append(condense(replace(cg.graph, edges=edges)))
+    return out
+
+
 # the benchmark's generated graphs: config fields and instance seed
 GRAPH_B = (dict(n_computers=30, entry_pool_size=6, entry_count=3), 0)
 GRAPH_D = (dict(n_computers=40, entry_pool_size=8, entry_count=4), 1)

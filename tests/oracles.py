@@ -6,7 +6,8 @@ between them and the package's (owned nodes, live NSPs, successful NSPs)
 bitmasks; ``trit_transition`` walks the trit states themselves.
 ``reference_walk`` is the edge walk over the whole live set, keyed on the
 owned nodes; ``ReferenceSolver`` is the exact solver that runs it for every
-admissible action of every key it expands.
+admissible action of every key it expands.  ``reference_route_actions``
+finds the route actions by a fixed point over node names.
 ``reference_simulate_on_original`` is the raw-edge Monte Carlo with the
 full-width step: every run of a group reads its whole stretch of the path
 at once.  ``reference_prune`` finds what ``prune`` keeps by one search per
@@ -69,6 +70,26 @@ def trits_of(cg: CondensedGraph, s: State) -> Trits:
         SUCCESS if won >> i & 1 else UNATTEMPTED if live >> i & 1 else FAILED
         for i in range(cg.n_nsps)
     )
+
+
+def reference_route_actions(cg: CondensedGraph, s: State) -> tuple[int, ...]:
+    """The admissible NSPs ending at a node that reaches DA: DA itself while
+    unowned, and any unowned node with a live NSP to such a node."""
+    _, live, won = s
+    owned = set(cg.graph.entry_nodes)
+    owned.update(p.terminal for p in cg.nsps if won >> p.id & 1)
+    reach = set() if cg.graph.da in owned else {cg.graph.da}
+    grew = True
+    while grew:
+        grew = False
+        for p in cg.nsps:
+            if (
+                live >> p.id & 1 and p.terminal in reach
+                and p.source not in owned | reach
+            ):
+                reach.add(p.source)
+                grew = True
+    return tuple(a for a in admissible_actions(cg, s) if cg.nsps[a].terminal in reach)
 
 
 def reachable_states(cg: CondensedGraph, plans=(None,)) -> set[State]:

@@ -20,6 +20,9 @@ attribute, or imported by name, so a re-export in the package's
 and ``mdp``, so the algorithm modules can import their defaults from it.
 In ``mdp``, ``_walk`` is the only function that reads an attribute named
 ``edges``: every other reader of an action's edges takes its step entry.
+In the library, ``mdp.route_actions`` is the only function that reads the
+route tables ``into`` and ``sources``: every other reader of the routes
+calls it.
 A defaulted parameter of a private module-level function must be passed
 by some of the module's calls of it but not by all: a default no call
 overrides is a constant, and one every call overrides is dead.  A function
@@ -367,9 +370,9 @@ def test_config_imports_only_graph_and_mdp():
     assert package_imports(source) == {"graph", "mdp"}
 
 
-def edge_readers(source: str) -> list[str]:
-    """The innermost function around each read of an attribute named
-    ``edges``, ``<module>`` outside any function."""
+def attribute_readers(source: str, attrs: set[str]) -> list[str]:
+    """The innermost function around each read of an attribute named in
+    ``attrs``, ``<module>`` outside any function."""
     readers = []
 
     def visit(node: ast.AST, where: str) -> None:
@@ -377,7 +380,7 @@ def edge_readers(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "edges":
+            if isinstance(child, ast.Attribute) and child.attr in attrs:
                 readers.append(where)
             visit(child, where)
 
@@ -396,9 +399,18 @@ def test_scan_finds_every_reader_of_edges():
         "def three(t):\n"
         "    return t.edge\n"
     )
-    assert edge_readers(source) == ["<module>", "one", "two"]
+    assert attribute_readers(source, {"edges"}) == ["<module>", "one", "two"]
 
 
 def test_only_walk_reads_edges_in_mdp():
     source = (ROOT / "src/adgame/mdp.py").read_text(encoding="utf-8")
-    assert edge_readers(source) == ["_walk"]
+    assert attribute_readers(source, {"edges"}) == ["_walk"]
+
+
+def test_only_route_actions_reads_the_route_tables():
+    tables = {"into", "sources"}
+    readers = {
+        p.name: set(attribute_readers(p.read_text(encoding="utf-8"), tables))
+        for p in LIBRARY_FILES
+    }
+    assert {name: r for name, r in readers.items() if r} == {"mdp.py": {"route_actions"}}

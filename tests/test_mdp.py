@@ -21,6 +21,7 @@ from adgame.mdp import (
     expand,
     initial_state,
     key_floor_log2,
+    route_actions,
     terminal_value,
     transition,
 )
@@ -31,6 +32,7 @@ from instances import (
     build_game,
     chain_graph,
     random_instance,
+    random_instances,
     saved_instance,
     shared_suffix_graph,
     textbook_kernel_graph,
@@ -43,6 +45,7 @@ from oracles import (
     ReferenceSolver,
     expectimax_value,
     reachable_states,
+    reference_route_actions,
     reference_walk,
     state_of,
     trit_transition,
@@ -271,13 +274,13 @@ def test_transition_mass_sums_to_one_everywhere():
                 assert all(p > 0.0 for _, p in dist.outcomes)
 
 
-def test_expand_is_the_checked_transition_of_every_admissible_action():
+def test_expand_is_the_checked_transition_of_every_route_action():
     for cg in _small_instances(60):
         for s in reachable_states(cg):
-            dists = [transition(cg, s, a) for a in admissible_actions(cg, s)]
+            routes = reference_route_actions(cg, s)
+            dists = [transition(cg, s, a) for a in routes]
             assert expand(cg, s) == [
-                (a, list(dist.outcomes))
-                for a, dist in zip(admissible_actions(cg, s), dists)
+                (a, list(dist.outcomes)) for a, dist in zip(routes, dists)
             ]
             for dist in dists:
                 running, acc = [], 0.0
@@ -285,6 +288,43 @@ def test_expand_is_the_checked_transition_of_every_admissible_action():
                     acc += p
                     running.append(acc)
                 assert dist.cumulative == tuple(running)
+
+
+def test_route_actions_match_the_reference_fixed_point():
+    off_route = 0
+    for cg in random_instances(60, max_nsps=9):
+        for s in reachable_states(cg):
+            want = reference_route_actions(cg, s)
+            assert route_actions(cg, s) == sum(1 << a for a in want)
+            off_route += len(admissible_actions(cg, s)) - len(want)
+    assert off_route > 0
+
+
+def test_the_best_route_action_is_worth_the_exact_value():
+    # mdp's dominance argument: without a route action the value is 0, and
+    # otherwise the best route action's q is the value; the solver's own
+    # choice lies on a route whenever the value is positive
+    no_route = zero_on_a_route = 0
+    for cg in random_instances(150, max_nsps=9):
+        solver = ExactSolver(cg)
+        for s in reachable_states(cg):
+            if terminal_value(cg, s) is not None:
+                continue
+            value, best = solver.value_and_action(s)
+            routes = reference_route_actions(cg, s)
+            if not routes:
+                assert value == 0.0
+                no_route += 1
+                continue
+            q = [
+                sum(p * solver.value(nxt) for nxt, p in transition(cg, s, a).outcomes)
+                for a in routes
+            ]
+            assert abs(max(q) - value) <= 1e-12
+            assert value == 0.0 or best in routes
+            zero_on_a_route += value == 0.0
+    # a route whose every path holds an edge that never passes is worth 0
+    assert no_route > 50 and zero_on_a_route > 0
 
 
 def test_transition_is_the_trit_walk_bit_for_bit():

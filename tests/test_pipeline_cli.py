@@ -213,7 +213,10 @@ RECORD = RunRecord(
     best_plan=(1, 0, 1),
     best_fitness=0.25,
     exact_value=None,
-    simulation={"plan_id": "plan-101", "success_rate": 0.2},
+    simulation={
+        "plan_id": "plan-101", "evaluator": "net-greedy", "runs": 10,
+        "successes": 2, "success_rate": 0.2, "std_error": 0.13,
+    },
 )
 
 
@@ -353,8 +356,12 @@ def test_counters_record_the_backup_table_and_the_exact_attempt(
     assert epochs == (cfg.rounds + 1) * cfg.epochs_per_round
     assert calls["rollouts"] >= epochs and calls["batches"] >= epochs
     table = counters["backup_table"]
-    assert set(table) == {"entries_built", "entry_reuses", "q_list_reuses", "net_rows"}
+    assert set(table) == {
+        "entries_built", "entry_reuses", "q_list_reuses", "net_rows",
+        "off_route_actions",
+    }
     assert table["entries_built"] > 0 and table["net_rows"] > 0
+    assert table["off_route_actions"] > 0
     assert 0 < table["q_list_reuses"] <= table["entry_reuses"]
     # B's plans need far fewer keys than any memo limit
     cg = prepare_instance(cfg, 0).cg
@@ -574,8 +581,9 @@ def test_report_refuses_two_runs_of_one_seed(tmp_path):
 @pytest.mark.parametrize(
     "patch",
     [lambda raw: [], lambda raw: {**raw, "config": None},
-     lambda raw: {**raw, "round_best_fitness": 5}],
-    ids=["a-list", "null-config", "scalar-fitness"],
+     lambda raw: {**raw, "round_best_fitness": 5},
+     lambda raw: {**raw, "seed": "x"}, lambda raw: {**raw, "strategy": 3}],
+    ids=["a-list", "null-config", "scalar-fitness", "string-seed", "int-strategy"],
 )
 def test_cli_report_refuses_a_record_of_the_wrong_shape(tmp_path, capsys, patch):
     path = tmp_path / "record.json"
@@ -587,6 +595,34 @@ def test_cli_report_refuses_a_record_of_the_wrong_shape(tmp_path, capsys, patch)
     err = json.loads(lines[0])
     assert err["error"] == "PipelineError"
     assert err["message"].startswith(f"malformed run record {path}: ")
+
+
+@pytest.mark.parametrize(
+    "patch,total_s,code,table",
+    [
+        # a malformed timings sidecar only blanks the wall-time column
+        ({}, [1], 0, "nndp-edo,?,1,0.200000,,0.200000"),
+        ({"simulation": {}}, 1.0, 1, None),
+    ],
+    ids=["list-total-s", "empty-simulation"],
+)
+def test_cli_report_on_a_malformed_sidecar_or_simulation(
+    tmp_path, capsys, patch, total_s, code, table
+):
+    path = tmp_path / "record.json"
+    path.write_text(json.dumps({**json.loads(RECORD.to_json()), **patch}))
+    (tmp_path / "timings.json").write_text(json.dumps({"total_s": total_s}))
+    assert main(["report", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    if table is not None:
+        assert captured.err == "" and captured.out.splitlines()[1] == table
+        return
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    err = json.loads(lines[0])
+    assert err["error"] == "PipelineError"
+    assert err["message"].startswith(f"malformed run record {path}: ")
+    assert "success_rate" in err["message"]
 
 
 def test_cli_generate_is_deterministic(tmp_path, capsys):

@@ -33,6 +33,7 @@ from adgame.simulate import simulate
 from instances import (
     chain_graph,
     random_instance,
+    random_instances,
     shared_suffix_graph,
     two_parallel_graph,
     write_forged_checkpoint,
@@ -42,6 +43,7 @@ from oracles import (
     SUCCESS,
     UNATTEMPTED,
     reachable_states,
+    reference_route_actions,
     state_of,
     trits_of,
 )
@@ -259,10 +261,15 @@ def test_action_values_weight_outcomes_by_probability():
 
 
 def _fresh_backup(net, cg, s):
-    """The backup as it was built before the table: every admissible
-    action's checked transition, float rows, terminals asked of no net."""
+    """The backup as it was built before the table, over route actions:
+    every route action's checked transition, float rows, terminals asked of
+    no net; the first admissible action at q 0.0 where none is a route
+    action."""
+    routes = reference_route_actions(cg, s)
+    if not routes:
+        return [(a, 0.0) for a in admissible_actions(cg, s)[:1]]
     spans, succ, probs = [], [], []
-    for a in admissible_actions(cg, s):
+    for a in routes:
         start = len(succ)
         for s2, p in transition(cg, s, a).outcomes:
             succ.append(s2)
@@ -312,6 +319,29 @@ def test_backup_table_serves_the_fresh_backup_bit_for_bit():
         reused += table.counts["q_list_reuses"]
         assert table.counts["entries_built"] == len(states)
     assert checked > 500 and reused >= checked // 2
+
+
+def test_greedy_plays_a_route_action_whenever_one_exists():
+    no_route = off_route = 0
+    for cg in random_instances(40, max_nsps=9):
+        net = ValueNet(cg.n_nsps, depth=2, width=16, seed=cg.n_nsps)
+        for s in _open_states(cg):
+            routes = reference_route_actions(cg, s)
+            table = BackupTable(cg, net)
+            a = greedy_action(table, s)
+            if routes:
+                assert a in routes
+                assert [b for b, _ in table.action_values(s)] == list(routes)
+            else:
+                # exact value 0, played by the first admissible action
+                assert table.action_values(s) == [(admissible_actions(cg, s)[0], 0.0)]
+                assert table.counts["net_rows"] == 0
+                no_route += 1
+            assert table.counts["off_route_actions"] == (
+                len(admissible_actions(cg, s)) - len(routes)
+            )
+            off_route += table.counts["off_route_actions"]
+    assert no_route > 0 and off_route > no_route
 
 
 def test_backup_table_recomputes_once_the_weights_change():
