@@ -2,14 +2,19 @@
 
 Every subcommand but `report` accepts `--config FILE`, repeated `--set
 key=value` overrides, `--seed N` and `--out DIR` (replacing the output
-directory).  It plays the config's first seed, or `N` when `--seed` is
-given; `simulate` plays `mc_runs` runs under a run's Monte Carlo seed
+directory).  A config file sets each key at most once; a `--set` wins
+over the file and over an earlier `--set`.  A subcommand plays the
+config's first seed, or `N` when `--seed` is given; `simulate` plays
+`mc_runs` runs under a run's Monte Carlo seed
 (`pipeline.simulation_seed`).  `report` reads no config: it takes the
 run directories and an optional `--out DIR` for `report.csv`.
 Success exits 0; any failure prints a single JSON line `{"error": ...,
 "message": ...}` on stderr and exits nonzero (2 for command line or
-config mistakes, 1 for everything else).  Warnings raised before a
-failure go into that line as a `"warnings"` list of their messages.
+config mistakes, 1 for everything else).  A file that cannot be read or
+is not UTF-8 fails with its reader's error, which names the file:
+`ConfigError` for a config file, `GraphFormatError` for a graph file and
+`PipelineError` for a run record.  Warnings raised before a failure go
+into that line as a `"warnings"` list of their messages.
 """
 from __future__ import annotations
 
@@ -56,10 +61,6 @@ def _config_from(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _seed_of(config: ExperimentConfig) -> int:
-    return config.seeds[0]
-
-
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -79,7 +80,7 @@ def _parse_plan(text: str | None, n_bits: int) -> tuple[int, ...]:
 
 def _cmd_generate(args: argparse.Namespace) -> None:
     config = _config_from(args)
-    seed = _seed_of(config)
+    seed = config.seeds[0]
     g = pipeline.build_source_graph(config, seed)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "graph.txt")
@@ -97,13 +98,13 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 
 def _cmd_kernelize(args: argparse.Namespace) -> None:
     config = _config_from(args)
-    info = pipeline.write_kernel_artifacts(config, _seed_of(config), config.out_dir)
+    info = pipeline.write_kernel_artifacts(config, config.seeds[0], config.out_dir)
     _emit(info)
 
 
 def _cmd_solve_exact(args: argparse.Namespace) -> None:
     config = _config_from(args)
-    inst = pipeline.prepare_instance(config, _seed_of(config))
+    inst = pipeline.prepare_instance(config, config.seeds[0])
     plan = _parse_plan(args.plan, len(inst.cg.bw_edges))
     value = ExactFitness(inst.cg, memo_limit=config.memo_limit)(plan)
     _emit(
@@ -118,7 +119,7 @@ def _cmd_solve_exact(args: argparse.Namespace) -> None:
 
 def _cmd_defend(args: argparse.Namespace) -> None:
     config = _config_from(args)
-    seed = _seed_of(config)
+    seed = config.seeds[0]
     record = pipeline.run_baseline(config, args.strategy, seed)
     _emit(
         {
@@ -135,7 +136,7 @@ def _cmd_defend(args: argparse.Namespace) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
     config = _config_from(args)
-    seed = _seed_of(config)
+    seed = config.seeds[0]
     inst = pipeline.prepare_instance(config, seed)
     plan = _parse_plan(args.plan, len(inst.cg.bw_edges))
     if args.checkpoint:

@@ -129,14 +129,19 @@ def parse_overrides(pairs: Sequence[str]) -> dict:
 def load_config(
     path: str | None = None, overrides: Sequence[str] = ()
 ) -> ExperimentConfig:
-    """Build a config from defaults, an optional file, then overrides."""
+    """Build a config from defaults, an optional file, then overrides.
+
+    A file sets each key at most once; a later override wins over the file
+    and over an earlier override.
+    """
     settings = {}
     if path:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        set_at: dict[str, int] = {}
         for at, raw in enumerate(lines, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -144,7 +149,13 @@ def load_config(
             key, sep, value = line.partition("=")
             if not sep:
                 raise ConfigError(f"{path}:{at}: expected key = value, got {raw!r}")
-            settings[key.strip()] = _parse_value(key.strip(), value)
+            key = key.strip()
+            if key in set_at:
+                raise ConfigError(
+                    f"{path}:{at}: {key} is already set on line {set_at[key]}"
+                )
+            set_at[key] = at
+            settings[key] = _parse_value(key, value)
     settings.update(parse_overrides(overrides))
     return ExperimentConfig(**settings)
 

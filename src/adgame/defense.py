@@ -199,15 +199,6 @@ class MonteCarloFitness:
         return report.success_rate
 
 
-def _initial_population(
-    n_bits: int, k: int, mu: int, fit: FitnessFn, rng: np.random.Generator
-) -> Population:
-    return [
-        Member(bits, fit(bits), born=i)
-        for i, bits in enumerate(random_plan(n_bits, k, rng) for _ in range(mu))
-    ]
-
-
 def _evolve(
     cg: CondensedGraph,
     ev: FitnessFn,
@@ -230,7 +221,10 @@ def _evolve(
             cache[bits] = value
         return value
 
-    pop = _initial_population(n_bits, k, mu, fit, rng)
+    pop = [
+        Member(bits, fit(bits), born=i)
+        for i, bits in enumerate(random_plan(n_bits, k, rng) for _ in range(mu))
+    ]
     born = mu
     for _ in range(iterations):
         x = max(1, int(rng.poisson(1.0)))

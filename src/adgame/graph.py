@@ -391,9 +391,13 @@ def save_graph(g: AttackGraph, path: str) -> None:
 
 
 def load_graph(path: str) -> AttackGraph:
-    """Parse a graph file, raising GraphFormatError with the offending line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
+    """Parse a graph file, raising GraphFormatError with the offending line,
+    or naming the file when it cannot be read as UTF-8 text."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = [ln.rstrip("\n") for ln in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphFormatError(f"cannot read graph file {path}: {exc}") from exc
     lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln.strip()]
     if not lines:
         raise GraphFormatError(f"{path}: empty file")

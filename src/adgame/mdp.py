@@ -460,9 +460,6 @@ class ExactSolver:
     def value(self, s: State) -> float:
         return self.value_and_action(s)[0]
 
-    def best_action(self, s: State) -> int | None:
-        return self.value_and_action(s)[1]
-
     def _remember(self, key: tuple[int, int], value: float, action: int | None) -> None:
         if len(self._memo) >= self.memo_limit:
             raise StateSpaceLimitError(

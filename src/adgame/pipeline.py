@@ -152,10 +152,12 @@ def prepare_instance(config: ExperimentConfig, seed: int) -> PreparedInstance:
 # the record's scalar field types, by their annotation
 _SCALARS = {"int": int, "str": str, "bool": bool}
 
-# the keys of a record's ``simulation``, as ``_finish_run`` writes them
-_SIMULATION_KEYS = (
-    "plan_id", "evaluator", "runs", "successes", "success_rate", "std_error"
-)
+# the keys of a record's ``simulation`` and their types, as ``_finish_run``
+# writes them
+_SIMULATION_TYPES = {
+    "plan_id": str, "evaluator": str, "runs": int, "successes": int,
+    "success_rate": float, "std_error": float,
+}
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,7 @@ class RunRecord:
     best_plan: tuple[int, ...]
     best_fitness: float
     exact_value: float | None
-    simulation: dict | None
+    simulation: dict
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
@@ -184,27 +186,31 @@ class RunRecord:
         values = {}
         for f in fields(cls):
             value = raw[f.name]
-            if f.type.startswith("tuple[tuple["):
-                value = tuple(tuple(v) for v in value)
-            elif f.type.startswith("tuple["):
-                value = tuple(value)
-            elif f.type.startswith("dict") and not isinstance(value, dict):
-                if value is not None or f.type == "dict":
-                    raise TypeError(f"{f.name} is {value!r}, not an object")
+            if f.type.startswith("tuple["):
+                nested = f.type.startswith("tuple[tuple[")
+                if not isinstance(value, list) or nested and not all(
+                    isinstance(v, list) for v in value
+                ):
+                    raise TypeError(f"{f.name} is {value!r}, not {f.type}")
+                value = tuple(tuple(v) for v in value) if nested else tuple(value)
+            elif f.type == "dict" and not isinstance(value, dict):
+                raise TypeError(f"{f.name} is {value!r}, not an object")
             elif f.type in _SCALARS and type(value) is not _SCALARS[f.type]:
                 raise TypeError(f"{f.name} is {value!r}, not {f.type}")
             values[f.name] = value
-        if values["simulation"] is not None:
-            missing = [k for k in _SIMULATION_KEYS if k not in values["simulation"]]
-            if missing:
-                raise KeyError(f"simulation lacks {', '.join(missing)}")
+        sim = values["simulation"]
+        missing = [k for k in _SIMULATION_TYPES if k not in sim]
+        if missing:
+            raise KeyError(f"simulation lacks {', '.join(missing)}")
+        for key, kind in _SIMULATION_TYPES.items():
+            if type(sim[key]) is not kind:
+                raise TypeError(
+                    f"simulation {key} is {sim[key]!r}, not {kind.__name__}"
+                )
+        distribution = values["config"].get("distribution", "")
+        if not isinstance(distribution, str):
+            raise TypeError(f"config distribution is {distribution!r}, not str")
         return cls(**values)
-
-
-def _config_snapshot(config: ExperimentConfig) -> dict:
-    snap = asdict(config)
-    snap["seeds"] = list(snap["seeds"])
-    return snap
 
 
 def _exact_value_or_none(
@@ -291,7 +297,7 @@ def _finish_run(
         )
     record = RunRecord(
         seed=seed,
-        config=_config_snapshot(config),
+        config=asdict(config),
         instance_key=inst.instance_key,
         dropped_entries=inst.dropped_entries,
         n_nsps=inst.cg.n_nsps,
@@ -477,7 +483,10 @@ def _load_record(run_dir: str) -> RunRecord:
             return RunRecord.from_json(fh.read())
     except OSError as exc:
         raise PipelineError(f"cannot read run record {path}: {exc}") from exc
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (
+        KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError,
+        RecursionError,  # brackets nested past the parser's depth
+    ) as exc:
         raise PipelineError(f"malformed run record {path}: {exc}") from exc
 
 
@@ -528,14 +537,8 @@ def report(run_dirs: list[str]) -> str:
     for (strategy, distribution) in sorted(cells):
         cell = cells[(strategy, distribution)]
         rows = [cell[ix] for ix in sorted(cell)]
-        rates = {
-            rec.seed: rec.simulation["success_rate"]
-            for _, rec in rows
-            if rec.simulation is not None
-        }
-        mean_rate = (
-            f"{np.mean(list(rates.values())):.6f}" if rates else ""
-        )
+        rates = {rec.seed: rec.simulation["success_rate"] for _, rec in rows}
+        mean_rate = f"{np.mean(list(rates.values())):.6f}"
         walls = [w for w in (_wall_time(d) for d, _ in rows) if w is not None]
         mean_wall = f"{np.mean(walls):.3f}" if walls else ""
         row = [strategy, distribution, str(len(rows)), mean_rate, mean_wall]

@@ -79,7 +79,7 @@ class DpPolicy(ExactSolver):
     """
 
     def __call__(self, s: State) -> int:
-        action = self.best_action(s)
+        action = self.value_and_action(s)[1]
         if action is None:
             raise PolicyContractError(f"no action available in state {s}")
         return action

@@ -41,6 +41,15 @@ def test_overrides_beat_file(tmp_path):
     config = load_config(str(path), ["budget=3", "out_dir=elsewhere"])
     assert config.budget == 3
     assert config.out_dir == "elsewhere"
+    # a later override wins over an earlier one
+    assert load_config(str(path), ["budget=3", "budget=4"]).budget == 4
+
+
+def test_a_file_that_sets_a_key_twice_is_refused(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("budget = 5\n# the same key again\nbudget = 3\n")
+    with pytest.raises(ConfigError, match="exp.cfg:3: budget is already set on line 1"):
+        load_config(str(path))
 
 
 def test_parse_overrides_rejects_bad_shapes():

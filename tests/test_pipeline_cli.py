@@ -582,8 +582,12 @@ def test_report_refuses_two_runs_of_one_seed(tmp_path):
     "patch",
     [lambda raw: [], lambda raw: {**raw, "config": None},
      lambda raw: {**raw, "round_best_fitness": 5},
-     lambda raw: {**raw, "seed": "x"}, lambda raw: {**raw, "strategy": 3}],
-    ids=["a-list", "null-config", "scalar-fitness", "string-seed", "int-strategy"],
+     lambda raw: {**raw, "seed": "x"}, lambda raw: {**raw, "strategy": 3},
+     lambda raw: {**raw, "best_plan": "01"},
+     lambda raw: {**raw, "simulation": {**raw["simulation"], "success_rate": "x"}},
+     lambda raw: {**raw, "config": {"distribution": ["independent"]}}],
+    ids=["a-list", "null-config", "scalar-fitness", "string-seed", "int-strategy",
+         "string-plan", "string-rate", "list-distribution"],
 )
 def test_cli_report_refuses_a_record_of_the_wrong_shape(tmp_path, capsys, patch):
     path = tmp_path / "record.json"
@@ -770,6 +774,38 @@ def test_cli_error_lines_are_machine_readable(tmp_path, capsys, graph_file):
 
     assert main(["defend", "greedy", "--set", "budget=99"] + args) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "DefenseConfigError"
+
+
+@pytest.mark.parametrize(
+    "command,name,content,error,code",
+    [
+        ("kernelize --set graph_file={bad}", "", b"# caf\xe9\n", "GraphFormatError", 1),
+        ("kernelize --set graph_file={bad}", None, None, "GraphFormatError", 1),
+        ("kernelize --config {bad}", "", b"budget = 2 # caf\xe9\n", "ConfigError", 2),
+        ("report {bad}", "record.json", b'{"strategy": "\xe9"}', "PipelineError", 1),
+        ("report {bad}", "record.json", b"[" * 100_000, "PipelineError", 1),
+    ],
+    ids=["latin1-graph", "graph-directory", "latin1-config", "latin1-record",
+         "nested-record"],
+)
+def test_cli_refuses_an_unreadable_input_with_its_readers_error(
+    tmp_path, capsys, command, name, content, error, code
+):
+    # ``name`` is the file written inside the directory ``bad``, or "" when
+    # ``bad`` is that file itself
+    bad = tmp_path / "bad"
+    if name != "":
+        bad.mkdir()
+    if content is not None:
+        (bad / name).write_bytes(content)
+    out = tmp_path / "out"
+    assert main(command.format(bad=bad).split() + ["--out", str(out)]) == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    err = json.loads(lines[0])
+    assert err["error"] == error and str(bad) in err["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

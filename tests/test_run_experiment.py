@@ -1,4 +1,5 @@
-"""The experiment script: strategies the instance cannot support are skipped."""
+"""The scripts: the experiment skips strategies the instance cannot support,
+and the digests tell byte-identical runs from changed ones."""
 from __future__ import annotations
 
 import importlib.util
@@ -6,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_experiment.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def _load_script():
-    spec = importlib.util.spec_from_file_location("run_experiment", SCRIPT)
+def _load_script(name: str = "run_experiment"):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -73,3 +74,29 @@ def test_repeated_seeds_are_refused_before_any_run(tmp_path, capsys):
     assert exc.value.code == 2
     assert "seeds must be distinct" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def test_artifact_digests_match_across_reruns_and_name_a_changed_file(
+    tmp_path, capsys
+):
+    digests = _load_script("artifact_digests")
+    root = tmp_path / "runs"
+    seen = []
+    for _ in range(2):
+        assert _main(tmp_path, "greedy") == 0
+        capsys.readouterr()  # the experiment's table
+        assert digests.main([str(root)]) == 0
+        seen.append(capsys.readouterr().out.splitlines())
+    assert seen[0] == seen[1]
+    names = [line.split("  ", 1)[1] for line in seen[0]]
+    assert "greedy-seed0/simulation.csv" in names
+    assert "greedy-seed0/timings.json" not in names
+    population = root / "greedy-seed0" / "population.txt"
+    data = bytearray(population.read_bytes())
+    data[0] ^= 1
+    population.write_bytes(bytes(data))
+    assert digests.main([str(root)]) == 0
+    changed = set(capsys.readouterr().out.splitlines()) ^ set(seen[0])
+    assert {line.split("  ", 1)[1] for line in changed} == {
+        "greedy-seed0/population.txt"
+    }

@@ -223,7 +223,7 @@ def test_pinned_values_successes_and_rollouts(seed):
     for plan, (value, action) in zip(plans, (unblocked, blocked)):
         s0 = initial_state(cg, plan)
         assert repr(dp_value(cg, s0)) == value
-        assert ExactSolver(cg).best_action(s0) == action
+        assert ExactSolver(cg).value_and_action(s0)[1] == action
     assert tuple(
         simulate(cg, plan, DpPolicy(cg), 3000, seed=seed).successes for plan in plans
     ) == successes
