@@ -12,9 +12,10 @@ Success exits 0; any failure prints a single JSON line `{"error": ...,
 "message": ...}` on stderr and exits nonzero (2 for command line or
 config mistakes, 1 for everything else).  A file that cannot be read or
 is not UTF-8 fails with its reader's error, which names the file:
-`ConfigError` for a config file, `GraphFormatError` for a graph file and
-`PipelineError` for a run record.  Warnings raised before a failure go
-into that line as a `"warnings"` list of their messages.
+`ConfigError` for a config file, `GraphFormatError` for a graph file,
+`CheckpointFormatError` for a checkpoint and `PipelineError` for a run
+record.  Warnings raised before a failure go into that line as a
+`"warnings"` list of their messages.
 """
 from __future__ import annotations
 

@@ -341,8 +341,11 @@ def save_population(path: str, pop: Population) -> None:
 
 
 def load_population(path: str) -> Population:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PopulationFormatError(f"cannot read population {path}: {exc}") from exc
     if not lines:
         raise PopulationFormatError("empty population file")
     head = lines[0].split()

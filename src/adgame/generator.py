@@ -5,7 +5,7 @@ domain-admin groups connected by the three classic lateral-movement edge
 kinds: a computer HasSession for a logged-on user, a user or group is
 MemberOf a group, and a group or user is AdminTo a computer.
 
-Workstations, regular users, and regular groups are partitioned into
+Workstations, regular users, and regular groups are dealt round robin into
 organizational units, and ordinary churn (sessions, memberships, admin
 rights) stays inside a unit.  Only unit 0, the IT department, administers
 servers; servers host admin sessions, and admin groups chain into the DA
@@ -95,18 +95,9 @@ def generate_synthetic(n_computers: int, seed: int) -> AttackGraph:
         1,
         min(ORG_UNITS, len(workstations), len(regular_users), len(regular_groups)),
     )
-    ws_unit = [[] for _ in range(n_units)]
-    user_unit = [[] for _ in range(n_units)]
-    group_unit = [[] for _ in range(n_units)]
-    for i, c in enumerate(workstations):
-        ws_unit[i % n_units].append(c)
-    for i, u in enumerate(regular_users):
-        user_unit[i % n_units].append(u)
-    for i, gr in enumerate(regular_groups):
-        group_unit[i % n_units].append(gr)
-    unit_of_user = {u: k for k in range(n_units) for u in user_unit[k]}
-    unit_of_ws = {c: k for k in range(n_units) for c in ws_unit[k]}
-    unit_of_group = {gr: k for k in range(n_units) for gr in group_unit[k]}
+    ws_unit = [workstations[k::n_units] for k in range(n_units)]
+    user_unit = [regular_users[k::n_units] for k in range(n_units)]
+    group_unit = [regular_groups[k::n_units] for k in range(n_units)]
 
     nodes = (
         [Node(c, COMPUTER) for c in computers]
@@ -138,8 +129,8 @@ def generate_synthetic(n_computers: int, seed: int) -> AttackGraph:
     add(admin_groups[0], da_groups[0], MEMBER_OF)
 
     # Group memberships stay within the user's unit.
-    for u in regular_users:
-        k = unit_of_user[u]
+    for i, u in enumerate(regular_users):
+        k = i % n_units
         n_member = int(rng.integers(MEMBERSHIPS_LOW, MEMBERSHIPS_HIGH + 1))
         for _ in range(n_member):
             add(u, pick(group_unit[k]), MEMBER_OF)
@@ -149,9 +140,9 @@ def generate_synthetic(n_computers: int, seed: int) -> AttackGraph:
             add(u, pick(admin_groups), MEMBER_OF)
 
     # Group nesting within each tier; admin groups chain into DA.
-    for gr in regular_groups[1:]:
+    for i, gr in enumerate(regular_groups[1:], start=1):
         if rng.random() < GROUP_NESTING_RATE:
-            add(gr, pick(group_unit[unit_of_group[gr]]), MEMBER_OF)
+            add(gr, pick(group_unit[i % n_units]), MEMBER_OF)
     for gr in admin_groups[1:]:
         if rng.random() < GROUP_NESTING_RATE:
             add(gr, pick(admin_groups), MEMBER_OF)
@@ -160,8 +151,8 @@ def generate_synthetic(n_computers: int, seed: int) -> AttackGraph:
             add(gr, pick(da_groups), MEMBER_OF)
 
     # Administration rights.  Only IT-unit groups may administer servers.
-    for c in workstations:
-        k = unit_of_ws[c]
+    for i, c in enumerate(workstations):
+        k = i % n_units
         for _ in range(WORKSTATION_ADMIN_GROUPS):
             add(pick(group_unit[k]), c, ADMIN_TO)
     for gr in admin_groups:
@@ -171,14 +162,14 @@ def generate_synthetic(n_computers: int, seed: int) -> AttackGraph:
     for gr in group_unit[0]:
         if rng.random() < SERVER_ADMIN_RATE:
             add(gr, pick(servers), ADMIN_TO)
-    for u in regular_users:
+    for i, u in enumerate(regular_users):
         if rng.random() < DIRECT_ADMIN_RATE:
-            add(u, pick(ws_unit[unit_of_user[u]]), ADMIN_TO)
+            add(u, pick(ws_unit[i % n_units]), ADMIN_TO)
 
     # Logged-on sessions: compromising the machine yields the credentials.
     # Admins only ever log on to servers and IT-unit workstations.
-    for c in workstations:
-        k = unit_of_ws[c]
+    for i, c in enumerate(workstations):
+        k = i % n_units
         if rng.random() < WORKSTATION_SESSION_RATE:
             add(c, pick(user_unit[k]), HAS_SESSION)
         if k == 0 and rng.random() < STRAY_ADMIN_SESSION_RATE:

@@ -280,9 +280,7 @@ def select_entry_nodes(
             RuntimeWarning,
             stacklevel=2,
         )
-        pool = candidates
-    else:
-        pool = candidates[:pool_size]
+    pool = candidates[:pool_size]
     if len(pool) < n_entry:
         raise GraphValidationError(
             f"cannot select {n_entry} entry nodes from a pool of {len(pool)}"
@@ -346,8 +344,7 @@ def sample_edge_probabilities(g: AttackGraph, kind: str, seed: int) -> AttackGra
         m = np.clip(m, 0.0, 1.0)
         total = m.sum(axis=1)
         over = total > 1.0
-        if over.any():
-            m[over] /= total[over, None]
+        m[over] /= total[over, None]
     new_edges = tuple(
         replace(e, p_d=float(m[i, 0]), p_f=float(m[i, 1]))
         for i, e in enumerate(g.edges)

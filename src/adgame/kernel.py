@@ -13,6 +13,13 @@ Blocking anything earlier on the path is never better, so the defender only
 ever considers the block-worthy set BW.  Its size is bounded by s + t + h and
 by s + 2h, where s counts entry nodes, t splitting nodes, and h feedback
 edges beyond a spanning tree.
+
+NSPs that share an edge share the rest of their path: after an edge u -> v
+the walk to DA or the next splitting node depends on v alone.  So the NSPs
+sharing an edge only grow along a path, and the last edge's sharers are all
+the NSPs that share any of its edges.  Every NSP that crosses a block-worthy
+edge has no blockable edge after it, so that edge's sharers are exactly the
+NSPs whose block-worthy edge it is.
 """
 from __future__ import annotations
 
@@ -59,9 +66,10 @@ class StepMasks:
     sources: tuple[int, ...]  # per NSP, its source's bit
     # per NSP, its edges in walk order as (p_d, p_f, p_s, NSPs sharing the edge)
     edges: tuple[tuple[tuple[float, float, float, int], ...], ...]
-    span: tuple[int, ...]  # per NSP, the NSPs that share one of its edges
+    # per NSP, the NSPs that share one of its edges: its last edge's sharers
+    span: tuple[int, ...]
     # per plan coordinate (``bw_edges`` order), the NSPs whose block-worthy
-    # edge it is: the NSPs a plan setting that coordinate fails
+    # edge it is, which a plan setting it fails: that edge's sharers
     blocks: tuple[int, ...]
 
 
@@ -87,7 +95,6 @@ class CondensedGraph:
         into = [0] * len(nodes)
         sources = []
         sharers: dict[int, int] = {}
-        blocks = dict.fromkeys(self.bw_edges, 0)
         for p in self.nsps:
             bit = 1 << p.id
             out[at[p.source]] |= bit
@@ -95,16 +102,10 @@ class CondensedGraph:
             sources.append(1 << at[p.source])
             for e in p.edges:
                 sharers[e] = sharers.get(e, 0) | bit
-            if p.block_worthy_edge is not None:
-                blocks[p.block_worthy_edge] |= bit
-        span = [0] * len(self.nsps)
-        for p in self.nsps:
-            for e in p.edges:
-                span[p.id] |= sharers[e]
         return StepMasks(
             entry=sum(1 << at[v] for v in g.entry_nodes),
             da=1 << at[da],
-            da_nsps=sum(1 << p.id for p in self.nsps if p.terminal == da),
+            da_nsps=into[at[da]],
             terminal=tuple(1 << at[p.terminal] for p in self.nsps),
             out=tuple(out),
             entry_out=sum(out[at[v]] for v in g.entry_nodes),
@@ -117,8 +118,8 @@ class CondensedGraph:
                 )
                 for p in self.nsps
             ),
-            span=tuple(span),
-            blocks=tuple(blocks.values()),
+            span=tuple(sharers[p.edges[-1]] for p in self.nsps),
+            blocks=tuple(sharers[e] for e in self.bw_edges),
         )
 
     @cached_property

@@ -23,12 +23,15 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from dataclasses import asdict, dataclass, is_dataclass
+from types import UnionType
+from typing import (
+    Sequence, TypedDict, get_args, get_origin, get_type_hints, is_typeddict,
+)
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .defense import (
     ExactFitness,
     Member,
@@ -149,22 +152,44 @@ def prepare_instance(config: ExperimentConfig, seed: int) -> PreparedInstance:
     return PreparedInstance(condense(pruned), dropped, key)
 
 
-# the record's scalar field types, by their annotation
-_SCALARS = {"int": int, "str": str, "bool": bool}
+class SimulationRow(TypedDict):
+    """A record's ``simulation``, as ``_finish_run`` writes it."""
 
-# the keys of a record's ``simulation`` and their types, as ``_finish_run``
-# writes them
-_SIMULATION_TYPES = {
-    "plan_id": str, "evaluator": str, "runs": int, "successes": int,
-    "success_rate": float, "std_error": float,
-}
+    plan_id: str
+    evaluator: str
+    runs: int
+    successes: int
+    success_rate: float
+    std_error: float
+
+
+def _from_json(value, kind, name: str):
+    """``value``, parsed from JSON, as ``kind``: a dataclass or ``TypedDict``
+    from an object holding all of its fields, ``tuple[X, ...]`` from an
+    array, ``X | None`` from null or an ``X``, and any other type from a
+    value of exactly that type, or an int for a float."""
+    if is_dataclass(kind) or is_typeddict(kind):
+        if not isinstance(value, dict):
+            raise TypeError(f"{name} is {value!r}, not an object")
+        hints = get_type_hints(kind)
+        missing = [key for key in hints if key not in value]
+        if missing:
+            raise KeyError(f"{name} lacks {', '.join(missing)}")
+        return kind(**{k: _from_json(value[k], t, k) for k, t in hints.items()})
+    if get_origin(kind) is tuple and isinstance(value, list):
+        return tuple(_from_json(v, get_args(kind)[0], name) for v in value)
+    if get_origin(kind) is UnionType:  # X | None
+        return None if value is None else _from_json(value, get_args(kind)[0], name)
+    if type(value) is kind or kind is float and type(value) is int:
+        return value
+    raise TypeError(f"{name} is {value!r}, not {kind.__name__}")
 
 
 @dataclass(frozen=True)
 class RunRecord:
     strategy: str
     seed: int
-    config: dict
+    config: ExperimentConfig
     instance_key: str
     dropped_entries: tuple[str, ...]
     n_nsps: int
@@ -175,42 +200,14 @@ class RunRecord:
     best_plan: tuple[int, ...]
     best_fitness: float
     exact_value: float | None
-    simulation: dict
+    simulation: SimulationRow
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
-        raw = json.loads(text)
-        values = {}
-        for f in fields(cls):
-            value = raw[f.name]
-            if f.type.startswith("tuple["):
-                nested = f.type.startswith("tuple[tuple[")
-                if not isinstance(value, list) or nested and not all(
-                    isinstance(v, list) for v in value
-                ):
-                    raise TypeError(f"{f.name} is {value!r}, not {f.type}")
-                value = tuple(tuple(v) for v in value) if nested else tuple(value)
-            elif f.type == "dict" and not isinstance(value, dict):
-                raise TypeError(f"{f.name} is {value!r}, not an object")
-            elif f.type in _SCALARS and type(value) is not _SCALARS[f.type]:
-                raise TypeError(f"{f.name} is {value!r}, not {f.type}")
-            values[f.name] = value
-        sim = values["simulation"]
-        missing = [k for k in _SIMULATION_TYPES if k not in sim]
-        if missing:
-            raise KeyError(f"simulation lacks {', '.join(missing)}")
-        for key, kind in _SIMULATION_TYPES.items():
-            if type(sim[key]) is not kind:
-                raise TypeError(
-                    f"simulation {key} is {sim[key]!r}, not {kind.__name__}"
-                )
-        distribution = values["config"].get("distribution", "")
-        if not isinstance(distribution, str):
-            raise TypeError(f"config distribution is {distribution!r}, not str")
-        return cls(**values)
+        return _from_json(json.loads(text), cls, "record")
 
 
 def _exact_value_or_none(
@@ -297,7 +294,7 @@ def _finish_run(
         )
     record = RunRecord(
         seed=seed,
-        config=asdict(config),
+        config=config,
         instance_key=inst.instance_key,
         dropped_entries=inst.dropped_entries,
         n_nsps=inst.cg.n_nsps,
@@ -484,7 +481,7 @@ def _load_record(run_dir: str) -> RunRecord:
     except OSError as exc:
         raise PipelineError(f"cannot read run record {path}: {exc}") from exc
     except (
-        KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError,
+        KeyError, TypeError, ConfigError, UnicodeDecodeError, json.JSONDecodeError,
         RecursionError,  # brackets nested past the parser's depth
     ) as exc:
         raise PipelineError(f"malformed run record {path}: {exc}") from exc
@@ -515,14 +512,14 @@ def report(run_dirs: list[str]) -> str:
     base = records[0][1].config
     for d, rec in records:
         for key in _COMPAT_KEYS:
-            if rec.config.get(key) != base.get(key):
+            if getattr(rec.config, key) != getattr(base, key):
                 raise ReportCompatibilityError(
                     f"run {d} disagrees on {key}: "
-                    f"{rec.config.get(key)!r} vs {base.get(key)!r}"
+                    f"{getattr(rec.config, key)!r} vs {getattr(base, key)!r}"
                 )
     cells: dict[tuple[str, str], dict[int, tuple[str, RunRecord]]] = {}
     for d, rec in records:
-        cell_key = (rec.strategy, rec.config.get("distribution", "?"))
+        cell_key = (rec.strategy, rec.config.distribution)
         cell = cells.setdefault(cell_key, {})
         if rec.seed in cell:
             raise ReportCompatibilityError(

@@ -132,10 +132,6 @@ class ValueNet:
             b = rng.uniform(-bound, bound, fan_out)
             self.params += [w.astype(self.dtype), b.astype(self.dtype)]
 
-    @property
-    def n_inputs(self) -> int:
-        return self.sizes[0]
-
     def n_params(self) -> int:
         return sum(p.size for p in self.params)
 
@@ -485,8 +481,11 @@ def load_checkpoint(path: str, n_inputs: int) -> tuple[ValueNet, int]:
     """Restore a float32 net with bit-identical parameters, plus its round
     index; a net that does not take ``n_inputs`` inputs, one per NSP of the
     instance it is loaded for, is refused."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise CheckpointFormatError(f"cannot read checkpoint {path}: {exc}") from exc
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError("not a value-net checkpoint")
     try:
@@ -502,6 +501,8 @@ def load_checkpoint(path: str, n_inputs: int) -> tuple[ValueNet, int]:
         raise CheckpointFormatError(f"truncated checkpoint: {exc}") from exc
     if len(sizes) != depth + 2:
         raise CheckpointFormatError("depth disagrees with the layer list")
+    if seed < 0:
+        raise CheckpointFormatError(f"negative net seed {seed}")
     # what ValueNet(n, depth, width) builds: (n, width, ..., width, 1)
     if min(sizes) < 1 or sizes[-1] != 1 or len(set(sizes[1:-1])) > 1:
         raise CheckpointFormatError(f"bad layer sizes {list(sizes)}")

@@ -418,3 +418,17 @@ def test_population_snapshot_rejects_malformed(tmp_path):
     path.write_text("adpop 1 1 0\n0.25\n")
     with pytest.raises(PopulationFormatError):
         load_population(str(path))
+
+
+@pytest.mark.parametrize(
+    "content", [b"adpop 1 1 3\n101 0.2\xe9\n", None, "directory"],
+    ids=["non-ascii", "missing", "directory"],
+)
+def test_an_unreadable_population_file_is_refused_by_name(tmp_path, content):
+    path = tmp_path / "pop.txt"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    with pytest.raises(PopulationFormatError, match=f"cannot read population {path}"):
+        load_population(str(path))

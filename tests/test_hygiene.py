@@ -16,6 +16,8 @@ A public module-level name of the package must be read by a file under
 ``src/adgame``, ``scripts`` or ``perfbench``: loaded as a name or an
 attribute, or imported by name, so a re-export in the package's
 ``__init__.py`` counts.  A name only tests read is not part of the program.
+Likewise a public method or property of a package class must be read as an
+attribute by one of those files.
 ``config`` is the settings leaf: of the package it imports only ``graph``
 and ``mdp``, so the algorithm modules can import their defaults from it.
 In ``mdp``, ``_walk`` is the only function that reads an attribute named
@@ -330,6 +332,66 @@ def program_reads():
 )
 def test_no_unread_public_names(path, program_reads):
     assert unread_publics(path.read_text(encoding="utf-8"), program_reads) == []
+
+
+def read_attributes(source: str) -> set[str]:
+    tree = ast.parse(source)
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def unread_methods(source: str, read: set[str]) -> list[str]:
+    """Public methods and properties of the module's classes that no
+    attribute in ``read`` names."""
+    return [
+        f"line {node.lineno}: {cls.name}.{node.name}"
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_scan_finds_an_unread_method_and_passes_read_ones():
+    source = (
+        "class A:\n"
+        "    def __call__(self):\n"
+        "        return self._own()\n"
+        "    def _own(self):\n"
+        "        return self.used\n"
+        "    @property\n"
+        "    def used(self):\n"
+        "        return 1\n"
+        "    @property\n"
+        "    def width(self):\n"
+        "        return 2\n"
+        "    def called(self):\n"
+        "        return 3\n"
+        "def orphan():\n"
+        "    return A().called()\n"
+        "class B:\n"
+        "    @classmethod\n"
+        "    def build(cls):\n"
+        "        return cls()\n"
+    )
+    reader = "from .mod import build\nx = width\n"
+    read = read_attributes(source) | read_attributes(reader)
+    assert unread_methods(source, read) == ["line 10: A.width", "line 18: B.build"]
+
+
+@pytest.fixture(scope="module")
+def program_attributes():
+    return set().union(
+        *(read_attributes(p.read_text(encoding="utf-8")) for p in READER_FILES)
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in FILES if p.parent.name == "adgame"], ids=lambda p: p.name
+)
+def test_no_unread_methods(path, program_attributes):
+    assert unread_methods(path.read_text(encoding="utf-8"), program_attributes) == []
 
 
 def package_imports(source: str) -> set[str]:

@@ -3,13 +3,19 @@ from __future__ import annotations
 
 import pytest
 
+from adgame.config import ExperimentConfig
 from adgame.graph import AttackGraph, COMPUTER, DOMAIN_ADMIN, Edge, Node
 from adgame.kernel import KernelizationError, condense, kernel_report
+from adgame.pipeline import prepare_instance
 
 from instances import (
+    GRAPH_B,
+    GRAPH_D,
     build_game,
     chain_graph,
     random_instance,
+    random_instances,
+    saved_instance,
     shared_suffix_graph,
     textbook_kernel_graph,
 )
@@ -144,6 +150,35 @@ def test_terminal_edge_membership_is_shared_suffix():
             for i, edge_id in enumerate(p.edges):
                 suffixes.setdefault(edge_id, set()).add(p.edges[i:])
         assert all(len(ends) == 1 for ends in suffixes.values())
+
+
+def test_step_masks_read_span_and_blocks_off_nesting_sharers(tmp_path):
+    # the lemma ``step_masks`` relies on: the NSPs sharing an edge only grow
+    # along a path, so the OR over an NSP's edges is its last edge's
+    # sharers, and a block-worthy edge's sharers all have it as theirs
+    kernels = random_instances(400, 12) + [
+        saved_instance(tmp_path, *GRAPH_B),
+        prepare_instance(ExperimentConfig(n_computers=500), 0).cg,
+        saved_instance(tmp_path, *GRAPH_D),
+    ]
+    for cg in kernels:
+        sharers: dict[int, int] = {}
+        for p in cg.nsps:
+            for e in p.edges:
+                sharers[e] = sharers.get(e, 0) | 1 << p.id
+        masks = cg.step_masks
+        for p in cg.nsps:
+            along = [sharers[e] for e in p.edges]
+            assert all(a & ~b == 0 for a, b in zip(along, along[1:]))
+            span = 0
+            for mask in along:
+                span |= mask
+            assert masks.span[p.id] == span
+        assert masks.blocks == tuple(
+            sum(1 << p.id for p in cg.nsps if p.block_worthy_edge == e)
+            for e in cg.bw_edges
+        )
+    assert len(kernels) > 1000
 
 
 def test_kernelizer_rejects_unpruned_interior_sink():

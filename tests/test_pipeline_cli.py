@@ -202,7 +202,7 @@ def test_graph_file_without_entries_is_refused(tmp_path):
 RECORD = RunRecord(
     strategy="nndp-edo",
     seed=3,
-    config={"budget": 2},
+    config=ExperimentConfig(budget=2),
     instance_key="abc",
     dropped_entries=("u9",),
     n_nsps=4,
@@ -566,7 +566,7 @@ def _write_record(run_dir: str, **fields) -> str:
 
 def test_report_refuses_a_run_dir_given_twice(tmp_path):
     run = _write_record(str(tmp_path / "a"))
-    assert report([run]).splitlines()[1].startswith("nndp-edo,?,1,")
+    assert report([run]).splitlines()[1].startswith("nndp-edo,independent,1,")
     with pytest.raises(ReportCompatibilityError, match="seed 3"):
         report([run, run])
 
@@ -585,9 +585,19 @@ def test_report_refuses_two_runs_of_one_seed(tmp_path):
      lambda raw: {**raw, "seed": "x"}, lambda raw: {**raw, "strategy": 3},
      lambda raw: {**raw, "best_plan": "01"},
      lambda raw: {**raw, "simulation": {**raw["simulation"], "success_rate": "x"}},
-     lambda raw: {**raw, "config": {"distribution": ["independent"]}}],
+     lambda raw: {**raw, "config": {**raw["config"], "distribution": ["independent"]}},
+     lambda raw: {**raw, "best_fitness": "x"}, lambda raw: {**raw, "best_plan": ["a"]},
+     lambda raw: {**raw, "exact_value": [1]},
+     lambda raw: {**raw, "config": {**raw["config"], "seeds": "x"}},
+     lambda raw: {**raw, "config": {**raw["config"], "seeds": [1.5]}},
+     lambda raw: {**raw, "config": {"budget": 2}},
+     lambda raw: {**raw, "config": {**raw["config"], "budget": -1}},
+     lambda raw: {**raw, "loss_curves": [[0.1, "x"]]},
+     lambda raw: {**raw, "training_flag": 0}],
     ids=["a-list", "null-config", "scalar-fitness", "string-seed", "int-strategy",
-         "string-plan", "string-rate", "list-distribution"],
+         "string-plan", "string-rate", "list-distribution", "string-fitness",
+         "string-plan-bit", "list-exact-value", "string-seeds", "float-seed",
+         "partial-config", "invalid-config", "string-loss", "int-flag"],
 )
 def test_cli_report_refuses_a_record_of_the_wrong_shape(tmp_path, capsys, patch):
     path = tmp_path / "record.json"
@@ -605,7 +615,7 @@ def test_cli_report_refuses_a_record_of_the_wrong_shape(tmp_path, capsys, patch)
     "patch,total_s,code,table",
     [
         # a malformed timings sidecar only blanks the wall-time column
-        ({}, [1], 0, "nndp-edo,?,1,0.200000,,0.200000"),
+        ({}, [1], 0, "nndp-edo,independent,1,0.200000,,0.200000"),
         ({"simulation": {}}, 1.0, 1, None),
     ],
     ids=["list-total-s", "empty-simulation"],
@@ -776,6 +786,9 @@ def test_cli_error_lines_are_machine_readable(tmp_path, capsys, graph_file):
     assert json.loads(capsys.readouterr().err)["error"] == "DefenseConfigError"
 
 
+CHECKPOINT = "simulate --set graph_file={graph} --set mc_runs=10 --checkpoint {bad}"
+
+
 @pytest.mark.parametrize(
     "command,name,content,error,code",
     [
@@ -784,22 +797,25 @@ def test_cli_error_lines_are_machine_readable(tmp_path, capsys, graph_file):
         ("kernelize --config {bad}", "", b"budget = 2 # caf\xe9\n", "ConfigError", 2),
         ("report {bad}", "record.json", b'{"strategy": "\xe9"}', "PipelineError", 1),
         ("report {bad}", "record.json", b"[" * 100_000, "PipelineError", 1),
+        (CHECKPOINT, "", None, "CheckpointFormatError", 1),
+        (CHECKPOINT, None, None, "CheckpointFormatError", 1),
     ],
     ids=["latin1-graph", "graph-directory", "latin1-config", "latin1-record",
-         "nested-record"],
+         "nested-record", "missing-checkpoint", "checkpoint-directory"],
 )
 def test_cli_refuses_an_unreadable_input_with_its_readers_error(
-    tmp_path, capsys, command, name, content, error, code
+    tmp_path, capsys, graph_file, command, name, content, error, code
 ):
     # ``name`` is the file written inside the directory ``bad``, or "" when
-    # ``bad`` is that file itself
+    # ``bad`` is that file itself, missing when ``content`` is None
     bad = tmp_path / "bad"
     if name != "":
         bad.mkdir()
     if content is not None:
         (bad / name).write_bytes(content)
     out = tmp_path / "out"
-    assert main(command.format(bad=bad).split() + ["--out", str(out)]) == code
+    argv = command.format(bad=bad, graph=graph_file).split()
+    assert main(argv + ["--out", str(out)]) == code
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and captured.out == ""

@@ -636,6 +636,17 @@ def test_checkpoint_refuses_a_net_of_another_width(tmp_path, monkeypatch):
             load_checkpoint(path, cg.n_nsps)
 
 
+def test_checkpoint_refuses_a_negative_seed(tmp_path):
+    # a flipped top bit of the seed field; a net cannot be built from it
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(str(path), ValueNet(4, depth=1, width=4, seed=3))
+    blob = bytearray(path.read_bytes())
+    blob[35] ^= 0x80  # the seed's last byte: 16 header bytes, 3 sizes, 8 seed bytes
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointFormatError, match="negative net seed"):
+        load_checkpoint(str(path), 4)
+
+
 def test_a_depth_zero_checkpoint_round_trips(tmp_path):
     net = ValueNet(4, depth=0, width=16, seed=5)
     assert net.sizes == (4, 1)
