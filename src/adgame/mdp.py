@@ -115,8 +115,14 @@ from .kernel import CondensedGraph, StepMasks
 State = tuple[int, int, int]
 
 # default cap on the exact solver's memo, in distinct (owned nodes, live
-# NSPs) states
+# NSPs) states.  A key costs about 133 B on the 173-NSP paper graph, step
+# table included (traced at 100,000 keys), so a full memo holds ~130 MB:
+# filling it took 14-17 s and peaked at 169 MB RSS on a 2-core VM.
 MEMO_LIMIT = 1_000_000
+
+# the one record every won or lost terminal key of a memo shares
+_WON = (1.0, None)
+_LOST = (0.0, None)
 
 
 class InadmissibleActionError(Exception):
@@ -277,19 +283,24 @@ def route_actions(cg: CondensedGraph, s: State) -> int:
     it joins ``R``.  Each node joins once, so each NSP is seen once.
     """
     t = cg.step_masks
+    into, sources = t.into, t.sources
     owned, live = s[0], s[1]
     moves = _moves(t, owned, live)
     routes = 0
     frontier = reached = t.da & ~owned
     while frontier and routes != moves:
         ending = 0
-        for node in _ids(frontier):
-            ending |= t.into[node]
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            ending |= into[low.bit_length() - 1]
         ending &= live
         routes |= ending & moves
-        frontier = 0
-        for a in _ids(ending & ~moves):
-            frontier |= t.sources[a]
+        enders = ending & ~moves
+        while enders:
+            low = enders & -enders
+            enders ^= low
+            frontier |= sources[low.bit_length() - 1]
         frontier &= ~reached
         reached |= frontier
     return routes
@@ -375,35 +386,54 @@ class ExactSolver:
     ``root_floor_log2`` holds the floor of the last new root, or None
     before the first.
 
-    Two tables, which live and die with the solver, spare a key the work
-    another key already did.  ``_reach(O)``, the NSPs leaving an owned
-    node, is cached per owned set.  The step table keeps each ``_walk``
-    entry under ``(a, U & span(a))``, and the loop rebuilds a key's
-    outcome keys from it by the module docstring's rule.  The loop scores
-    each action with the built-in ``sum`` over those keys in that order
-    (compensated on Python 3.12+, so a hand-written ``+=`` would change
-    bits there), keeps the first strictly larger q, and pushes the missing
-    successors in the same order, so the memo's keys, values, actions and
-    insertion order, and the key at which ``memo_limit`` is hit, are those
-    of a walk per key.  The step table holds at most one entry per (key,
-    action) pair.
+    A memo key is one int, ``owned_id << n_nsps | U``.  ``owned_id`` indexes
+    the solver's table of owned sets (``_owned``, inverted by ``_owned_id``):
+    a set gets the next id when the solver first builds a key on it, so ids
+    are dense and in first-seen order.  As ``U < 2**n_nsps`` and the table
+    maps ids to sets one to one, ``(O, U) -> key`` is a bijection, and the
+    memo is the ``(O, U)`` memo under new names.  Every terminal key shares
+    one of two records, ``(1.0, None)`` or ``(0.0, None)``.
+
+    Two more tables, which live and die with the solver, spare a key the
+    work another key already did.  ``_reach[owned_id]``, the NSPs leaving
+    an owned node, is filled when the set is interned.  The step table
+    keeps each ``_walk`` entry under ``(a, U & span(a))``, and the loop
+    rebuilds a key's outcome keys from it by the module docstring's rule.
+    The loop scores each action with the built-in ``sum`` over those keys
+    in that order (compensated on Python 3.12+, so a hand-written ``+=``
+    would change bits there), keeps the first strictly larger q, and pushes
+    the missing successors in the same order, so the memo's keys, values,
+    actions and insertion order, and the key at which ``memo_limit`` is
+    hit, are those of a walk per key.  The step table holds at most one
+    entry per (key, action) pair.
     """
 
     def __init__(self, cg: CondensedGraph, memo_limit: int = MEMO_LIMIT):
         self.cg = cg
         self.memo_limit = memo_limit
-        self._memo: dict[tuple[int, int], tuple[float, int | None]] = {}
+        self._memo: dict[int, tuple[float, int | None]] = {}
         # per action: U & span(a) -> its ``_walk`` entry
         self._steps: tuple[dict, ...] = tuple({} for _ in range(cg.n_nsps))
-        self._reach: dict[int, int] = {}
+        self._owned: list[int] = []
+        self._owned_id: dict[int, int] = {}
+        self._reach: list[int] = []
         self.root_floor_log2: int | None = None
+
+    def _intern(self, owned: int) -> int:
+        """The id of a new owned set."""
+        oid = self._owned_id[owned] = len(self._owned)
+        self._owned.append(owned)
+        self._reach.append(_reach(self.cg.step_masks, owned))
+        return oid
 
     def value_and_action(self, s: State) -> tuple[float, int | None]:
         """The state's value and the smallest-id optimal action."""
-        root = s[:2]
-        memo = self._memo
-        if root in memo:
-            return memo[root]
+        n = self.cg.n_nsps
+        memo, ids = self._memo, self._owned_id
+        oid = ids.get(s[0])
+        record = None if oid is None else memo.get(oid << n | s[1])
+        if record is not None:
+            return record
         m = self.root_floor_log2 = key_floor_log2(self.cg, s)
         if 1 << m > self.memo_limit:
             raise StateSpaceLimitError(
@@ -411,62 +441,70 @@ class ExactSolver:
                 f"NSPs) states, more than {self.memo_limit}; use the neural "
                 "approximate solver instead"
             )
+        root = (self._intern(s[0]) if oid is None else oid) << n | s[1]
         t = self.cg.step_masks
-        terminal, spans = t.terminal, t.span
-        steps, reaches = self._steps, self._reach
+        terminal, spans, da, da_nsps = t.terminal, t.span, t.da, t.da_nsps
+        steps, table, reaches = self._steps, self._owned, self._reach
+        full, limit = (1 << n) - 1, self.memo_limit
         stack = [root]
-        expanded: dict[tuple[int, int], list] = {}
+        expanded: dict[int, list] = {}
         while stack:
-            top = stack[-1]
-            if top in memo:
+            key = stack[-1]
+            if key in memo:
                 stack.pop()
                 continue
-            if top not in expanded:
-                owned, live = top
-                reach = reaches.get(owned)
-                if reach is None:
-                    reach = reaches[owned] = _reach(t, owned)
-                moves = live & reach
-                tv = _terminal(t, owned, live, moves)
-                if tv is not None:
-                    self._remember(top, tv, None)
-                    stack.pop()
-                    continue
-                dists = expanded[top] = []
-                missing = []
-                for a in _ids(moves):
-                    live_span = live & spans[a]
-                    entry = steps[a].get(live_span)
-                    if entry is None:
-                        entry = steps[a][live_span] = _walk(t, live_span, a)
-                    rest = live ^ live_span
-                    keys = [(owned, r | rest) for r in entry[0]]
-                    if entry[2]:
-                        keys.append((owned | terminal[a], live & ~(1 << a)))
-                    dists.append((a, keys, entry[1]))
-                    missing += [nxt for nxt in keys if nxt not in memo]
-                if missing:
-                    stack.extend(missing)
-                    continue
-            best_action, best_value = None, -1.0
-            for a, keys, masses in expanded.pop(top):
-                q = sum([p * memo[nxt][0] for nxt, p in zip(keys, masses)])
-                if q > best_value:
-                    best_action, best_value = a, q
-            self._remember(top, best_value, best_action)
+            dists = expanded.pop(key, None)
+            if dists is None:
+                oid, live = key >> n, key & full
+                owned = table[oid]
+                moves = live & reaches[oid]
+                if owned & da:
+                    record = _WON
+                elif not live & da_nsps or not moves:
+                    record = _LOST
+                else:
+                    dists = []
+                    depth = len(stack)
+                    while moves:
+                        low = moves & -moves
+                        moves ^= low
+                        a = low.bit_length() - 1
+                        live_span = live & spans[a]
+                        entry = steps[a].get(live_span)
+                        if entry is None:
+                            entry = steps[a][live_span] = _walk(t, live_span, a)
+                        rest = key ^ live_span
+                        keys = [r | rest for r in entry[0]]
+                        if entry[2]:
+                            won = owned | terminal[a]
+                            wid = ids.get(won)
+                            keys.append(
+                                (self._intern(won) if wid is None else wid) << n
+                                | live ^ low
+                            )
+                        dists.append((a, keys, entry[1]))
+                        stack += [nxt for nxt in keys if nxt not in memo]
+                    if len(stack) > depth:
+                        expanded[key] = dists
+                        continue
+            if dists is not None:
+                best_action, best_value = None, -1.0
+                for a, keys, masses in dists:
+                    q = sum([p * memo[nxt][0] for nxt, p in zip(keys, masses)])
+                    if q > best_value:
+                        best_action, best_value = a, q
+                record = best_value, best_action
+            if len(memo) >= limit:
+                raise StateSpaceLimitError(
+                    f"more than {limit} distinct (owned nodes, live NSPs) "
+                    "states; use the neural approximate solver instead"
+                )
+            memo[key] = record
             stack.pop()
         return memo[root]
 
     def value(self, s: State) -> float:
         return self.value_and_action(s)[0]
-
-    def _remember(self, key: tuple[int, int], value: float, action: int | None) -> None:
-        if len(self._memo) >= self.memo_limit:
-            raise StateSpaceLimitError(
-                f"more than {self.memo_limit} distinct (owned nodes, live NSPs) "
-                "states; use the neural approximate solver instead"
-            )
-        self._memo[key] = (value, action)
 
     @property
     def states_solved(self) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from adgame.mdp import (
     InadmissibleActionError,
     StateSpaceLimitError,
     _moves,
+    _reach,
     _terminal,
     admissible_actions,
     argmax,
@@ -38,6 +40,7 @@ from instances import (
     textbook_kernel_graph,
     two_parallel_graph,
 )
+import oracles
 from oracles import (
     FAILED,
     SUCCESS,
@@ -535,10 +538,19 @@ def test_states_and_trit_states_correspond_one_to_one():
     assert checked > 1000
 
 
+def _decoded(solver, key):
+    """The ``(owned, live)`` pair of an ``ExactSolver`` memo key."""
+    n = solver.cg.n_nsps
+    return solver._owned[key >> n], key & ((1 << n) - 1)
+
+
 def _memo_items(solver):
-    """The memo in insertion order, values as ``float.hex``."""
+    """The memo in insertion order, keys as ``(owned, live)`` pairs and
+    values as ``float.hex``."""
+    decode = isinstance(solver, ExactSolver)
     return [
-        (key, value.hex(), action) for key, (value, action) in solver._memo.items()
+        (_decoded(solver, key) if decode else key, value.hex(), action)
+        for key, (value, action) in solver._memo.items()
     ]
 
 
@@ -561,6 +573,57 @@ def test_solver_memo_equals_the_walk_per_expansion_reference(tmp_path):
     assert sum(solver.states_solved for solver in solvers) > 70_000
     # graph B's keys walk only 26 distinct (action, live sharers) pairs
     assert (solvers[0].states_solved, solvers[0].step_walks) == (62_176, 26)
+
+
+@pytest.mark.parametrize("graph", [GRAPH_B, GRAPH_D], ids=["graph-B", "graph-D"])
+def test_memo_keys_round_trip_through_the_owned_table(tmp_path, monkeypatch, graph):
+    # the reference walks the same keys in the same order; the owned sets
+    # it meets, roots first, give the order in which ids must be handed out
+    cg = saved_instance(tmp_path, *graph)
+    seen = []
+
+    def recording_walk(t, owned, live, action):
+        walked = reference_walk(t, owned, live, action)
+        seen.extend(nxt[0] for nxt, _ in walked[0])
+        return walked
+
+    monkeypatch.setattr(oracles, "reference_walk", recording_walk)
+    solver, reference = ExactSolver(cg), ReferenceSolver(cg)
+    for root in _roots(cg, 2):
+        seen.append(root[0])
+        assert solver.value_and_action(root) == reference.value_and_action(root)
+    table, n = solver._owned, cg.n_nsps
+    assert table == list(dict.fromkeys(seen))
+    assert solver._owned_id == {owned: i for i, owned in enumerate(table)}
+    assert solver._reach == [_reach(cg.step_masks, owned) for owned in table]
+    for key in solver._memo:
+        owned, live = _decoded(solver, key)
+        assert 0 <= live < 1 << n and solver._owned_id[owned] << n | live == key
+    assert {key >> n for key in solver._memo} == set(range(len(table)))
+
+
+def test_graph_b_exhaustive_solve_holds_at_most_8_mib(tmp_path):
+    # the budget-2 plans that ``exhaustive_run`` scores on graph B, in its
+    # order; one int key per state and the shared terminal records hold
+    # 6.7 MiB where tuple keys and a record per key held 11.3 MiB
+    cg = saved_instance(tmp_path, *GRAPH_B)
+    n_bw = len(cg.bw_edges)
+    roots = [
+        initial_state(cg, tuple(int(i in chosen) for i in range(n_bw)))
+        for chosen in itertools.combinations(range(n_bw), 2)
+    ]
+    cg.step_masks  # the instance's tables, built before the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solver = ExactSolver(cg)
+        for root in roots:
+            solver.value(root)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert solver.states_solved == 59_440
+    assert held <= 8 << 20, held
 
 
 def _first_overflow(solver, roots):
