@@ -115,17 +115,6 @@ def _parse_value(key: str, text: str):
     raise ConfigError(f"unsupported field type for {key!r}")
 
 
-def parse_overrides(pairs: Sequence[str]) -> dict:
-    """Parse repeated `key=value` strings into a settings dict."""
-    settings = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise ConfigError(f"override {pair!r} is not of the form key=value")
-        settings[key.strip()] = _parse_value(key.strip(), value)
-    return settings
-
-
 def load_config(
     path: str | None = None, overrides: Sequence[str] = ()
 ) -> ExperimentConfig:
@@ -156,6 +145,10 @@ def load_config(
                 )
             set_at[key] = at
             settings[key] = _parse_value(key, value)
-    settings.update(parse_overrides(overrides))
+    for pair in overrides:
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ConfigError(f"override {pair!r} is not of the form key=value")
+        settings[key.strip()] = _parse_value(key.strip(), value)
     return ExperimentConfig(**settings)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -156,6 +156,21 @@ def diversity_select_removal(pop: Population) -> int:
 FitnessFn = Callable[[Plan], float]
 
 
+def _score(ev: FitnessFn, plan: Plan) -> float:
+    """``ev(plan)`` as a float.  A value that is not finite ranks no plan,
+    so it raises ``ValueError`` rather than steer a search."""
+    value = float(ev(plan))
+    if not isfinite(value):
+        raise ValueError(f"fitness of plan {format_plan(plan)} is {value!r}")
+    return value
+
+
+def _in_band(pop: Population) -> Population:
+    """The members within ``FITNESS_BAND`` of the population best."""
+    best = min(m.fitness for m in pop)
+    return [m for m in pop if m.fitness <= best + FITNESS_BAND]
+
+
 class ExactFitness:
     """Attacker value of the blocked game, solved exactly.
 
@@ -217,7 +232,7 @@ def _evolve(
     def fit(bits: Plan) -> float:
         value = cache.get(bits)
         if value is None:
-            value = float(ev(bits))
+            value = _score(ev, bits)
             cache[bits] = value
         return value
 
@@ -252,9 +267,9 @@ def _evolve(
                 )
                 del pop[idx]
             if diversity:
-                best = min(m.fitness for m in pop)
-                pop = [m for m in pop if m.fitness <= best + FITNESS_BAND]
-    return pop
+                pop = _in_band(pop)
+    # a search that rejected every child still returns only members in band
+    return _in_band(pop) if diversity and iterations else pop
 
 
 def edo_run(
@@ -299,7 +314,7 @@ def greedy_run(cg: CondensedGraph, ev: FitnessFn, k: int) -> Plan:
             if bits[pos]:
                 continue
             bits[pos] = 1
-            f = float(ev(tuple(bits)))
+            f = _score(ev, tuple(bits))
             bits[pos] = 0
             if f < best_f:
                 best_pos, best_f = pos, f
@@ -325,7 +340,7 @@ def exhaustive_run(
     best_f = float("inf")
     for positions in combinations(range(n_bits), k):
         bits = tuple(1 if i in positions else 0 for i in range(n_bits))
-        f = float(ev(bits))
+        f = _score(ev, bits)
         if f < best_f or (f == best_f and bits < best_bits):
             best_bits, best_f = bits, f
     return best_bits

@@ -145,9 +145,6 @@ class AttackGraph:
             if v in self.da_candidates:
                 raise GraphValidationError(f"entry node {v!r} is a DA candidate")
 
-    def with_entries(self, entries: Iterable[str]) -> "AttackGraph":
-        return replace(self, entry_nodes=frozenset(entries))
-
     def hop_distances_to_da(self) -> dict[str, int]:
         """Minimum hop count from each node to DA (reverse BFS, unit edges)."""
         da = self.da

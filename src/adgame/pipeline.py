@@ -23,7 +23,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from types import UnionType
 from typing import (
     Sequence, TypedDict, get_args, get_origin, get_type_hints, is_typeddict,
@@ -72,8 +72,8 @@ from .valuenet import (
 _S_GENERATE, _S_PROBS, _S_BLOCKABLE, _S_ENTRIES = 0, 1, 2, 3
 _S_NET, _S_SEARCH, _S_TRAIN, _S_SIM = 4, 5, 6, 7
 
-# the search-and-train strategies: defend name -> (record name, search)
-_SEARCH_AND_TRAIN = {"edo": ("nndp-edo", edo_run), "vec": ("nndp-vec", vec_run)}
+# the search-and-train strategies: defend name -> record name
+_SEARCH_AND_TRAIN = {"edo": "nndp-edo", "vec": "nndp-vec"}
 
 # the strategies of ``adgame defend``; run_baseline maps each to its runner
 STRATEGIES = (*_SEARCH_AND_TRAIN, "greedy", "exhaustive")
@@ -141,7 +141,7 @@ def build_source_graph(config: ExperimentConfig, seed: int) -> AttackGraph:
     entries = select_entry_nodes(
         base, config.entry_pool_size, config.entry_count, _child_seed(seed, _S_ENTRIES)
     )
-    return base.with_entries(entries)
+    return replace(base, entry_nodes=entries)
 
 
 def prepare_instance(config: ExperimentConfig, seed: int) -> PreparedInstance:
@@ -246,7 +246,6 @@ def write_simulation_csv(
 
 
 def _persist(
-    config: ExperimentConfig,
     record: RunRecord,
     inst: PreparedInstance,
     pop: Population,
@@ -255,7 +254,7 @@ def _persist(
     timings: dict,
     counters: dict,
 ) -> str:
-    run_dir = run_dir_for(config, record.strategy, record.seed)
+    run_dir = run_dir_for(record.config, record.strategy, record.seed)
     os.makedirs(run_dir, exist_ok=True)
     with open(os.path.join(run_dir, "record.json"), "w", encoding="utf-8") as fh:
         fh.write(record.to_json() + "\n")
@@ -266,7 +265,7 @@ def _persist(
         report, record.best_plan, record.simulation["evaluator"],
     )
     if net is not None:
-        save_checkpoint(os.path.join(run_dir, "net.ckpt"), net, config.rounds)
+        save_checkpoint(os.path.join(run_dir, "net.ckpt"), net, record.config.rounds)
     sidecars = {"timings.json": timings, "counters.json": counters}
     for name, data in sidecars.items():
         with open(os.path.join(run_dir, name), "w", encoding="utf-8") as fh:
@@ -310,7 +309,7 @@ def _finish_run(
         **outcome,
     )
     timings = {"total_s": time.perf_counter() - started, **phases}
-    _persist(config, record, inst, pop, report, net, timings, counters)
+    _persist(record, inst, pop, report, net, timings, counters)
     return record
 
 
@@ -337,7 +336,7 @@ def run_nndp_edo(
     phases = dict.fromkeys(
         ("prepare_s", "search_s", "train_s", "rescore_s", "exact_s"), 0.0
     )
-    name, search = _SEARCH_AND_TRAIN[strategy]
+    search = edo_run if strategy == "edo" else vec_run
     with _phase(phases, "prepare_s"):
         inst = prepare_instance(config, seed)
     cg = inst.cg
@@ -382,9 +381,7 @@ def run_nndp_edo(
     # the final training round sharpened the net after the last search, so
     # re-score the surviving plans before picking the winner
     with _phase(phases, "rescore_s"):
-        best_fitness, _, best = min(
-            (evaluator(m.bits), m.born, m) for m in pop
-        )
+        best = best_member([replace(m, fitness=evaluator(m.bits)) for m in pop])
     with _phase(phases, "exact_s"):
         exact_value, keys, m = _exact_value_or_none(
             cg, best.bits, config.memo_limit
@@ -399,12 +396,12 @@ def run_nndp_edo(
     return _finish_run(
         config, seed, inst, started, pop, net, NetGreedyPolicy(table),
         "net-greedy", phases, counters,
-        strategy=name,
+        strategy=_SEARCH_AND_TRAIN[strategy],
         round_best_fitness=tuple(round_best),
         loss_curves=tuple(curves),
         training_flag=plateaued,
         best_plan=best.bits,
-        best_fitness=best_fitness,
+        best_fitness=best.fitness,
         exact_value=exact_value,
     )
 

@@ -158,7 +158,10 @@ class ValueNet:
             z = h @ w + b
             pres.append(z)
             if i == last:
-                h = 1.0 / (1.0 + np.exp(-z))
+                # exp overflows to inf below z of about -89 in float32, and
+                # 1 / inf is the sigmoid's limit there, 0.0
+                with np.errstate(over="ignore"):
+                    h = 1.0 / (1.0 + np.exp(-z))
             else:
                 h = np.maximum(z, 0.0)
             acts.append(h)

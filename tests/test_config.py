@@ -9,7 +9,6 @@ from adgame.config import (
     ConfigError,
     ExperimentConfig,
     load_config,
-    parse_overrides,
 )
 
 
@@ -53,12 +52,12 @@ def test_a_file_that_sets_a_key_twice_is_refused(tmp_path):
 
 
 def test_parse_overrides_rejects_bad_shapes():
-    with pytest.raises(ConfigError):
-        parse_overrides(["budget"])
-    with pytest.raises(ConfigError):
-        parse_overrides(["no_such_field=1"])
-    with pytest.raises(ConfigError):
-        parse_overrides(["budget=three"])
+    with pytest.raises(ConfigError, match="'budget' is not of the form key=value"):
+        load_config(overrides=["budget"])
+    with pytest.raises(ConfigError, match="unknown config key 'no_such_field'"):
+        load_config(overrides=["no_such_field=1"])
+    with pytest.raises(ConfigError, match="bad value for budget: 'three'"):
+        load_config(overrides=["budget=three"])
 
 
 def test_validate_rejects_bad_values():

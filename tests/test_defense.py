@@ -315,14 +315,37 @@ def test_edo_reaches_exhaustive_optimum():
     assert abs(best_member(pop).fitness - optimum) <= 1e-12
 
 
-def test_edo_population_invariants():
+def test_edo_population_invariants(tmp_path):
+    # a long search on the trap graph, then short searches on the desk graph
+    # that reject every child: the initial members above the band must
+    # still be gone when the search returns
+    trap = condense(greedy_trap_graph())
+    desk = saved_instance(tmp_path, *GRAPH_D)
+    cases = [(trap, 8, 120, 1), (desk, 16, 1, 3), (desk, 16, 2, 18), (desk, 16, 3, 26)]
+    for cg, mu, iterations, seed in cases:
+        ev = ExactFitness(cg)
+        pop = edo_run(cg, ev, 2, mu, iterations, rng=np.random.default_rng(seed))
+        assert 1 <= len(pop) <= mu
+        assert all(sum(m.bits) == 2 for m in pop)
+        best = min(m.fitness for m in pop)
+        assert all(m.fitness <= best + FITNESS_BAND + 1e-12 for m in pop)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda cg, ev: edo_run(cg, ev, 2, 4, 5, rng=np.random.default_rng(0)),
+        lambda cg, ev: vec_run(cg, ev, 2, 4, 5, rng=np.random.default_rng(0)),
+        lambda cg, ev: greedy_run(cg, ev, 2),
+        lambda cg, ev: exhaustive_run(cg, ev, 2),
+    ],
+    ids=["edo", "vec", "greedy", "exhaustive"],
+)
+def test_a_fitness_that_is_not_finite_is_refused(search, value):
     cg = condense(greedy_trap_graph())
-    ev = ExactFitness(cg)
-    pop = edo_run(cg, ev, 2, mu=8, iterations=120, rng=np.random.default_rng(1))
-    assert 1 <= len(pop) <= 8
-    assert all(sum(m.bits) == 2 for m in pop)
-    best = min(m.fitness for m in pop)
-    assert all(m.fitness <= best + FITNESS_BAND + 1e-12 for m in pop)
+    with pytest.raises(ValueError, match=f"fitness of plan [01]{{4}} is {value!r}"):
+        search(cg, lambda plan: value)
 
 
 def test_edo_zero_iterations_returns_random_population():

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,15 +63,32 @@ def test_load_rejects_probability_sum_above_one(tmp_path):
         load_graph(str(path))
 
 
-def test_load_rejects_unknown_kind(tmp_path):
+@pytest.mark.parametrize(
+    "lineno,line,message",
+    [
+        (2, "node x printer 1 0", "unknown node kind 'printer'"),
+        (1, "adgraph 1 two 1", "non-integer header field"),
+        (1, "adgraph 2 2 1", "unsupported version 2"),
+        (3, "node da DA 0 0", "is_da flag disagrees with node kind"),
+        (4, "edge x da Owns 0.1 0.1 0", "unknown edge kind 'Owns'"),
+        (4, "edge x da generic 0.1 0.1 2", "blockable must be 0 or 1"),
+    ],
+    ids=[
+        "node-kind", "header-field", "version", "is-da-flag", "edge-kind",
+        "blockable-flag",
+    ],
+)
+def test_load_rejects_a_malformed_line(tmp_path, lineno, line, message):
+    lines = [
+        "adgraph 1 2 1",
+        "node x computer 1 0",
+        "node da DA 0 1",
+        "edge x da generic 0.1 0.1 0",
+    ]
+    lines[lineno - 1] = line
     path = tmp_path / "g.txt"
-    path.write_text(
-        "adgraph 1 2 1\n"
-        "node x printer 1 0\n"
-        "node da DA 0 1\n"
-        "edge x da generic 0.1 0.1 0\n"
-    )
-    with pytest.raises(GraphFormatError):
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GraphFormatError, match=re.escape(f"g.txt:{lineno}: {message}")):
         load_graph(str(path))
 
 
@@ -110,7 +129,7 @@ def test_prune_is_idempotent():
     p1 = prune(g)
     assert prune(p1) == p1
     entries = select_entry_nodes(p1, pool_size=6, n_entry=3, seed=0)
-    p2 = prune(p1.with_entries(entries))
+    p2 = prune(replace(p1, entry_nodes=entries))
     assert prune(p2) == p2
 
 
@@ -179,7 +198,7 @@ def test_prune_keeps_exactly_the_entry_to_da_walks():
         assert p.entry_nodes == live
         if dead:
             # the dead entries' in-edges, restored, give no one a new route
-            assert p == prune(g.with_entries(live))
+            assert p == prune(replace(g, entry_nodes=live))
             cases["dead entries"] += 1
         das = set(g.da_candidates)
         want = sorted(

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from adgame import TrainingDivergedError, valuenet
+from adgame import TrainingDivergedError, pipeline, valuenet
 from adgame.cli import main
 from adgame.config import ExperimentConfig
 from adgame.defense import ExactFitness, exhaustive_run, greedy_run, load_population
@@ -485,6 +485,27 @@ def test_run_nndp_edo_refuses_a_misspelt_strategy(tmp_path, graph_file, strategy
     with pytest.raises(PipelineError, match="unknown search-and-train strategy"):
         run_nndp_edo(cfg, 0, strategy)
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("strategy", ["edo", "vec"])
+def test_run_nndp_edo_calls_the_search_its_strategy_names(
+    tmp_path, graph_file, monkeypatch, strategy
+):
+    calls = []
+    for name in ("edo_run", "vec_run"):
+        search = getattr(pipeline, name)
+
+        def recording(*args, _name=name, _search=search, **kwargs):
+            calls.append((_name, args))
+            return _search(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, recording)
+    cfg = tiny_config(str(tmp_path), graph_file=graph_file, rounds=1)
+    run_nndp_edo(cfg, 0, strategy)
+    assert [name for name, _ in calls] == [f"{strategy}_run"]
+    # the iteration count is the fifth positional argument, where a tracer
+    # of the search reads it
+    assert calls[0][1][4] == cfg.iterations
 
 
 def test_vec_baseline_uses_training_loop(tmp_path, graph_file):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -98,6 +99,18 @@ def test_forward_output_strictly_inside_unit_interval():
     out = net.forward(x)
     assert out.shape == (64,)
     assert np.all(out > 0.0) and np.all(out < 1.0)
+
+
+def test_a_saturated_output_is_zero_without_an_overflow_warning():
+    net = ValueNet(6, depth=2, width=8, seed=1)
+    net.params[-1][...] = -200.0  # the output bias: exp(200) overflows float32
+    x = np.random.default_rng(0).uniform(-1, 1, (4, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(net.forward(x), np.zeros(4))
+        loss, grads = net.loss_and_grads(x, np.zeros(4))
+    assert loss == 0.0
+    assert all(not g.any() for g in grads)
 
 
 def test_predict_short_circuits_terminals():
