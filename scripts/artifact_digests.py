@@ -14,7 +14,8 @@ comparing two commits is one ``diff``:
     diff before.txt after.txt
 
 Run both sides into the same output directory: each record holds the
-config, ``out_dir`` included.
+config, ``out_dir`` included.  A ROOT with no file to digest is refused,
+so a wrong or empty path cannot compare equal to another.
 """
 import argparse
 import hashlib
@@ -48,7 +49,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if not os.path.isdir(args.root):
         ap.error(f"{args.root} is not a directory")
-    for line in digest_lines(args.root):
+    lines = digest_lines(args.root)
+    if not lines:
+        ap.error(f"{args.root} holds no file to digest")
+    for line in lines:
         print(line)
     return 0
 

@@ -387,5 +387,9 @@ def load_population(path: str) -> Population:
             fitness = float(fitness_text)
         except ValueError as exc:
             raise PopulationFormatError(f"line {at + 2}: bad fitness") from exc
+        if not isfinite(fitness):
+            raise PopulationFormatError(
+                f"line {at + 2}: fitness {fitness_text} is not finite"
+            )
         pop.append(Member(tuple(int(c) for c in bits), fitness, born=at))
     return pop

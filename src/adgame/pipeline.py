@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass, replace
@@ -167,7 +168,9 @@ def _from_json(value, kind, name: str):
     """``value``, parsed from JSON, as ``kind``: a dataclass or ``TypedDict``
     from an object holding all of its fields, ``tuple[X, ...]`` from an
     array, ``X | None`` from null or an ``X``, and any other type from a
-    value of exactly that type, or an int for a float."""
+    value of exactly that type, or an int for a float.  A float must be
+    finite: JSON's ``NaN`` and ``Infinity``, and literals beyond the float
+    range such as ``1e999`` or a 400-digit int, are refused."""
     if is_dataclass(kind) or is_typeddict(kind):
         if not isinstance(value, dict):
             raise TypeError(f"{name} is {value!r}, not an object")
@@ -181,6 +184,8 @@ def _from_json(value, kind, name: str):
     if get_origin(kind) is UnionType:  # X | None
         return None if value is None else _from_json(value, get_args(kind)[0], name)
     if type(value) is kind or kind is float and type(value) is int:
+        if kind is float and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} is {value!r}, not a finite float")
         return value
     raise TypeError(f"{name} is {value!r}, not {kind.__name__}")
 
@@ -478,7 +483,7 @@ def _load_record(run_dir: str) -> RunRecord:
     except OSError as exc:
         raise PipelineError(f"cannot read run record {path}: {exc}") from exc
     except (
-        KeyError, TypeError, ConfigError, UnicodeDecodeError, json.JSONDecodeError,
+        KeyError, TypeError, ValueError, ConfigError,
         RecursionError,  # brackets nested past the parser's depth
     ) as exc:
         raise PipelineError(f"malformed run record {path}: {exc}") from exc
@@ -487,8 +492,8 @@ def _load_record(run_dir: str) -> RunRecord:
 def _wall_time(run_dir: str) -> float | None:
     try:
         with open(os.path.join(run_dir, "timings.json"), "r", encoding="utf-8") as fh:
-            return float(json.load(fh)["total_s"])
-    except (OSError, KeyError, TypeError, ValueError):
+            return _from_json(json.load(fh)["total_s"], float, "total_s")
+    except (OSError, KeyError, TypeError, ValueError, RecursionError):
         return None
 
 

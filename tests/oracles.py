@@ -11,7 +11,8 @@ finds the route actions by a fixed point over node names.
 ``reference_simulate_on_original`` is the raw-edge Monte Carlo with the
 full-width step: every run of a group reads its whole stretch of the path
 at once.  ``reference_prune`` finds what ``prune`` keeps by one search per
-node.
+node.  ``reference_removal`` is the survivor comparator of
+``diversity_select_removal``, written as a plain minimum over members.
 """
 from __future__ import annotations
 
@@ -352,3 +353,23 @@ def reference_prune(g: AttackGraph) -> tuple[set[str], tuple[str, ...]]:
     }
     dead = tuple(sorted(v for v in g.entry_nodes if not reaches(v, da)))
     return kept, dead
+
+
+def reference_removal(pop) -> int:
+    """The index ``diversity_select_removal`` removes: the worst member
+    (oldest on ties) when the last, freshly inserted one strictly beats all
+    others, else the first member with the smallest ``(residual, born)``,
+    where its residual is the per-edge block counts minus its own bits,
+    sorted descending."""
+    cand = pop[-1]
+    if all(cand.fitness < m.fitness for m in pop[:-1]):
+        return max(range(len(pop)), key=lambda j: (pop[j].fitness, -pop[j].born))
+    counts = [sum(m.bits[i] for m in pop) for i in range(len(pop[0].bits))]
+
+    def key(j):
+        residual = sorted(
+            (c - b for c, b in zip(counts, pop[j].bits)), reverse=True
+        )
+        return (residual, pop[j].born)
+
+    return min(range(len(pop)), key=key)

@@ -48,7 +48,14 @@ from instances import (
     shared_suffix_graph,
     textbook_kernel_graph,
 )
-from oracles import FAILED, SUCCESS, UNATTEMPTED, state_of, trits_of
+from oracles import (
+    FAILED,
+    SUCCESS,
+    UNATTEMPTED,
+    reference_removal,
+    state_of,
+    trits_of,
+)
 
 
 @pytest.fixture
@@ -357,7 +364,7 @@ def test_c09_evolutionary_invariants_at_scale(verdict):
             for born in range(size)
         ]
         got = diversity_select_removal(pop_case)
-        want = _brute_removal(pop_case)
+        want = reference_removal(pop_case)
         mismatches += got != want
         cases += 1
 
@@ -369,24 +376,6 @@ def test_c09_evolutionary_invariants_at_scale(verdict):
         f"within {FITNESS_BAND} of its best, removal matches the reference "
         f"comparator on {cases} cases ({elapsed:.0f}s < 300s)",
     )
-
-
-def _brute_removal(pop):
-    candidate = pop[-1]
-    if all(candidate.fitness < m.fitness for m in pop[:-1]):
-        return max(range(len(pop)), key=lambda i: (pop[i].fitness, -pop[i].born))
-    counts = [sum(m.bits[j] for m in pop) for j in range(len(pop[0].bits))]
-    best_key = None
-    best_at = None
-    for i, m in enumerate(pop):
-        residual = tuple(
-            sorted((c - b for c, b in zip(counts, m.bits)), reverse=True)
-        )
-        key = (residual, m.born)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_at = i
-    return best_at
 
 
 def test_c10_cli_reruns_are_bit_identical(tmp_path, capfd, verdict):

@@ -73,6 +73,10 @@ def test_validate_rejects_bad_values():
         {"entry_count": 0},
         {"entry_pool_size": 2, "entry_count": 5},
         {"batch_size": 0},
+        {"depth": 0},
+        {"width": 0},
+        {"memo_limit": 0},
+        {"enumeration_budget": 0},
     ):
         with pytest.raises(ConfigError):
             ExperimentConfig(**bad)

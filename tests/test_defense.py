@@ -42,6 +42,7 @@ from instances import (
     textbook_kernel_graph,
     two_parallel_graph,
 )
+from oracles import reference_removal
 
 
 def test_random_plan_popcount_and_bounds():
@@ -100,21 +101,6 @@ def test_crossover_disjoint_singletons_swap():
     assert crossover((1, 0), (0, 1), 1, rng) == ((0, 1), (1, 0))
 
 
-def _brute_removal(pop):
-    cand = pop[-1]
-    if all(cand.fitness < m.fitness for m in pop[:-1]):
-        return max(range(len(pop)), key=lambda j: (pop[j].fitness, -pop[j].born))
-    counts = [sum(m.bits[i] for m in pop) for i in range(len(pop[0].bits))]
-
-    def key(j):
-        residual = sorted(
-            (c - b for c, b in zip(counts, pop[j].bits)), reverse=True
-        )
-        return (residual, pop[j].born)
-
-    return min(range(len(pop)), key=key)
-
-
 def test_diversity_removal_drops_a_duplicate():
     dup = (1, 1, 0, 0)
     pop = [
@@ -149,7 +135,7 @@ def test_diversity_removal_matches_brute_comparator():
             )
             for born in range(size)
         ]
-        assert diversity_select_removal(pop) == _brute_removal(pop)
+        assert diversity_select_removal(pop) == reference_removal(pop)
 
 
 def test_diversity_removal_matches_brute_comparator_at_paper_width():
@@ -170,9 +156,9 @@ def test_diversity_removal_matches_brute_comparator_at_paper_width():
             Member(bits, f, int(born))
             for bits, f, born in zip(plans, fitness, rng.permutation(101))
         ]
-        assert diversity_select_removal(pop) == _brute_removal(pop)
+        assert diversity_select_removal(pop) == reference_removal(pop)
     empty = [Member((), 0.5, int(born)) for born in (3, 1, 4, 1, 5)]
-    assert diversity_select_removal(empty) == _brute_removal(empty) == 1
+    assert diversity_select_removal(empty) == reference_removal(empty) == 1
 
 
 # (format_plan, float.hex(fitness), born) of every final member of
@@ -305,6 +291,10 @@ def test_budget_larger_than_edges_raises():
                 run(cg, ev, k)
         with pytest.raises(DefenseConfigError):
             edo_run(cg, ev, k, mu=4, iterations=1, rng=np.random.default_rng(0))
+    # a budget in range, but no population or a negative iteration count
+    for run, mu, iterations in ((edo_run, 0, 1), (vec_run, 4, -1)):
+        with pytest.raises(DefenseConfigError, match="positive population"):
+            run(cg, ev, 1, mu=mu, iterations=iterations, rng=np.random.default_rng(0))
 
 
 def test_edo_reaches_exhaustive_optimum():
@@ -440,6 +430,14 @@ def test_population_snapshot_rejects_malformed(tmp_path):
         load_population(str(path))
     path.write_text("adpop 1 1 0\n0.25\n")
     with pytest.raises(PopulationFormatError):
+        load_population(str(path))
+
+
+@pytest.mark.parametrize("fitness", ["nan", "inf", "-inf", "1e999"])
+def test_a_population_row_with_a_non_finite_fitness_is_refused(tmp_path, fitness):
+    path = tmp_path / "pop.txt"
+    path.write_text(f"adpop 1 2 3\n101 0.25\n011 {fitness}\n")
+    with pytest.raises(PopulationFormatError, match=f"line 3: fitness {fitness} "):
         load_population(str(path))
 
 

@@ -92,6 +92,18 @@ def test_load_rejects_a_malformed_line(tmp_path, lineno, line, message):
         load_graph(str(path))
 
 
+def test_load_rejects_a_da_node_flagged_as_entry(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text(
+        "adgraph 1 2 1\n"
+        "node x computer 1 0\n"
+        "node da DA 1 1\n"
+        "edge x da generic 0.1 0.1 0\n"
+    )
+    with pytest.raises(GraphValidationError, match="entry node 'da' is a DA candidate"):
+        load_graph(str(path))
+
+
 def test_load_rejects_count_mismatch(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("adgraph 1 3 0\nnode x computer 0 0\nnode da DA 0 1\n")
@@ -122,6 +134,9 @@ def test_prune_merges_da_candidates_and_drops_dead_ends():
     assert "dead" not in p.node_ids
     assert all(e.src != p.da for e in p.edges)
     assert {(e.src, e.dst) for e in p.edges} == {("s", "x"), ("x", p.da)}
+    # the merged node takes a name no other node holds
+    named = prune(replace(g, nodes=g.nodes + (Node("DA", COMPUTER),)))
+    assert named.da == "DA+"
 
 
 def test_prune_is_idempotent():

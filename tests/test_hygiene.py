@@ -15,7 +15,10 @@ module nor ``from mod import _x``.  Tests may, to patch or probe internals.
 A public module-level name of the package must be read by a file under
 ``src/adgame``, ``scripts`` or ``perfbench``: loaded as a name or an
 attribute, or imported by name, so a re-export in the package's
-``__init__.py`` counts.  A name only tests read is not part of the program.
+``__init__.py`` counts, or named by a ``"name"`` or ``"Class.method"``
+string in the ``TARGETS`` table of perfbench's tracer, which looks the
+names up with ``getattr``.  A name only tests read is not part of the
+program.
 Likewise a public method or property of a package class must be read as an
 attribute by one of those files.
 ``config`` is the settings leaf: of the package it imports only ``graph``
@@ -322,9 +325,39 @@ def test_scan_finds_an_unread_public_name_and_passes_read_ones():
     ]
 
 
+def target_names(source: str) -> set[str]:
+    """The names in the qualified-name column of a ``TARGETS`` table."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        elif isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in targets):
+            for row in value.elts:
+                found.update(row.elts[1].value.split("."))
+    return found
+
+
+def test_scan_finds_every_name_of_the_tracer_targets():
+    source = (
+        "TARGETS: tuple = (\n"
+        "    ('mdp', 'transition', False, None, None),\n"
+        "    ('defense', 'NetFitness.__call__', False, None, None),\n"
+        ")\n"
+        "OTHER = (('mdp', 'expand', False),)\n"
+    )
+    assert target_names(source) == {"transition", "NetFitness", "__call__"}
+
+
 @pytest.fixture(scope="module")
 def program_reads():
-    return set().union(*(read_names(p.read_text(encoding="utf-8")) for p in READER_FILES))
+    tracer = (ROOT / "perfbench/tracer.py").read_text(encoding="utf-8")
+    return target_names(tracer).union(
+        *(read_names(p.read_text(encoding="utf-8")) for p in READER_FILES)
+    )
 
 
 @pytest.mark.parametrize(

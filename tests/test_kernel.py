@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 from adgame.config import ExperimentConfig
+from adgame import kernel
 from adgame.graph import AttackGraph, COMPUTER, DOMAIN_ADMIN, Edge, Node
 from adgame.kernel import KernelizationError, condense, kernel_report
 from adgame.pipeline import prepare_instance
@@ -181,7 +182,7 @@ def test_step_masks_read_span_and_blocks_off_nesting_sharers(tmp_path):
     assert len(kernels) > 1000
 
 
-def test_kernelizer_rejects_unpruned_interior_sink():
+def test_kernelizer_rejects_unpruned_interior_sink(tmp_path, monkeypatch):
     g = AttackGraph(
         nodes=(
             Node("s", COMPUTER),
@@ -194,6 +195,11 @@ def test_kernelizer_rejects_unpruned_interior_sink():
     )
     with pytest.raises(KernelizationError):
         condense(g)
+    # the NSP cap: graph D has more than three NSPs
+    pruned = saved_instance(tmp_path, *GRAPH_D).graph
+    monkeypatch.setattr(kernel, "MAX_NSPS", 3)
+    with pytest.raises(KernelizationError, match="more than 3 NSPs"):
+        condense(pruned)
 
 
 def test_kernel_report_mentions_every_nsp():

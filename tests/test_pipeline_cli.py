@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from adgame import TrainingDivergedError, pipeline, valuenet
+from adgame import pipeline, valuenet
 from adgame.cli import main
 from adgame.config import ExperimentConfig
 from adgame.defense import ExactFitness, exhaustive_run, greedy_run, load_population
@@ -30,7 +31,12 @@ from adgame.pipeline import (
     write_simulation_csv,
 )
 from adgame.simulate import DpPolicy, SimulationReport, simulate_on_original
-from adgame.valuenet import ValueNet, load_checkpoint, save_checkpoint
+from adgame.valuenet import (
+    TrainingDivergedError,
+    ValueNet,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 from instances import build_game, write_forged_checkpoint
 
@@ -186,6 +192,13 @@ def test_prepare_instance_with_no_live_entry_raises(tmp_path):
     save_graph(g, str(path))
     cfg = tiny_config(str(tmp_path), graph_file=str(path))
     with pytest.raises(EmptyGameError):
+        prepare_instance(cfg, 0)
+    # nor is an entry live in a graph file without a DA node
+    path.write_text(
+        "adgraph 1 2 1\nnode e computer 1 0\nnode m computer 0 0\n"
+        "edge e m generic 0.1 0.2 1\n"
+    )
+    with pytest.raises(EmptyGameError, match="no DA candidate"):
         prepare_instance(cfg, 0)
 
 
@@ -461,6 +474,19 @@ def test_a_failing_cli_carries_its_warnings_in_the_one_error_line(
     assert any(warning in w for w in payload["warnings"]), payload
 
 
+def test_a_successful_cli_shows_the_warnings_it_caught(tmp_path):
+    # a child process: pyproject turns a RuntimeWarning into an error here
+    done = _run_cli([
+        "generate", "--set", "n_computers=5", "--set", "entry_pool_size=40",
+        "--set", "entry_count=1", "--out", str(tmp_path / "out"),
+    ])
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 1
+    assert json.loads(done.stdout)["entry_nodes"] == 1
+    warning = "RuntimeWarning: only 16 nodes have a path to DA; shrinking entry pool"
+    assert warning in done.stderr
+
+
 def test_rounds_zero_is_an_untrained_baseline(tmp_path, graph_file):
     cfg = tiny_config(str(tmp_path), graph_file=graph_file, rounds=0)
     rec = run_nndp_edo(cfg, 0)
@@ -614,11 +640,17 @@ def test_report_refuses_two_runs_of_one_seed(tmp_path):
      lambda raw: {**raw, "config": {"budget": 2}},
      lambda raw: {**raw, "config": {**raw["config"], "budget": -1}},
      lambda raw: {**raw, "loss_curves": [[0.1, "x"]]},
-     lambda raw: {**raw, "training_flag": 0}],
+     lambda raw: {**raw, "training_flag": 0},
+     # json writes NaN, -Infinity and Infinity; the int is past every float
+     lambda raw: {**raw, "best_fitness": float("nan")},
+     lambda raw: {**raw, "simulation": {**raw["simulation"], "success_rate": -math.inf}},
+     lambda raw: {**raw, "loss_curves": [[0.1, math.inf]]},
+     lambda raw: {**raw, "exact_value": 10**400}],
     ids=["a-list", "null-config", "scalar-fitness", "string-seed", "int-strategy",
          "string-plan", "string-rate", "list-distribution", "string-fitness",
          "string-plan-bit", "list-exact-value", "string-seeds", "float-seed",
-         "partial-config", "invalid-config", "string-loss", "int-flag"],
+         "partial-config", "invalid-config", "string-loss", "int-flag",
+         "nan-fitness", "infinite-rate", "infinite-loss", "huge-int-value"],
 )
 def test_cli_report_refuses_a_record_of_the_wrong_shape(tmp_path, capsys, patch):
     path = tmp_path / "record.json"
@@ -633,20 +665,22 @@ def test_cli_report_refuses_a_record_of_the_wrong_shape(tmp_path, capsys, patch)
 
 
 @pytest.mark.parametrize(
-    "patch,total_s,code,table",
+    "patch,timings,code,table",
     [
         # a malformed timings sidecar only blanks the wall-time column
-        ({}, [1], 0, "nndp-edo,independent,1,0.200000,,0.200000"),
-        ({"simulation": {}}, 1.0, 1, None),
+        ({}, '{"total_s": [1]}', 0, "nndp-edo,independent,1,0.200000,,0.200000"),
+        ({}, '{"total_s": NaN}', 0, "nndp-edo,independent,1,0.200000,,0.200000"),
+        ({}, "[" * 100_000, 0, "nndp-edo,independent,1,0.200000,,0.200000"),
+        ({"simulation": {}}, '{"total_s": 1.0}', 1, None),
     ],
-    ids=["list-total-s", "empty-simulation"],
+    ids=["list-total-s", "nan-total-s", "nested-timings", "empty-simulation"],
 )
 def test_cli_report_on_a_malformed_sidecar_or_simulation(
-    tmp_path, capsys, patch, total_s, code, table
+    tmp_path, capsys, patch, timings, code, table
 ):
     path = tmp_path / "record.json"
     path.write_text(json.dumps({**json.loads(RECORD.to_json()), **patch}))
-    (tmp_path / "timings.json").write_text(json.dumps({"total_s": total_s}))
+    (tmp_path / "timings.json").write_text(timings)
     assert main(["report", str(tmp_path)]) == code
     captured = capsys.readouterr()
     if table is not None:
@@ -789,6 +823,13 @@ def test_cli_error_lines_are_machine_readable(tmp_path, capsys, graph_file):
     assert main(["simulate", "--plan", "01"] + args) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CommandLineError"
+
+    assert main(["solve-exact", "--plan", "0120"] + args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "CommandLineError",
+        "message": "plan must be a string of 0s and 1s, got '0120'",
+    }
 
     assert main(["defend", "edo", "--set", "no_such=1", "--out", out]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

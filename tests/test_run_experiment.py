@@ -100,3 +100,12 @@ def test_artifact_digests_match_across_reruns_and_name_a_changed_file(
     assert {line.split("  ", 1)[1] for line in changed} == {
         "greedy-seed0/population.txt"
     }
+    # a tree without a file to digest is an error, not an empty digest list
+    empty = tmp_path / "empty"
+    (empty / "run").mkdir(parents=True)
+    (empty / "run" / "timings.json").write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        digests.main([str(empty)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{empty} holds no file to digest" in captured.err

@@ -230,6 +230,8 @@ def test_a_net_is_float32_or_float64():
     for dtype in (np.float16, np.int32):
         with pytest.raises(ValueError, match="float32 or float64"):
             ValueNet(3, depth=1, width=4, dtype=dtype)
+    with pytest.raises(ValueError, match="bad layer sizes"):
+        ValueNet(0, 2, 8)
 
 
 def test_flat_params_round_trip():
@@ -241,6 +243,8 @@ def test_flat_params_round_trip():
     assert np.array_equal(net.forward(x), other.forward(x))
     with pytest.raises(ValueError):
         other.set_flat_params(flat[:-1])
+    with pytest.raises(ValueError, match="disagree in length"):
+        net.loss_and_grads(x[:2], np.zeros(3))
 
 
 def test_bellman_targets_bounded_and_terminal_exact():
