@@ -12,8 +12,10 @@ member.  Greedy and exhaustive searches complete the baseline set.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations, compress
 from math import comb, isfinite
 from typing import Callable, Sequence
 
@@ -42,6 +44,11 @@ class Member:
     bits: Plan
     fitness: float
     born: int
+
+    @cached_property
+    def blocked(self) -> tuple[int, ...]:
+        """The positions of the plan's ones, found once per member."""
+        return tuple(compress(range(len(self.bits)), self.bits))
 
 
 Population = list[Member]
@@ -132,25 +139,27 @@ def diversity_select_removal(pop: Population) -> int:
     lexicographically smallest residual loses, oldest member first on ties,
     and the first index on full ties.
 
-    One array sort does it: row j of ``np.sort(counts - bits)`` is member
-    j's residual in ascending order, so its last column is the residual's
-    first entry.  ``np.lexsort`` orders rows by its last key first, so the
-    keys ``born`` then the ascending columns compare rows by their
-    descending residual, then by ``born``.  The keys are integers, so the
-    order is exact, and lexsort is stable, so full ties keep the lowest
-    index: its first row is the member the ``(residual, born)`` minimum
-    above picks.
+    A residual is the counts lowered by one at the member's blocked edges,
+    so for every value v it has as many entries >= v as the counts, less
+    the member's blocked edges of count exactly v.  Two sorted residuals
+    first differ at the largest v where the members hold different numbers
+    of blocked edges of count v, and the member holding more has the
+    smaller residual, whatever the popcounts.  Its blocked edges' counts,
+    sorted descending, form the larger list, a list that extends another
+    counting as larger, as Python compares lists.  So the largest
+    ``(list, -born)`` is removed, and ``max`` keeps the first of full ties.
     """
     if len(pop) < 2:
         raise ValueError("removal needs at least two members")
     candidate = pop[-1]
     if all(candidate.fitness < m.fitness for m in pop[:-1]):
         return _worst_index(pop)
-    bits = np.frombuffer(b"".join(bytes(m.bits) for m in pop), np.int8)
-    bits = bits.reshape(len(pop), len(candidate.bits))
-    residual = np.sort(bits.sum(axis=0, dtype=np.int64) - bits, axis=1)
-    born = np.array([m.born for m in pop], dtype=np.int64)
-    return int(np.lexsort(np.vstack((born, residual.T)))[0])
+    counts = Counter(chain.from_iterable([m.blocked for m in pop]))
+    crowding = [
+        (sorted(map(counts.__getitem__, m.blocked), reverse=True), -m.born)
+        for m in pop
+    ]
+    return max(range(len(pop)), key=crowding.__getitem__)
 
 
 FitnessFn = Callable[[Plan], float]

@@ -232,7 +232,9 @@ def prune(g: AttackGraph) -> AttackGraph:
             continue
         if dst in g.entry_nodes:
             continue
-        edges.append(replace(e, src=src, dst=dst))
+        if (src, dst) != (e.src, e.dst):  # most edges keep both endpoints
+            e = replace(e, src=src, dst=dst)
+        edges.append(e)
 
     # after the merge da_id is the one DA node: keep what can reach it
     merged = AttackGraph(tuple(nodes), tuple(edges))

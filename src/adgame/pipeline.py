@@ -18,6 +18,7 @@ keys and edge walks of their exact solver.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -25,9 +26,11 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, is_dataclass, replace
+from functools import cache
 from types import UnionType
 from typing import (
-    Sequence, TypedDict, get_args, get_origin, get_type_hints, is_typeddict,
+    Callable, Sequence, TypedDict,
+    get_args, get_origin, get_type_hints, is_typeddict,
 )
 
 import numpy as np
@@ -94,6 +97,53 @@ def _phase(phases: dict[str, float], name: str):
     t = time.perf_counter()
     yield
     phases[name] = phases.get(name, 0.0) + time.perf_counter() - t
+
+
+@cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The get and set functions of the thread count of the OpenBLAS that
+    numpy loaded, found once in this process's memory map; None where there
+    is no map or no OpenBLAS in it."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count.
+
+    Float32 gradient sums over 2,000 rows come out with other bits on two
+    threads than on one, so a net trained on more threads would depend on
+    the core count.  Without OpenBLAS the block runs unpinned.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def _child_seed(seed: int, stream: int) -> int:
@@ -318,6 +368,7 @@ def _finish_run(
     return record
 
 
+@_one_blas_thread()
 def run_nndp_edo(
     config: ExperimentConfig,
     seed: int,
@@ -333,7 +384,9 @@ def run_nndp_edo(
     and exactly when the state space allows it.  Training and the final
     policy share one backup table, which is dropped when the run returns.
     Training that drives the net to nan ends the run with
-    ``TrainingDivergedError``.
+    ``TrainingDivergedError``.  The run computes on one OpenBLAS thread and
+    restores the caller's count on return, so its bits do not depend on the
+    core count.
     """
     if strategy not in _SEARCH_AND_TRAIN:
         raise PipelineError(f"unknown search-and-train strategy {strategy!r}")

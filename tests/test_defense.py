@@ -136,6 +136,25 @@ def test_diversity_removal_matches_brute_comparator():
             for born in range(size)
         ]
         assert diversity_select_removal(pop) == reference_removal(pop)
+    # mixed popcounts up to 20 edges and 12 members, with repeated plans
+    # and tied birth numbers
+    for _ in range(2000):
+        n = int(rng.integers(0, 21))
+        plans = []
+        for _ in range(int(rng.integers(2, 13))):
+            if plans and rng.random() < 0.3:
+                plans.append(plans[int(rng.integers(len(plans)))])
+            else:
+                plans.append(tuple(int(v) for v in rng.integers(0, 2, n)))
+        pop = [
+            Member(
+                bits,
+                float(rng.choice([0.1, 0.2, 0.2, 0.5])),
+                int(rng.integers(0, 4)),
+            )
+            for bits in plans
+        ]
+        assert diversity_select_removal(pop) == reference_removal(pop)
 
 
 def test_diversity_removal_matches_brute_comparator_at_paper_width():

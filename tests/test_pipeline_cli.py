@@ -323,15 +323,25 @@ def _run_cli(args: list[str], **env: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_run_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+@pytest.mark.parametrize("settings", [
     # 400-row batches: at this size a float64 net's gradient sums came out
     # differently with 1 and 2 OpenBLAS threads, and so did its net.ckpt
-    sets = []
-    for key_value in (
+    (
         "n_computers=30", "entry_pool_size=6", "entry_count=3", "budget=1",
         "rounds=1", "mu=8", "iterations=5", "epochs_per_round=1",
         "batch_size=400", "mc_runs=10",
-    ):
+    ),
+    # 2,000-row batches: the float32 net's gradient sums still depend on the
+    # thread count here, so only a run pinned to one thread is reproducible
+    (
+        "n_computers=16", "entry_pool_size=4", "entry_count=2", "budget=1",
+        "rounds=1", "mu=4", "iterations=2", "epochs_per_round=1",
+        "batch_size=2000", "width=256", "depth=2", "mc_runs=10",
+    ),
+], ids=["batch400", "batch2000"])
+def test_run_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, settings):
+    sets = []
+    for key_value in settings:
         sets += ["--set", key_value]
     runs = []
     for threads in ("1", "2"):
@@ -532,6 +542,40 @@ def test_run_nndp_edo_calls_the_search_its_strategy_names(
     # the iteration count is the fifth positional argument, where a tracer
     # of the search reads it
     assert calls[0][1][4] == cfg.iterations
+
+
+def test_run_nndp_edo_computes_on_one_blas_thread_and_restores_the_count(
+    tmp_path, graph_file, monkeypatch
+):
+    calls = pipeline._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy loaded no OpenBLAS")
+    get, put = calls
+    before = get()
+    seen = []
+    search = pipeline.edo_run
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        return search(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        seen.append(get())
+        raise RuntimeError("search failed")
+
+    cfg = tiny_config(str(tmp_path), graph_file=graph_file, rounds=1)
+    put(2)
+    try:
+        monkeypatch.setattr(pipeline, "edo_run", recording)
+        run_nndp_edo(cfg, 0)
+        assert get() == 2
+        monkeypatch.setattr(pipeline, "edo_run", failing)
+        with pytest.raises(RuntimeError, match="search failed"):
+            run_nndp_edo(cfg, 0)
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1, 1]
 
 
 def test_vec_baseline_uses_training_loop(tmp_path, graph_file):
