@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Print one ``sha256  relpath`` line per run artifact under ROOT.
 
-Every file is digested as it is but two, whose wall times differ between
-otherwise identical runs: ``timings.json`` is left out, and
-``simulation.csv`` is digested with its last column (``wall_time_s``) cut
-from every line.  Two trees of runs of the same config and seeds then give
-the same lines exactly when every other artifact is byte-identical, so
-comparing two commits is one ``diff``:
+Every file is digested as it is but ``timings.json``, which holds the wall
+times that differ between otherwise identical runs and is left out.  Two
+trees of runs of the same config and seeds then give the same lines exactly
+when every other artifact is byte-identical, so comparing two commits is
+one ``diff``:
 
     python scripts/artifact_digests.py runs/desk > before.txt
     (check out the other commit, rerun into the same --out)
@@ -33,13 +32,9 @@ def digest_lines(root: str) -> list[str]:
                 continue
             path = os.path.join(folder, name)
             with open(path, "rb") as fh:
-                data = fh.read()
-            if name == "simulation.csv":
-                data = b"".join(
-                    line.rpartition(b",")[0] + b"\n" for line in data.splitlines()
-                )
+                digest = hashlib.sha256(fh.read()).hexdigest()
             rel = os.path.relpath(path, root).replace(os.sep, "/")
-            lines.append(f"{hashlib.sha256(data).hexdigest()}  {rel}")
+            lines.append(f"{digest}  {rel}")
     return lines
 
 

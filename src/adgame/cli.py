@@ -6,7 +6,8 @@ directory).  A config file sets each key at most once; a `--set` wins
 over the file and over an earlier `--set`.  A subcommand plays the
 config's first seed, or `N` when `--seed` is given; `simulate` plays
 `mc_runs` runs under a run's Monte Carlo seed
-(`pipeline.simulation_seed`).  `report` reads no config: it takes the
+(`pipeline.simulation_seed`), writing `simulation.csv` and, beside it,
+its wall times in `timings.json`.  `report` reads no config: it takes the
 run directories and an optional `--out DIR` for `report.csv`.
 Success exits 0; any failure prints a single JSON line `{"error": ...,
 "message": ...}` on stderr and exits nonzero (2 for command line or
@@ -23,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+import time
 import warnings
 from dataclasses import replace
 
@@ -136,6 +138,7 @@ def _cmd_defend(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
+    started = time.perf_counter()
     config = _config_from(args)
     seed = config.seeds[0]
     inst = pipeline.prepare_instance(config, seed)
@@ -148,12 +151,16 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
         policy = DpPolicy(inst.cg, memo_limit=config.memo_limit)
         evaluator = "exact-dp"
     runner = simulate_on_original if args.original else simulate
+    simulating = time.perf_counter()
     report = runner(
         inst.cg, plan, policy, config.mc_runs, seed=pipeline.simulation_seed(seed)
     )
+    done = time.perf_counter()
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "simulation.csv")
     pipeline.write_simulation_csv(path, report, plan, evaluator)
+    timings = {"simulate_s": done - simulating, "total_s": done - started}
+    pipeline.write_json(os.path.join(config.out_dir, "timings.json"), timings)
     _emit(
         {
             "csv": path,

@@ -43,7 +43,6 @@ class PopulationFormatError(Exception):
 class Member:
     bits: Plan
     fitness: float
-    born: int
 
     @cached_property
     def blocked(self) -> tuple[int, ...]:
@@ -51,6 +50,7 @@ class Member:
         return tuple(compress(range(len(self.bits)), self.bits))
 
 
+# a population keeps birth order: a member's age is its place in the list
 Population = list[Member]
 
 
@@ -60,7 +60,8 @@ def format_plan(plan: Sequence[int]) -> str:
 
 
 def best_member(pop: Population) -> Member:
-    return min(pop, key=lambda m: (m.fitness, m.born))
+    """The member of least fitness, the first (oldest) on ties."""
+    return min(pop, key=lambda m: m.fitness)
 
 
 def _check_budget(n_bits: int, k: int) -> None:
@@ -124,8 +125,8 @@ def crossover(
 
 
 def _worst_index(pop: Population) -> int:
-    """The member of highest fitness (attacker value), the oldest on ties."""
-    return max(range(len(pop)), key=lambda j: (pop[j].fitness, -pop[j].born))
+    """The member of highest fitness (attacker value), the first on ties."""
+    return max(range(len(pop)), key=lambda j: pop[j].fitness)
 
 
 def diversity_select_removal(pop: Population) -> int:
@@ -136,8 +137,8 @@ def diversity_select_removal(pop: Population) -> int:
     worst member is removed instead so the new best is always retained.
     Otherwise each member's residual count vector (per-edge block counts
     minus its own bits, sorted descending) is compared; the
-    lexicographically smallest residual loses, oldest member first on ties,
-    and the first index on full ties.
+    lexicographically smallest residual loses, the first (oldest) member on
+    ties.
 
     A residual is the counts lowered by one at the member's blocked edges,
     so for every value v it has as many entries >= v as the counts, less
@@ -146,8 +147,8 @@ def diversity_select_removal(pop: Population) -> int:
     of blocked edges of count v, and the member holding more has the
     smaller residual, whatever the popcounts.  Its blocked edges' counts,
     sorted descending, form the larger list, a list that extends another
-    counting as larger, as Python compares lists.  So the largest
-    ``(list, -born)`` is removed, and ``max`` keeps the first of full ties.
+    counting as larger, as Python compares lists.  So the largest list is
+    removed, and ``max`` keeps the first of ties.
     """
     if len(pop) < 2:
         raise ValueError("removal needs at least two members")
@@ -155,10 +156,7 @@ def diversity_select_removal(pop: Population) -> int:
     if all(candidate.fitness < m.fitness for m in pop[:-1]):
         return _worst_index(pop)
     counts = Counter(chain.from_iterable([m.blocked for m in pop]))
-    crowding = [
-        (sorted(map(counts.__getitem__, m.blocked), reverse=True), -m.born)
-        for m in pop
-    ]
+    crowding = [sorted(map(counts.__getitem__, m.blocked), reverse=True) for m in pop]
     return max(range(len(pop)), key=crowding.__getitem__)
 
 
@@ -245,11 +243,8 @@ def _evolve(
             cache[bits] = value
         return value
 
-    pop = [
-        Member(bits, fit(bits), born=i)
-        for i, bits in enumerate(random_plan(n_bits, k, rng) for _ in range(mu))
-    ]
-    born = mu
+    plans = [random_plan(n_bits, k, rng) for _ in range(mu)]
+    pop = [Member(bits, fit(bits)) for bits in plans]
     for _ in range(iterations):
         x = max(1, int(rng.poisson(1.0)))
         if rng.random() < 0.5:
@@ -268,8 +263,7 @@ def _evolve(
                 best = min(m.fitness for m in pop)
                 if f > best + FITNESS_BAND:
                     continue
-            pop.append(Member(bits, f, born))
-            born += 1
+            pop.append(Member(bits, f))
             if len(pop) > mu:
                 idx = (
                     diversity_select_removal(pop) if diversity else _worst_index(pop)
@@ -400,5 +394,5 @@ def load_population(path: str) -> Population:
             raise PopulationFormatError(
                 f"line {at + 2}: fitness {fitness_text} is not finite"
             )
-        pop.append(Member(tuple(int(c) for c in bits), fitness, born=at))
+        pop.append(Member(tuple(int(c) for c in bits), fitness))
     return pop

@@ -6,15 +6,16 @@ strategy, evaluate its best plan, and persist everything needed to re-verify
 the numbers: the instance graph, the final population, the value-net
 checkpoint, the simulation row, and a JSON record.
 
-Every artifact is bit-reproducible for a given config and seed but the wall
-times in ``timings.json`` and ``simulation.csv``'s ``wall_time_s``.
-``timings.json`` holds ``total_s`` and one ``<phase>_s`` per phase of the
-run; the phases are disjoint, so they sum to at most ``total_s``.  Every run
-also writes ``counters.json``.  Search-and-train runs record the work their
-backup table did or saved, the rollouts and batch updates of their training
-rounds, and the keys their exact attempt stored: none exactly when
-``mdp.key_floor_log2`` skipped it.  Greedy and exhaustive runs record the
-keys and edge walks of their exact solver.
+Every artifact is bit-reproducible for a given config and seed but
+``timings.json``, which holds the wall times: ``total_s`` and one
+``<phase>_s`` per phase of the run; the phases are disjoint, so they sum to
+at most ``total_s``.  Every run also writes ``counters.json``.
+Search-and-train runs record the work their backup table did or saved, the
+rollouts and batch updates of their training rounds, the keys their exact
+attempt stored: none exactly when ``mdp.key_floor_log2`` skipped it, and
+``blas_threads``, the OpenBLAS thread count they computed on: null where no
+OpenBLAS was found.  Greedy and exhaustive runs record the keys and edge
+walks of their exact solver.
 """
 from __future__ import annotations
 
@@ -144,6 +145,12 @@ def _one_blas_thread():
         yield
     finally:
         put(before)
+
+
+def _blas_threads() -> int | None:
+    """The OpenBLAS thread count in force, or None without OpenBLAS."""
+    calls = _openblas_threads()
+    return None if calls is None else calls[0]()
 
 
 def _child_seed(seed: int, stream: int) -> int:
@@ -293,11 +300,17 @@ def write_simulation_csv(
 ) -> None:
     """Write ``simulation.csv``: the header and the row of one plan."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("plan_id,evaluator,runs,success_rate,std_error,wall_time_s\n")
+        fh.write("plan_id,evaluator,runs,success_rate,std_error\n")
         fh.write(
             f"{_plan_id(plan)},{evaluator},{report.runs},"
-            f"{report.success_rate!r},{report.std_error!r},{report.wall_time:.3f}\n"
+            f"{report.success_rate!r},{report.std_error!r}\n"
         )
+
+
+def write_json(path: str, data: dict) -> None:
+    """Write ``data`` as ``timings.json`` and ``counters.json`` are written."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, indent=1, sort_keys=True) + "\n")
 
 
 def _persist(
@@ -321,11 +334,8 @@ def _persist(
     )
     if net is not None:
         save_checkpoint(os.path.join(run_dir, "net.ckpt"), net, record.config.rounds)
-    sidecars = {"timings.json": timings, "counters.json": counters}
-    for name, data in sidecars.items():
-        with open(os.path.join(run_dir, name), "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    for name, data in (("timings.json", timings), ("counters.json", counters)):
+        write_json(os.path.join(run_dir, name), data)
     return run_dir
 
 
@@ -445,6 +455,7 @@ def run_nndp_edo(
             cg, best.bits, config.memo_limit
         )
     counters = {
+        "blas_threads": _blas_threads(),
         "backup_table": table.counts,
         "training": {"rollouts": rollouts, "batches": optimizer.t},
         "exact_attempt": {
@@ -497,7 +508,7 @@ def run_baseline(config: ExperimentConfig, strategy: str, seed: int) -> RunRecor
         },
     }
     return _finish_run(
-        config, seed, inst, started, [Member(plan, fitness, 0)], None,
+        config, seed, inst, started, [Member(plan, fitness)], None,
         ev.policy, "exact-dp", phases, counters,
         strategy=strategy,
         round_best_fitness=(),
@@ -559,12 +570,15 @@ def report(run_dirs: list[str]) -> str:
     Seeds average within each (strategy, distribution) cell, mirroring how
     multi-seed results are usually tabulated.  Records must come from the
     same experiment family; mixing graph sources or budgets is refused, and
-    so is a cell holding the same seed twice.
+    so are two runs of one seed and distribution on different instances,
+    which a seed column would tabulate as one, and a cell holding the same
+    seed twice.
     """
     if not run_dirs:
         raise PipelineError("no run directories given")
     records = [(d, _load_record(d)) for d in run_dirs]
     base = records[0][1].config
+    instances: dict[tuple[int, str], tuple[str, str]] = {}
     for d, rec in records:
         for key in _COMPAT_KEYS:
             if getattr(rec.config, key) != getattr(base, key):
@@ -572,6 +586,13 @@ def report(run_dirs: list[str]) -> str:
                     f"run {d} disagrees on {key}: "
                     f"{getattr(rec.config, key)!r} vs {getattr(base, key)!r}"
                 )
+        seed_key = (rec.seed, rec.config.distribution)
+        first, instance = instances.setdefault(seed_key, (d, rec.instance_key))
+        if instance != rec.instance_key:
+            raise ReportCompatibilityError(
+                f"runs {first} and {d} play seed {rec.seed} on {seed_key[1]} "
+                f"on different instances: {instance} vs {rec.instance_key}"
+            )
     cells: dict[tuple[str, str], dict[int, tuple[str, RunRecord]]] = {}
     for d, rec in records:
         cell_key = (rec.strategy, rec.config.distribution)

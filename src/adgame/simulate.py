@@ -33,7 +33,6 @@ which fills ``NetGreedyPolicy``'s table and ``counters.json``.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import sqrt
 from typing import Callable, Iterable, Sequence
@@ -68,7 +67,6 @@ class SimulationReport:
     successes: int
     success_rate: float
     std_error: float
-    wall_time: float
 
 
 class DpPolicy(ExactSolver):
@@ -129,7 +127,6 @@ def _play(
     """Advance runs chunk by chunk, grouped by (state, tape offset)."""
     if runs < 1 or first_run < 0:
         raise ValueError(f"need runs >= 1 and first_run >= 0, not {runs}, {first_run}")
-    started = time.perf_counter()
     start = initial_state(cg, plan)
     successes = 0
     done = 0
@@ -158,7 +155,6 @@ def _play(
         successes=successes,
         success_rate=rate,
         std_error=sqrt(rate * (1.0 - rate) / runs),
-        wall_time=time.perf_counter() - started,
     )
 
 

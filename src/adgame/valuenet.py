@@ -38,11 +38,12 @@ starts empty again when an entry would overflow it.
 """
 from __future__ import annotations
 
+import os
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isnan, sqrt
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -483,12 +484,19 @@ def save_checkpoint(path: str, net: ValueNet, round_index: int = 0) -> None:
 def load_checkpoint(path: str, n_inputs: int) -> tuple[ValueNet, int]:
     """Restore a float32 net with bit-identical parameters, plus its round
     index; a net that does not take ``n_inputs`` inputs, one per NSP of the
-    instance it is loaded for, is refused."""
+    instance it is loaded for, is refused.  The file is read no further
+    than its header promises, plus one byte, so an oversized file is
+    refused in bounded memory."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            return _read_checkpoint(fh, n_inputs)
     except OSError as exc:
         raise CheckpointFormatError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
+def _read_checkpoint(fh: BinaryIO, n_inputs: int) -> tuple[ValueNet, int]:
+    size = os.fstat(fh.fileno()).st_size
+    blob = fh.read(16)
     if blob[:4] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError("not a value-net checkpoint")
     try:
@@ -496,6 +504,8 @@ def load_checkpoint(path: str, n_inputs: int) -> tuple[ValueNet, int]:
         if version != CHECKPOINT_VERSION:
             raise CheckpointFormatError(f"unsupported checkpoint version {version}")
         (n_sizes,) = struct.unpack_from("<I", blob, 12)
+        # no more than the file holds, however many sizes the header claims
+        blob += fh.read(min(4 * n_sizes + 12, size))
         sizes = struct.unpack_from(f"<{n_sizes}I", blob, 16)
         at = 16 + 4 * n_sizes
         seed, round_index = struct.unpack_from("<qI", blob, at)
@@ -515,11 +525,13 @@ def load_checkpoint(path: str, n_inputs: int) -> tuple[ValueNet, int]:
         )
     # checked before the net is built, so a forged header allocates nothing
     n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
-    if len(blob) - at != 4 * n_params:
+    # a read asks for its whole length up front, so bound it by the file too
+    payload = fh.read(min(4 * n_params, max(size - at, 0)) + 1)
+    if len(payload) != 4 * n_params:
         raise CheckpointFormatError(
             f"expected {n_params} parameters ({4 * n_params} bytes), "
-            f"found {len(blob) - at} bytes"
+            f"found {size - at} bytes"
         )
     net = ValueNet(sizes[0], depth, sizes[1], seed=int(seed))
-    net.set_flat_params(np.frombuffer(blob, dtype="<f4", offset=at))
+    net.set_flat_params(np.frombuffer(payload, dtype="<f4"))
     return net, int(round_index)

@@ -357,19 +357,15 @@ def reference_prune(g: AttackGraph) -> tuple[set[str], tuple[str, ...]]:
 
 def reference_removal(pop) -> int:
     """The index ``diversity_select_removal`` removes: the worst member
-    (oldest on ties) when the last, freshly inserted one strictly beats all
-    others, else the first member with the smallest ``(residual, born)``,
-    where its residual is the per-edge block counts minus its own bits,
-    sorted descending."""
+    (the first on ties) when the last, freshly inserted one strictly beats
+    all others, else the first member with the smallest residual, the
+    per-edge block counts minus its own bits, sorted descending."""
     cand = pop[-1]
     if all(cand.fitness < m.fitness for m in pop[:-1]):
-        return max(range(len(pop)), key=lambda j: (pop[j].fitness, -pop[j].born))
+        return max(range(len(pop)), key=lambda j: pop[j].fitness)
     counts = [sum(m.bits[i] for m in pop) for i in range(len(pop[0].bits))]
 
     def key(j):
-        residual = sorted(
-            (c - b for c, b in zip(counts, pop[j].bits)), reverse=True
-        )
-        return (residual, pop[j].born)
+        return sorted((c - b for c, b in zip(counts, pop[j].bits)), reverse=True)
 
     return min(range(len(pop)), key=key)

@@ -104,21 +104,23 @@ def test_crossover_disjoint_singletons_swap():
 def test_diversity_removal_drops_a_duplicate():
     dup = (1, 1, 0, 0)
     pop = [
-        Member(dup, 0.5, 0),
-        Member(dup, 0.5, 1),
-        Member(dup, 0.5, 2),
-        Member((0, 0, 1, 1), 0.55, 3),
+        Member(dup, 0.5),
+        Member(dup, 0.5),
+        Member(dup, 0.5),
+        Member((0, 0, 1, 1), 0.55),
     ]
     assert diversity_select_removal(pop) in (0, 1, 2)
 
 
 def test_diversity_removal_keeps_strictly_best_candidate():
     pop = [
-        Member((1, 0, 1, 0), 0.5, 0),
-        Member((0, 1, 0, 1), 0.7, 1),
-        Member((1, 1, 0, 0), 0.3, 2),  # strictly best, inserted last
+        Member((1, 0, 1, 0), 0.5),
+        Member((0, 1, 0, 1), 0.7),
+        Member((1, 1, 0, 0), 0.3),  # strictly best, inserted last
     ]
     assert diversity_select_removal(pop) == 1
+    with pytest.raises(ValueError, match="at least two members"):
+        diversity_select_removal(pop[:1])
 
 
 def test_diversity_removal_matches_brute_comparator():
@@ -131,13 +133,11 @@ def test_diversity_removal_matches_brute_comparator():
             Member(
                 random_plan(n, k, rng),
                 float(rng.choice([0.1, 0.2, 0.2, 0.5, 0.9])),
-                born,
             )
-            for born in range(size)
+            for _ in range(size)
         ]
         assert diversity_select_removal(pop) == reference_removal(pop)
     # mixed popcounts up to 20 edges and 12 members, with repeated plans
-    # and tied birth numbers
     for _ in range(2000):
         n = int(rng.integers(0, 21))
         plans = []
@@ -147,19 +147,14 @@ def test_diversity_removal_matches_brute_comparator():
             else:
                 plans.append(tuple(int(v) for v in rng.integers(0, 2, n)))
         pop = [
-            Member(
-                bits,
-                float(rng.choice([0.1, 0.2, 0.2, 0.5])),
-                int(rng.integers(0, 4)),
-            )
-            for bits in plans
+            Member(bits, float(rng.choice([0.1, 0.2, 0.2, 0.5]))) for bits in plans
         ]
         assert diversity_select_removal(pop) == reference_removal(pop)
 
 
 def test_diversity_removal_matches_brute_comparator_at_paper_width():
     # the paper round's shape: 101 members over 101 block-worthy edges at
-    # budget 5, with repeated plans, tied fitnesses and shuffled birth order
+    # budget 5, with repeated plans, tied fitnesses and shuffled member order
     rng = np.random.default_rng(11)
     for case in range(200):
         plans = []
@@ -169,31 +164,28 @@ def test_diversity_removal_matches_brute_comparator_at_paper_width():
             else:
                 plans.append(random_plan(101, 5, rng))
         fitness = [float(rng.choice([0.25, 0.3, 0.3, 0.35])) for _ in plans]
+        pop = [Member(plans[j], fitness[j]) for j in rng.permutation(101)]
         if case % 10 == 0:
-            fitness[-1] = 0.2  # a strictly best candidate
-        pop = [
-            Member(bits, f, int(born))
-            for bits, f, born in zip(plans, fitness, rng.permutation(101))
-        ]
+            pop[-1] = Member(pop[-1].bits, 0.2)  # a strictly best candidate
         assert diversity_select_removal(pop) == reference_removal(pop)
-    empty = [Member((), 0.5, int(born)) for born in (3, 1, 4, 1, 5)]
-    assert diversity_select_removal(empty) == reference_removal(empty) == 1
+    empty = [Member((), 0.5) for _ in range(5)]
+    assert diversity_select_removal(empty) == reference_removal(empty) == 0
 
 
-# (format_plan, float.hex(fitness), born) of every final member of
+# (format_plan, float.hex(fitness)) of every final member, in order, of
 # edo_run(ExactFitness, budget 2, mu=12, 300 iterations, default_rng(7))
-EDO_PIN_B = [("00100000100", "0x0.0p+0", born) for born in range(293, 305)]
+EDO_PIN_B = [("00100000100", "0x0.0p+0")] * 12
 EDO_PIN_D = [
-    ("110000000", "0x1.fb00aefb2e8e3p-2", 350),
-    ("001000100", "0x1.244d1c2bd3241p-1", 357),
-    ("001000010", "0x1.244d1c2bd3241p-1", 358),
-    ("010000001", "0x1.fb00aefb2e8e3p-2", 359),
-    ("001001000", "0x1.21957a504a1acp-1", 367),
-    ("010000001", "0x1.fb00aefb2e8e3p-2", 368),
-    ("001000010", "0x1.244d1c2bd3241p-1", 369),
-    ("110000000", "0x1.fb00aefb2e8e3p-2", 371),
-    ("001100000", "0x1.01ecffd78a86fp-1", 375),
-    ("011000000", "0x1.e4acfff45864cp-2", 376),
+    ("110000000", "0x1.fb00aefb2e8e3p-2"),
+    ("001000100", "0x1.244d1c2bd3241p-1"),
+    ("001000010", "0x1.244d1c2bd3241p-1"),
+    ("010000001", "0x1.fb00aefb2e8e3p-2"),
+    ("001001000", "0x1.21957a504a1acp-1"),
+    ("010000001", "0x1.fb00aefb2e8e3p-2"),
+    ("001000010", "0x1.244d1c2bd3241p-1"),
+    ("110000000", "0x1.fb00aefb2e8e3p-2"),
+    ("001100000", "0x1.01ecffd78a86fp-1"),
+    ("011000000", "0x1.e4acfff45864cp-2"),
 ]
 
 
@@ -209,7 +201,7 @@ def test_edo_run_on_exact_fitness_is_pinned(tmp_path, graph, pin):
         cg, ExactFitness(cg), 2, mu=12, iterations=300,
         rng=np.random.default_rng(7),
     )
-    got = [(format_plan(m.bits), float.hex(m.fitness), m.born) for m in pop]
+    got = [(format_plan(m.bits), float.hex(m.fitness)) for m in pop]
     assert got == pin
 
 
@@ -426,12 +418,9 @@ def test_population_snapshot_round_trip(tmp_path):
     pop = edo_run(cg, ev, 2, mu=5, iterations=40, rng=np.random.default_rng(9))
     path = str(tmp_path / "pop.txt")
     save_population(path, pop)
-    loaded = load_population(path)
-    assert [(m.bits, m.fitness) for m in loaded] == [
-        (m.bits, m.fitness) for m in pop
-    ]
+    assert load_population(path) == pop
     # an instance without a block-worthy edge writes rows " <fitness>"
-    flat = [Member((), 0.3383, 0), Member((), 0.25, 1)]
+    flat = [Member((), 0.3383), Member((), 0.25)]
     save_population(path, flat)
     assert load_population(path) == flat
 

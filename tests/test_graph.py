@@ -18,6 +18,7 @@ from adgame.graph import (
     GraphValidationError,
     Node,
     assign_blockable,
+    graph_to_text,
     load_graph,
     prune,
     sample_edge_probabilities,
@@ -109,6 +110,48 @@ def test_load_rejects_count_mismatch(tmp_path):
     path.write_text("adgraph 1 3 0\nnode x computer 0 0\nnode da DA 0 1\n")
     with pytest.raises(GraphFormatError):
         load_graph(str(path))
+
+
+_A, _B, _DA = Node("a", COMPUTER), Node("b", COMPUTER), Node("da", DOMAIN_ADMIN)
+_A_DA = AttackGraph((_A, _DA), (Edge("a", "da"),))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: AttackGraph((_A,), ()).da, GraphValidationError,
+         "expected exactly one DA node, found 0"),
+        (lambda: AttackGraph((Node("a", "server"), _DA), ()).validate(),
+         GraphValidationError, "unknown node kind 'server' on 'a'"),
+        (lambda: AttackGraph((_A, _DA), (Edge("a", "da", kind="Foo"),)).validate(),
+         GraphValidationError, "unknown edge kind 'Foo' on edge 0"),
+        (lambda: replace(_A_DA, entry_nodes=frozenset({"z"})).validate(),
+         GraphValidationError, "entry node 'z' not in graph"),
+        (lambda: prune(replace(_A_DA, entry_nodes=frozenset({"da"}))),
+         GraphValidationError, "entry node 'da' is a DA candidate"),
+        (lambda: prune(replace(_A_DA, entry_nodes=frozenset({"z"}))),
+         GraphValidationError, "entry node 'z' not in graph"),
+        (lambda: select_entry_nodes(_A_DA, pool_size=1, n_entry=0, seed=0),
+         GraphValidationError, "n_entry must be at least 1"),
+        (lambda: select_entry_nodes(_A_DA, pool_size=1, n_entry=2, seed=0),
+         GraphValidationError, "pool_size must be at least n_entry"),
+        (lambda: assign_blockable(
+            AttackGraph((_A, _B, _DA), (Edge("a", "da"), Edge("a", "b"))), seed=0),
+         GraphValidationError, "edge 1 head 'b' has no path to DA"),
+        (lambda: assign_blockable(AttackGraph((_DA,), ()), seed=0),
+         EmptyGameError, "graph has no edges"),
+        (lambda: graph_to_text(AttackGraph((Node("a b", COMPUTER), _DA), ())),
+         GraphValidationError, "node id 'a b' contains whitespace"),
+    ],
+    ids=[
+        "no-da", "node-kind", "edge-kind", "unknown-entry", "prune-da-entry",
+        "prune-unknown-entry", "no-entries", "pool-below-entries",
+        "head-without-route", "no-edges", "spaced-id",
+    ],
+)
+def test_graph_operations_refuse_a_malformed_graph(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 def test_prune_merges_da_candidates_and_drops_dead_ends():
@@ -281,6 +324,11 @@ def test_select_entry_nodes_warns_on_short_pool():
     with pytest.warns(RuntimeWarning):
         entries = select_entry_nodes(g, pool_size=50, n_entry=2, seed=0)
     assert len(entries) == 2
+    # a pool that shrinks below the entry count cannot supply it
+    with pytest.warns(RuntimeWarning), pytest.raises(
+        GraphValidationError, match="cannot select 4 entry nodes from a pool of 3"
+    ):
+        select_entry_nodes(g, pool_size=50, n_entry=4, seed=0)
 
 
 def test_assign_blockable_extremes():

@@ -1,6 +1,8 @@
 """Kernelization: NSP extraction, block-worthy edges, and size bounds."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from adgame.config import ExperimentConfig
@@ -193,8 +195,10 @@ def test_kernelizer_rejects_unpruned_interior_sink(tmp_path, monkeypatch):
         edges=(Edge("s", "x"), Edge("x", "y")),
         entry_nodes=frozenset({"s"}),
     )
-    with pytest.raises(KernelizationError):
+    with pytest.raises(KernelizationError, match="interior node 'y' has out-degree 0"):
         condense(g)
+    with pytest.raises(KernelizationError, match="graph has no entry nodes"):
+        condense(replace(g, entry_nodes=frozenset()))
     # the NSP cap: graph D has more than three NSPs
     pruned = saved_instance(tmp_path, *GRAPH_D).graph
     monkeypatch.setattr(kernel, "MAX_NSPS", 3)

@@ -239,7 +239,7 @@ def test_run_record_json_round_trip():
 
 def test_simulation_csv_round_trip(tmp_path):
     sim = SimulationReport(
-        runs=100, successes=30, success_rate=0.1 + 0.2, std_error=1 / 3, wall_time=1.5
+        runs=100, successes=30, success_rate=0.1 + 0.2, std_error=1 / 3
     )
     path = tmp_path / "simulation.csv"
     write_simulation_csv(str(path), sim, (1, 0, 1), "exact")
@@ -251,7 +251,6 @@ def test_simulation_csv_round_trip(tmp_path):
         "runs": "100",
         "success_rate": "0.30000000000000004",
         "std_error": "0.3333333333333333",
-        "wall_time_s": "1.500",
     }
     assert float(row["success_rate"]) == sim.success_rate
     assert float(row["std_error"]) == sim.std_error
@@ -269,12 +268,11 @@ def test_record_missing_a_field_is_a_pipeline_error(tmp_path):
 
 
 def _artifact_bytes(run_dir: str) -> dict[str, bytes]:
+    """Every file of a run but ``timings.json``, by name."""
     out = {}
-    names = ("record.json", "population.txt", "net.ckpt", "graph.txt", "counters.json")
-    for name in names:
-        p = os.path.join(run_dir, name)
-        if os.path.exists(p):
-            with open(p, "rb") as fh:
+    for name in os.listdir(run_dir):
+        if name != "timings.json":
+            with open(os.path.join(run_dir, name), "rb") as fh:
                 out[name] = fh.read()
     return out
 
@@ -285,7 +283,8 @@ def test_run_nndp_edo_persists_and_reruns_bit_identical(tmp_path, graph_file):
     run_dir = run_dir_for(cfg, "nndp-edo", 0)
     first = _artifact_bytes(run_dir)
     assert set(first) == {
-        "record.json", "population.txt", "net.ckpt", "graph.txt", "counters.json"
+        "record.json", "population.txt", "net.ckpt", "graph.txt", "counters.json",
+        "simulation.csv",
     }
     assert json.loads(first["counters.json"])["backup_table"]["entries_built"] > 0
     # other runs in between: nothing one run memoizes may reach the next
@@ -578,6 +577,25 @@ def test_run_nndp_edo_computes_on_one_blas_thread_and_restores_the_count(
     assert seen == [1, 1]
 
 
+def test_search_and_train_runs_record_their_blas_thread_count(tmp_path, graph_file):
+    if pipeline._openblas_threads() is None:
+        pytest.skip("numpy loaded no OpenBLAS")
+    cfg = tiny_config(str(tmp_path), graph_file=graph_file, rounds=1)
+    run_nndp_edo(cfg, 0)
+    with open(os.path.join(run_dir_for(cfg, "nndp-edo", 0), "counters.json")) as fh:
+        assert json.load(fh)["blas_threads"] == 1
+
+
+def test_a_run_without_openblas_runs_unpinned_and_records_null(
+    tmp_path, graph_file, monkeypatch
+):
+    monkeypatch.setattr(pipeline, "_openblas_threads", lambda: None)
+    cfg = tiny_config(str(tmp_path), graph_file=graph_file, rounds=1)
+    run_nndp_edo(cfg, 0, "vec")
+    with open(os.path.join(run_dir_for(cfg, "nndp-vec", 0), "counters.json")) as fh:
+        assert json.load(fh)["blas_threads"] is None
+
+
 def test_vec_baseline_uses_training_loop(tmp_path, graph_file):
     cfg = tiny_config(str(tmp_path), graph_file=graph_file)
     rec = run_baseline(cfg, "vec", 0)
@@ -646,6 +664,22 @@ def test_report_tabulates_and_refuses_mixed_runs(tmp_path, graph_file):
         json.dump(raw, fh)
     with pytest.raises(ReportCompatibilityError):
         report(dirs)
+
+
+def test_report_refuses_one_seed_on_two_instances(tmp_path):
+    # the entry counts differ, which no compared config field shows
+    cfg = ExperimentConfig(
+        n_computers=40, entry_pool_size=8, entry_count=4, budget=1, mc_runs=200,
+        out_dir=str(tmp_path),
+    )
+    greedy = run_baseline(cfg, "greedy", 0)
+    exhaustive = run_baseline(replace(cfg, entry_count=2), "exhaustive", 0)
+    assert greedy.instance_key == "c04001551492b965"
+    assert exhaustive.instance_key == "a801ef0b869753c7"
+    dirs = [run_dir_for(cfg, name, 0) for name in ("greedy", "exhaustive")]
+    with pytest.raises(ReportCompatibilityError, match="different instances") as info:
+        report(dirs)
+    assert all(d in str(info.value) for d in dirs)
 
 
 def _write_record(run_dir: str, **fields) -> str:
@@ -830,10 +864,14 @@ def test_cli_simulate_replays_a_runs_simulation(tmp_path, capsys, strategy):
     sim = json.loads(capsys.readouterr().out)
     assert sim["success_rate"] == run["success_rate"]
     replay, row = (
-        [line.rsplit(",", 1)[0] for line in open(path).read().splitlines()]
+        open(path, "rb").read()
         for path in (sim["csv"], os.path.join(run["run_dir"], "simulation.csv"))
     )
-    assert replay == row and len(row) == 2  # all but the wall-time column
+    assert replay == row and len(row.splitlines()) == 2
+    with open(os.path.join(out, "timings.json"), encoding="utf-8") as fh:
+        timings = json.load(fh)
+    assert set(timings) == {"simulate_s", "total_s"}
+    assert 0.0 <= timings["simulate_s"] <= timings["total_s"]
 
 
 def test_cli_simulate_original_agrees_with_solve_exact_and_the_library(

@@ -109,3 +109,19 @@ def test_artifact_digests_match_across_reruns_and_name_a_changed_file(
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"{empty} holds no file to digest" in captured.err
+    # and a file is not a directory of runs
+    with pytest.raises(SystemExit) as exc:
+        digests.main([str(population)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{population} is not a directory" in captured.err
+
+
+def test_the_desk_preset_tabulates_seeds_0_to_2(tmp_path, capsys):
+    argv = ["--preset", "desk", "--strategies", "greedy", "--out", str(tmp_path)]
+    assert _load_script().main(argv) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0].endswith(",seed0_rate,seed1_rate,seed2_rate")
+    assert [row.split(",")[:3] for row in table[1:]] == [
+        ["greedy", "independent", "3"]
+    ]

@@ -9,7 +9,7 @@ import pytest
 
 from adgame.defense import ExactFitness, exhaustive_run
 from adgame.kernel import condense
-from adgame.mdp import dp_value, initial_state
+from adgame.mdp import dp_value, initial_state, terminal_value, transition
 from adgame.simulate import (
     DpPolicy,
     PolicyContractError,
@@ -157,6 +157,13 @@ def test_out_of_range_action_is_contract_error():
         for sim in (simulate, simulate_on_original):
             with pytest.raises(PolicyContractError):
                 sim(cg, None, lambda s: action, runs=10, seed=0)
+    # the exact policy has no action to give in a won state
+    won = next(
+        s for s, _ in transition(cg, initial_state(cg, None), 0).outcomes
+        if terminal_value(cg, s) == 1.0
+    )
+    with pytest.raises(PolicyContractError, match="no action available"):
+        DpPolicy(cg)(won)
 
 
 def test_repeating_a_failed_path_is_contract_error():

@@ -616,6 +616,26 @@ def test_checkpoint_checks_the_payload_before_allocating(tmp_path):
     assert peak < 1_000_000
 
 
+def test_checkpoint_refuses_an_oversized_file_in_bounded_memory(tmp_path):
+    # a valid checkpoint extended to 64 MiB as a sparse file: the header
+    # promises 100 bytes of parameters, and the rest is never read
+    path = tmp_path / "net.ckpt"
+    save_checkpoint(str(path), ValueNet(4, depth=1, width=4, seed=0))
+    with open(path, "r+b") as fh:
+        fh.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            CheckpointFormatError,
+            match=rf"expected 25 parameters \(100 bytes\), found {(64 << 20) - 40} bytes",
+        ):
+            load_checkpoint(str(path), 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize(
     "sizes,n_params",
     [((0, 1), 1), ((3, 2), 8), ((3, 4, 5, 1), 47)],
