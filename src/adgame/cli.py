@@ -7,8 +7,10 @@ over the file and over an earlier `--set`.  A subcommand plays the
 config's first seed, or `N` when `--seed` is given; `simulate` plays
 `mc_runs` runs under a run's Monte Carlo seed
 (`pipeline.simulation_seed`), writing `simulation.csv` and, beside it,
-its wall times in `timings.json`.  `report` reads no config: it takes the
-run directories and an optional `--out DIR` for `report.csv`.
+its wall times in `timings.json`; it refuses an `--out` that holds a
+run's `record.json`, whose files are that run's own.  `report` reads no
+config: it takes the run directories and an optional `--out DIR` for
+`report.csv`.
 Success exits 0; any failure prints a single JSON line `{"error": ...,
 "message": ...}` on stderr and exits nonzero (2 for command line or
 config mistakes, 1 for everything else).  A file that cannot be read or
@@ -140,6 +142,12 @@ def _cmd_defend(args: argparse.Namespace) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> None:
     started = time.perf_counter()
     config = _config_from(args)
+    # a run's own timings.json holds its phases, which report reads
+    if os.path.exists(os.path.join(config.out_dir, "record.json")):
+        raise CommandLineError(
+            f"{config.out_dir} holds a run's record.json; simulate into another "
+            "directory"
+        )
     seed = config.seeds[0]
     inst = pipeline.prepare_instance(config, seed)
     plan = _parse_plan(args.plan, len(inst.cg.bw_edges))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, compress
 from math import comb, isfinite
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -359,27 +359,47 @@ def save_population(path: str, pop: Population) -> None:
 
 
 def load_population(path: str) -> Population:
+    """Read a snapshot written by ``save_population``.  Every line is read
+    with a length limit and reading stops at the first row past the count
+    the header declares, so an oversized file is refused in bounded memory;
+    blank lines are skipped."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+            return _read_population(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise PopulationFormatError(f"cannot read population {path}: {exc}") from exc
-    if not lines:
+
+
+def _read_population(fh: TextIO) -> Population:
+    # the header, "adpop 1 <members> <bits>", is far shorter than 64
+    # characters, so one that reaches the limit is refused
+    line = fh.readline(64)
+    if not line:
         raise PopulationFormatError("empty population file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "adpop" or head[1] != "1":
-        raise PopulationFormatError(f"bad header: {lines[0]!r}")
+    head, text = line.split(), line.rstrip("\n")
+    if len(head) != 4 or head[0] != "adpop" or head[1] != "1" or len(text) == 64:
+        raise PopulationFormatError(f"bad header: {text!r}")
     try:
         n_members, n_bits = int(head[2]), int(head[3])
     except ValueError as exc:
-        raise PopulationFormatError(f"bad header counts: {lines[0]!r}") from exc
-    rows = [line for line in lines[1:] if line.strip()]
-    if len(rows) != n_members:
-        raise PopulationFormatError(
-            f"expected {n_members} members, found {len(rows)}"
-        )
+        raise PopulationFormatError(f"bad header counts: {text!r}") from exc
+    # a negative limit would read a whole line
+    if n_members < 0 or n_bits < 0:
+        raise PopulationFormatError(f"bad header counts: {text!r}")
+    # a row is its bits, a space and a float's repr (at most 24 characters)
+    limit = n_bits + 64
     pop: Population = []
-    for at, line in enumerate(rows):
+    while line := fh.readline(limit):
+        if not line.strip():
+            continue
+        at = len(pop)
+        if at == n_members:
+            raise PopulationFormatError(f"expected {n_members} members, found more")
+        line = line.rstrip("\n")
+        if len(line) == limit:
+            raise PopulationFormatError(
+                f"line {at + 2}: row longer than {limit - 1} characters"
+            )
         # a zero-width plan writes an empty bits field: the row is " <fitness>"
         bits, sep, fitness_text = line.rpartition(" ")
         if not sep or len(bits) != n_bits:
@@ -395,4 +415,8 @@ def load_population(path: str) -> Population:
                 f"line {at + 2}: fitness {fitness_text} is not finite"
             )
         pop.append(Member(tuple(int(c) for c in bits), fitness))
+    if len(pop) != n_members:
+        raise PopulationFormatError(
+            f"expected {n_members} members, found {len(pop)}"
+        )
     return pop

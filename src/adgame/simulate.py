@@ -17,8 +17,8 @@ offset), asks the policy once per group, rejects inadmissible actions, and
 absorbs groups that reach a terminal state.  Each simulator only supplies
 the step that moves one group across one attempted path.  Runs in the same
 group advance in lockstep, so no Python loop runs over runs: the kernel step
-is one ``searchsorted``, the raw step one column compare per edge of the
-path over the runs still walking.
+is one compare of the runs' draws per outcome boundary, the raw step one
+column compare per edge of the path over the runs still walking.
 
 Pending groups sit on a stack and are never merged: no key pushed equals a
 pending one.  A step's groups differ from each other in state or offset,
@@ -43,6 +43,7 @@ from .kernel import CondensedGraph
 from .mdp import (
     State,
     ExactSolver,
+    TransitionDistribution,
     initial_state,
     is_admissible,
     terminal_value,
@@ -167,18 +168,22 @@ def simulate(
     first_run: int = 0,
 ) -> SimulationReport:
     """Play the condensed game, one uniform draw per attempted path."""
-    dist_cache: dict[tuple[State, int], tuple[np.ndarray, tuple]] = {}
+    dist_cache: dict[tuple[State, int], TransitionDistribution] = {}
 
     def step(state, depth, action, tape, rows):
         key = (state, action)
-        if key not in dist_cache:
-            dist = transition(cg, state, action)
-            dist_cache[key] = np.asarray(dist.cumulative), dist.outcomes
-        cum, outcomes = dist_cache[key]
-        # draws beyond the last outcome land in the detection mass
-        pick = np.searchsorted(cum, tape[rows, depth], side="right")
-        for idx, (nxt, _) in enumerate(outcomes):
-            yield (nxt, depth + 1), rows[pick == idx]
+        dist = dist_cache.get(key)
+        if dist is None:
+            dist = dist_cache[key] = transition(cg, state, action)
+        u = tape[rows, depth]
+        # outcome i takes cum[i-1] <= u < cum[i]: the sums never decrease, so
+        # that is ``under`` without the previous ``under``.  Draws at or
+        # above the last sum land in the detection mass
+        below = False
+        for bound, (nxt, _) in zip(dist.cumulative, dist.outcomes):
+            under = u < bound
+            yield (nxt, depth + 1), rows[under ^ below]
+            below = under
 
     return _play(cg, plan, policy, runs, seed, first_run, cg.n_nsps, step)
 

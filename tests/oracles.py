@@ -8,9 +8,10 @@ bitmasks; ``trit_transition`` walks the trit states themselves.
 owned nodes; ``ReferenceSolver`` is the exact solver that runs it for every
 admissible action of every key it expands.  ``reference_route_actions``
 finds the route actions by a fixed point over node names.
-``reference_simulate_on_original`` is the raw-edge Monte Carlo with the
-full-width step: every run of a group reads its whole stretch of the path
-at once.  ``reference_prune`` finds what ``prune`` keeps by one search per
+``reference_simulate`` is the kernel Monte Carlo with its ``searchsorted``
+step, and ``reference_simulate_on_original`` the raw-edge Monte Carlo with
+the full-width step: every run of a group reads its whole stretch of the
+path at once.  ``reference_prune`` finds what ``prune`` keeps by one search per
 node.  ``reference_removal`` is the survivor comparator of
 ``diversity_select_removal``, written as a plain minimum over members.
 """
@@ -274,6 +275,22 @@ class ReferenceSolver:
                 "states; use the neural approximate solver instead"
             )
         self._memo[key] = (value, action)
+
+
+def reference_simulate(cg, plan, policy, runs, seed, first_run=0):
+    """``simulate`` with the step it had before its boundary comparisons:
+    each run's outcome is the ``searchsorted`` index of its draw among the
+    running sums, played through the simulators' own engine."""
+    sim = importlib.import_module("adgame.simulate")
+
+    def step(state, depth, action, tape, rows):
+        dist = transition(cg, state, action)
+        # draws beyond the last outcome land in the detection mass
+        pick = np.searchsorted(dist.cumulative, tape[rows, depth], side="right")
+        for idx, (nxt, _) in enumerate(dist.outcomes):
+            yield (nxt, depth + 1), rows[pick == idx]
+
+    return sim._play(cg, plan, policy, runs, seed, first_run, cg.n_nsps, step)
 
 
 def reference_simulate_on_original(cg, plan, policy, runs, seed, first_run=0):

@@ -1,6 +1,8 @@
 """Defender strategies: operators, survivor selection, search baselines."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -439,6 +441,35 @@ def test_population_snapshot_rejects_malformed(tmp_path):
     path.write_text("adpop 1 1 0\n0.25\n")
     with pytest.raises(PopulationFormatError):
         load_population(str(path))
+    path.write_text("adpop 1 -1 3\n")
+    with pytest.raises(PopulationFormatError, match="bad header counts"):
+        load_population(str(path))
+    path.write_text(f"adpop 1 1 3\n101 0.{'5' * 70}\n")
+    with pytest.raises(PopulationFormatError, match="line 2: row longer than 66"):
+        load_population(str(path))
+    # blank lines are no rows
+    path.write_text("adpop 1 2 3\n\n101 0.25\n   \n\n011 0.5\n\n")
+    rows = [Member((1, 0, 1), 0.25), Member((0, 1, 1), 0.5)]
+    assert load_population(str(path)) == rows
+
+
+def test_population_refuses_an_oversized_file_in_bounded_memory(tmp_path):
+    # a valid one-member snapshot extended to 64 MiB as a sparse file: the
+    # NUL bytes past it are read no further than one row past the count
+    path = tmp_path / "pop.txt"
+    save_population(str(path), [Member((1, 0, 1), 0.25)])
+    with open(path, "r+b") as fh:
+        fh.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            PopulationFormatError, match="expected 1 members, found more"
+        ):
+            load_population(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("fitness", ["nan", "inf", "-inf", "1e999"])

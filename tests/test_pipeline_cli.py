@@ -874,6 +874,25 @@ def test_cli_simulate_replays_a_runs_simulation(tmp_path, capsys, strategy):
     assert 0.0 <= timings["simulate_s"] <= timings["total_s"]
 
 
+def test_cli_simulate_refuses_to_write_into_a_run_directory(tmp_path, capsys):
+    # the run's own timings.json holds its phases, which report tabulates
+    out = str(tmp_path)
+    common = _sets(tiny_config(out)) + ["--seed", "2"]
+    assert main(["defend", "greedy"] + common + ["--out", out]) == 0
+    run = json.loads(capsys.readouterr().out)
+    names = ("timings.json", "simulation.csv")
+    before = [open(os.path.join(run["run_dir"], n), "rb").read() for n in names]
+    argv = ["simulate", "--plan", run["best_plan"]] + common
+    assert main(argv + ["--out", run["run_dir"]]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "CommandLineError"
+    assert run["run_dir"] in error["message"]
+    after = [open(os.path.join(run["run_dir"], n), "rb").read() for n in names]
+    assert after == before
+
+
 def test_cli_simulate_original_agrees_with_solve_exact_and_the_library(
     tmp_path, capsys, graph_file
 ):

@@ -1,5 +1,6 @@
-"""Monte Carlo simulator: fidelity to the exact value, chunk invariance, and
-the raw-edge walk against its full-width reference."""
+"""Monte Carlo simulator: fidelity to the exact value, chunk invariance, the
+kernel step against its ``searchsorted`` reference and the raw-edge walk
+against its full-width reference."""
 from __future__ import annotations
 
 import importlib
@@ -26,7 +27,7 @@ from instances import (
     shared_suffix_graph,
     two_parallel_graph,
 )
-from oracles import reference_simulate_on_original
+from oracles import reference_simulate, reference_simulate_on_original
 
 # the module, not the package's re-exported ``simulate`` function
 sim_module = importlib.import_module("adgame.simulate")
@@ -231,37 +232,60 @@ class _Recorder:
         return self.policy(s)
 
 
-def _raw_and_reference(cg, plan, runs, seed):
+def _with_reference(run, reference, cg, plan, runs, seed):
     """(successes, policy calls, unwarmed DpPolicy memo items in insertion
-    order) of the edge-by-edge walk, then of the full-width reference."""
+    order) of a simulator, then of its reference."""
     got = []
-    for run in (simulate_on_original, reference_simulate_on_original):
+    for play in (run, reference):
         policy = DpPolicy(cg)
         recorder = _Recorder(policy)
-        report = run(cg, plan, recorder, runs, seed)
+        report = play(cg, plan, recorder, runs, seed)
         got.append((report.successes, recorder.calls, list(policy._memo.items())))
     assert got[0][1], "the policy was never asked"
     return got
 
 
-def test_raw_walk_matches_the_full_width_reference_on_graph_d(tmp_path, monkeypatch):
+def _matches_on_graph_d(tmp_path, monkeypatch, run, reference):
     # the benchmark's mc-eval plans; 70,001 runs leave a ragged last chunk
     cg = saved_instance(tmp_path, *GRAPH_D)
     ev = ExactFitness(cg)
     plans = [(0,) * len(cg.bw_edges)] + [exhaustive_run(cg, ev, k) for k in (1, 2)]
     for plan in plans:
         for seed in range(3):
-            new, ref = _raw_and_reference(cg, plan, 70_001, seed)
+            new, ref = _with_reference(run, reference, cg, plan, 70_001, seed)
             assert new == ref, (plan, seed)
         with monkeypatch.context() as m:
             m.setattr(sim_module, "CHUNK_SIZE", 701)
-            chunked, ref = _raw_and_reference(cg, plan, 70_001, 0)
+            chunked, ref = _with_reference(run, reference, cg, plan, 70_001, 0)
         assert chunked == ref, plan
+
+
+def _matches_on_random_instance(run, reference, seed):
+    cg = random_instance(seed)
+    for plan in (None, (1,) + (0,) * (len(cg.bw_edges) - 1)):
+        new, ref = _with_reference(run, reference, cg, plan, 20_000, seed)
+        assert new == ref, plan
+
+
+def test_kernel_step_matches_the_searchsorted_reference_on_graph_d(
+    tmp_path, monkeypatch
+):
+    _matches_on_graph_d(tmp_path, monkeypatch, simulate, reference_simulate)
+
+
+@pytest.mark.parametrize("seed", [2, 7, 15, 26, 45])
+def test_kernel_step_matches_the_searchsorted_reference_on_random_instances(seed):
+    _matches_on_random_instance(simulate, reference_simulate, seed)
+
+
+def test_raw_walk_matches_the_full_width_reference_on_graph_d(tmp_path, monkeypatch):
+    _matches_on_graph_d(
+        tmp_path, monkeypatch, simulate_on_original, reference_simulate_on_original
+    )
 
 
 @pytest.mark.parametrize("seed", [2, 7, 15, 26, 45])
 def test_raw_walk_matches_the_full_width_reference_on_random_instances(seed):
-    cg = random_instance(seed)
-    for plan in (None, (1,) + (0,) * (len(cg.bw_edges) - 1)):
-        new, ref = _raw_and_reference(cg, plan, 20_000, seed)
-        assert new == ref, plan
+    _matches_on_random_instance(
+        simulate_on_original, reference_simulate_on_original, seed
+    )
